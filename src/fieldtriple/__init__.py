@@ -4,7 +4,7 @@ Lagrangian and Hamiltonian phase dynamics, Legendre transforms, a model
 catalog (harmonic maps, the Minkowski string), and a variational grid solver
 for Euler-Lagrange boundary-value problems."""
 
-from .autodiff import (Dual, HyperDual, ScalarField, fd_grad, grad, hessian,
+from .autodiff import (ScalarField, Taylor, fd_grad, grad, hessian,
                        hessian_mixed)
 from .bundles import (Jet, JetCovector, JetTangent, JetVariation, Phase,
                       PhaseCovector, PhaseJet, PhaseTangent, alpha, beta,

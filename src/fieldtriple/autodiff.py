@@ -1,20 +1,23 @@
-"""Forward-mode automatic differentiation on dual and hyper-dual numbers.
+"""Forward-mode automatic differentiation on second-order Taylor numbers.
 
-First derivatives propagate through :class:`Dual` (value + one derivative
-channel), mixed second derivatives through :class:`HyperDual` (value, two
-first-order channels, one cross channel).  Both carry either python floats or
-numpy arrays in every channel, so a single arithmetic pass can differentiate a
-function at one point or at a whole batch of points at once.
+A :class:`Taylor` carries a value, its gradient and optionally its Hessian
+with respect to k seeded inputs, and propagates all of them through one
+arithmetic pass (Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+Every channel is a python float or a numpy array whose trailing axes are a
+batch, so a single pass can differentiate a function at one point or at a
+whole batch of points at once.
 
 Conventions
 -----------
-* A plain number entering dual arithmetic is promoted with zero derivative
-  parts, so evaluating on duals with silent seeds reproduces the plain value
-  bit for bit (the value channel performs exactly the same float operations).
-* ``hessian_mixed(f, x, i, j)`` seeds the first channel on ``x[i]`` and the
-  second on ``x[j]``; ``i == j`` yields the diagonal second derivative.
+* A plain number entering Taylor arithmetic is promoted with zero derivative
+  parts, so evaluating on Taylor numbers reproduces the plain value bit for
+  bit (the value channel performs exactly the same float operations).
+* ``grad`` and ``hessian`` are one seeded pass each; ``hessian_mixed`` is an
+  entry of ``hessian``.  A first-order pass leaves ``hess`` as None and does
+  no second-order work.
 * The finite-difference oracle ``fd_grad`` is kept deliberately independent
-  of the dual path (pure f-evaluations) so the two can cross-check each other.
+  of the Taylor path (pure f-evaluations) so the two can cross-check each
+  other.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import numpy as np
 from .errors import DomainError, InvalidInputError, InvalidParameterError
 
 __all__ = [
-    "Dual",
-    "HyperDual",
+    "Taylor",
     "ScalarField",
+    "seed",
     "grad",
     "fd_grad",
     "hessian_mixed",
@@ -59,175 +62,144 @@ def _check_value_domain(value, ok_mask, what: str) -> None:
         raise DomainError(f"{what} left the admissible domain{at}", component=comp)
 
 
-class Dual:
-    """value + deriv * eps with eps^2 = 0.  Channels are floats or ndarrays."""
+def _lift(x) -> "Taylor":
+    """A plain number as a constant: zero gradient, untracked Hessian."""
+    return x if isinstance(x, Taylor) else Taylor(x, 0.0)
+
+
+def _plus(a, b):
+    """Sum of two Hessian channels, ``None`` standing for zero."""
+    if a is None:
+        return b
+    return a if b is None else a + b
+
+
+def _scaled(h, c):
+    """h * c for a Hessian channel.  A scalar zero (a seed's) stays a scalar
+    rather than broadcasting to the batch shape of c: sums of seeds then keep
+    Hessians of shape (k, k, 1)."""
+    if h is None or (np.ndim(h) == 0 and h == 0.0):
+        return h
+    return h * c
+
+
+def _outer(a, b):
+    """a_i b_j over the leading (input) axis; batch axes ride along."""
+    return a[:, None] * b[None]
+
+
+def _sym_outer(a, b):
+    """a_i b_j + a_j b_i, exactly symmetric."""
+    p = _outer(a, b)
+    return p + p.swapaxes(0, 1)
+
+
+class Taylor:
+    """Second-order Taylor expansion value + grad.dx + dx.hess.dx / 2.
+
+    ``grad`` has shape (k,) + batch and ``hess`` (k, k) + batch, where k is
+    the number of seeded inputs and batch the shape of ``value``; either may
+    be a scalar that broadcasts to it.  ``hess`` is None when the pass tracks
+    first order only, so a gradient pass does no second-order work.  All
+    inputs of one pass are seeded to the same order.
+    """
 
     # Keep numpy from consuming us in mixed expressions; its binary ufuncs
     # then return NotImplemented and python falls back to our reflected ops.
     __array_ufunc__ = None
     __array_priority__ = 1000.0
 
-    __slots__ = ("value", "deriv")
+    __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value, deriv):
+    def __init__(self, value, grad, hess=None):
         self.value = value
-        self.deriv = deriv
+        self.grad = grad
+        self.hess = hess
 
     def __repr__(self):
-        return f"Dual({self.value!r}, {self.deriv!r})"
-
-    @staticmethod
-    def _lift(x) -> "Dual":
-        if isinstance(x, Dual):
-            return x
-        if isinstance(x, HyperDual):
-            raise InvalidInputError("cannot mix Dual and HyperDual in one expression")
-        return Dual(x, 0.0)
+        return f"Taylor({self.value!r}, {self.grad!r}, {self.hess!r})"
 
     def __add__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.value + o.value, self.deriv + o.deriv)
+        o = _lift(other)
+        return Taylor(self.value + o.value, self.grad + o.grad,
+                      _plus(self.hess, o.hess))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.value - o.value, self.deriv - o.deriv)
+        o = _lift(other)
+        hess = self.hess if o.hess is None else self.hess - o.hess
+        return Taylor(self.value - o.value, self.grad - o.grad, hess)
 
     def __rsub__(self, other):
-        o = Dual._lift(other)
-        return Dual(o.value - self.value, o.deriv - self.deriv)
+        o = _lift(other)
+        return Taylor(o.value - self.value, o.grad - self.grad,
+                      _scaled(self.hess, -1.0))
 
     def __neg__(self):
-        return Dual(-self.value, -self.deriv)
+        return Taylor(-self.value, -self.grad, _scaled(self.hess, -1.0))
 
     def __mul__(self, other):
-        o = Dual._lift(other)
-        return Dual(self.value * o.value, self.deriv * o.value + self.value * o.deriv)
+        o = _lift(other)
+        if o.hess is None:
+            hess = _scaled(self.hess, o.value)
+        else:
+            hess = (_scaled(self.hess, o.value) + _scaled(o.hess, self.value)
+                    + _sym_outer(self.grad, o.grad))
+        return Taylor(self.value * o.value,
+                      self.grad * o.value + self.value * o.grad, hess)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Dual._lift(other)
-        v = self.value / o.value
-        return Dual(v, (self.deriv - v * o.deriv) / o.value)
+        return _divide(self, _lift(other))
 
     def __rtruediv__(self, other):
-        return Dual._lift(other) / self
+        return _divide(_lift(other), self)
 
     def __pow__(self, n):
-        if isinstance(n, (Dual, HyperDual)):
-            raise InvalidInputError("exponent must be a plain number")
-        if not float(n).is_integer():
-            _check_value_domain(self.value, np.asarray(self.value) > 0.0, f"x**{n}")
-        v = self.value ** n
-        return Dual(v, n * self.value ** (n - 1) * self.deriv)
-
-
-class HyperDual:
-    """value + d1*eps1 + d2*eps2 + d12*eps1*eps2 with eps1^2 = eps2^2 = 0."""
-
-    __array_ufunc__ = None
-    __array_priority__ = 1000.0
-
-    __slots__ = ("value", "d1", "d2", "d12")
-
-    def __init__(self, value, d1, d2, d12):
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-        self.d12 = d12
-
-    def __repr__(self):
-        return f"HyperDual({self.value!r}, {self.d1!r}, {self.d2!r}, {self.d12!r})"
-
-    @staticmethod
-    def _lift(x) -> "HyperDual":
-        if isinstance(x, HyperDual):
-            return x
-        if isinstance(x, Dual):
-            raise InvalidInputError("cannot mix Dual and HyperDual in one expression")
-        return HyperDual(x, 0.0, 0.0, 0.0)
-
-    def __add__(self, other):
-        o = HyperDual._lift(other)
-        return HyperDual(self.value + o.value, self.d1 + o.d1,
-                         self.d2 + o.d2, self.d12 + o.d12)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = HyperDual._lift(other)
-        return HyperDual(self.value - o.value, self.d1 - o.d1,
-                         self.d2 - o.d2, self.d12 - o.d12)
-
-    def __rsub__(self, other):
-        return HyperDual._lift(other) - self
-
-    def __neg__(self):
-        return HyperDual(-self.value, -self.d1, -self.d2, -self.d12)
-
-    def __mul__(self, other):
-        o = HyperDual._lift(other)
-        return HyperDual(
-            self.value * o.value,
-            self.d1 * o.value + self.value * o.d1,
-            self.d2 * o.value + self.value * o.d2,
-            self.d12 * o.value + self.value * o.d12 + self.d1 * o.d2 + self.d2 * o.d1,
-        )
-
-    __rmul__ = __mul__
-
-    def _reciprocal(self) -> "HyperDual":
-        a = self.value
-        inv = 1.0 / a
-        inv2 = inv * inv
-        return HyperDual(inv, -self.d1 * inv2, -self.d2 * inv2,
-                         -self.d12 * inv2 + 2.0 * self.d1 * self.d2 * inv2 * inv)
-
-    def __truediv__(self, other):
-        return self * HyperDual._lift(other)._reciprocal()
-
-    def __rtruediv__(self, other):
-        return HyperDual._lift(other) * self._reciprocal()
-
-    def __pow__(self, n):
-        if isinstance(n, (Dual, HyperDual)):
+        if isinstance(n, Taylor):
             raise InvalidInputError("exponent must be a plain number")
         if not float(n).is_integer():
             _check_value_domain(self.value, np.asarray(self.value) > 0.0, f"x**{n}")
         a = self.value
-        return _chain2(self, a ** n, n * a ** (n - 1), n * (n - 1) * a ** (n - 2))
+        return _chain(self, a ** n, n * a ** (n - 1),
+                      lambda: n * (n - 1) * a ** (n - 2))
 
 
-def _chain1(x: Dual, f0, f1) -> Dual:
-    return Dual(f0, f1 * x.deriv)
+def _divide(a: Taylor, b: Taylor) -> Taylor:
+    """a / b, from a = v b differentiated once and twice."""
+    v = a.value / b.value
+    grad = (a.grad - v * b.grad) / b.value
+    hess = _plus(a.hess, _scaled(b.hess, -v))
+    if b.hess is not None:
+        hess = hess - _sym_outer(grad, b.grad)
+    return Taylor(v, grad, None if hess is None else hess / b.value)
 
 
-def _chain2(x: HyperDual, f0, f1, f2) -> HyperDual:
-    return HyperDual(f0, f1 * x.d1, f1 * x.d2, f1 * x.d12 + f2 * x.d1 * x.d2)
+def _chain(x: Taylor, f0, f1, f2) -> Taylor:
+    """f(x) for a scalar f with value f0 and derivative f1 at x.value; the
+    thunk f2 gives f'' and is called only when x tracks a Hessian."""
+    hess = None
+    if x.hess is not None:
+        hess = _scaled(x.hess, f1) + f2() * _outer(x.grad, x.grad)
+    return Taylor(f0, f1 * x.grad, hess)
 
 
 def sqrt(x):
     """Square root with derivative propagation; negative values are a domain error."""
-    if isinstance(x, Dual):
+    if isinstance(x, Taylor):
         _check_value_domain(x.value, np.asarray(x.value) > 0.0, "sqrt")
         r = np.sqrt(x.value)
-        return _chain1(x, r, 0.5 / r)
-    if isinstance(x, HyperDual):
-        _check_value_domain(x.value, np.asarray(x.value) > 0.0, "sqrt")
-        r = np.sqrt(x.value)
-        return _chain2(x, r, 0.5 / r, -0.25 / (r * x.value))
+        return _chain(x, r, 0.5 / r, lambda: -0.25 / (r * x.value))
     _check_value_domain(x, np.asarray(x) >= 0.0, "sqrt")
     return np.sqrt(x)
 
 
 def _unary(name: str, f, df, d2f):
     def op(x):
-        if isinstance(x, Dual):
-            return _chain1(x, f(x.value), df(x.value))
-        if isinstance(x, HyperDual):
-            return _chain2(x, f(x.value), df(x.value), d2f(x.value))
+        if isinstance(x, Taylor):
+            return _chain(x, f(x.value), df(x.value), lambda: d2f(x.value))
         return f(x)
 
     op.__name__ = name
@@ -245,8 +217,8 @@ cosh = _unary("cosh", np.cosh, np.sinh, np.cosh)
 @dataclass(frozen=True)
 class ScalarField:
     """A scalar function of ``arity`` real arguments, written in generic
-    arithmetic so it accepts plain numbers, Dual or HyperDual entries, and
-    numpy-array channels for batched evaluation."""
+    arithmetic so it accepts plain numbers, Taylor entries, and numpy-array
+    channels for batched evaluation."""
 
     arity: int
     eval: Callable
@@ -262,34 +234,48 @@ class ScalarField:
         return self.eval(xs)
 
 
-def grad(f: ScalarField, x: Sequence[float]) -> np.ndarray:
-    """Exact gradient of f at x via one seeded dual pass per coordinate."""
+def _point(f: ScalarField, x: Sequence[float]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] != f.arity:
         raise InvalidInputError(
             f"point has shape {x.shape}, expected ({f.arity},)")
+    return x
+
+
+def seed(x, second: bool) -> list[Taylor]:
+    """Taylor inputs for one pass over the rows of ``x``: row i (a value, or
+    a batch of values) gets gradient e_i, and a zero Hessian if ``second``."""
+    x = np.asarray(x, dtype=float)
+    k = len(x)
+    eye = np.eye(k).reshape((k, k) + (1,) * (x.ndim - 1))
+    hess = 0.0 if second else None
+    return [Taylor(x[i], eye[i], hess) for i in range(k)]
+
+
+def _expand(f: ScalarField, x: Sequence[float], second: bool) -> Taylor:
+    """f at x in one seeded pass, to second order if ``second``."""
+    r = f(seed(_point(f, x), second))
+    if not isinstance(r, Taylor):
+        raise InvalidInputError("field did not propagate Taylor numbers")
+    return r
+
+
+def grad(f: ScalarField, x: Sequence[float]) -> np.ndarray:
+    """Exact gradient of f at x via one seeded first-order pass."""
     out = np.empty(f.arity)
-    for i in range(f.arity):
-        xs = [Dual(x[j], 1.0 if j == i else 0.0) for j in range(f.arity)]
-        r = f(xs)
-        if not isinstance(r, Dual):
-            raise InvalidInputError("field did not propagate dual numbers")
-        out[i] = r.deriv
+    out[:] = _expand(f, x, second=False).grad
     return out
 
 
 def fd_grad(f: ScalarField, x: Sequence[float], h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, independent of the dual path.
+    """Central-difference gradient oracle, independent of the Taylor path.
 
     The step for coordinate i is h*max(1, |x[i]|) so the stencil stays
     well-scaled for both small and large coordinates.
     """
     if h <= 0.0:
         raise InvalidParameterError(f"finite-difference step must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != f.arity:
-        raise InvalidInputError(
-            f"point has shape {x.shape}, expected ({f.arity},)")
+    x = _point(f, x)
     out = np.empty(f.arity)
     for i in range(f.arity):
         hi = h * max(1.0, abs(x[i]))
@@ -306,29 +292,17 @@ def fd_grad(f: ScalarField, x: Sequence[float], h: float = 1e-5) -> np.ndarray:
     return out
 
 
-def hessian_mixed(f: ScalarField, x: Sequence[float], i: int, j: int) -> float:
-    """Second derivative d^2 f / dx_i dx_j via one hyper-dual pass (i == j ok)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != f.arity:
-        raise InvalidInputError(
-            f"point has shape {x.shape}, expected ({f.arity},)")
-    if not (0 <= i < f.arity and 0 <= j < f.arity):
-        raise InvalidInputError(f"indices ({i}, {j}) out of range for arity {f.arity}")
-    xs = [HyperDual(x[k], 1.0 if k == i else 0.0, 1.0 if k == j else 0.0, 0.0)
-          for k in range(f.arity)]
-    r = f(xs)
-    if not isinstance(r, HyperDual):
-        raise InvalidInputError("field did not propagate hyper-dual numbers")
-    return float(r.d12)
-
-
 def hessian(f: ScalarField, x: Sequence[float]) -> np.ndarray:
-    """Full symmetric Hessian assembled from hyper-dual passes over i <= j."""
-    x = np.asarray(x, dtype=float)
+    """Full Hessian of f at x via one seeded second-order pass; the result
+    is exactly symmetric."""
     k = f.arity
     out = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            out[i, j] = hessian_mixed(f, x, i, j)
-            out[j, i] = out[i, j]
+    out[:] = _expand(f, x, second=True).hess
     return out
+
+
+def hessian_mixed(f: ScalarField, x: Sequence[float], i: int, j: int) -> float:
+    """Second derivative d^2 f / dx_i dx_j, one entry of ``hessian`` (i == j ok)."""
+    if not (0 <= i < f.arity and 0 <= j < f.arity):
+        raise InvalidInputError(f"indices ({i}, {j}) out of range for arity {f.arity}")
+    return float(hessian(f, x)[i, j])

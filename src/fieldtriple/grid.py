@@ -29,8 +29,9 @@ stationary point with Dirichlet data the interior block vanishes, so the
 boundary pairing alone reproduces the action's first variation.
 
 Lagrangians must be written in generic arithmetic (as the built-in catalog
-models are): the solver evaluates them with array-valued dual channels, one
-batched pass over all active cells per derivative slot.
+models are): the solver evaluates them on Taylor numbers with array-valued
+channels, one batched pass over all active cells for the slot gradients and
+batched second-order passes over blocks of cells for the slot Hessians.
 
 Node (i, j) sits at (i*hx, j*hy).  The mask tags nodes 0 = outside,
 1 = boundary, 2 = interior; cells enter the quadrature when all four corners
@@ -48,7 +49,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .autodiff import Dual, HyperDual
+from .autodiff import Taylor, seed
 from .errors import (
     DomainError,
     GridDomainError,
@@ -295,88 +296,77 @@ def _cell_jets(grid: Grid, values: np.ndarray):
     return qbar, qdot1, qdot2
 
 
-def _wrap_cell_domain_error(grid: Grid, e: DomainError) -> GridDomainError:
+def _wrap_cell_domain_error(grid: Grid, e: DomainError,
+                            first: int) -> GridDomainError:
     cells = grid.active_cells
     cell = None
-    if e.component is not None and 0 <= e.component < len(cells):
-        cell = (int(cells[e.component, 0]), int(cells[e.component, 1]))
+    if e.component is not None and 0 <= first + e.component < len(cells):
+        cell = (int(cells[first + e.component, 0]),
+                int(cells[first + e.component, 1]))
     at = "" if cell is None else f" at cell {cell}"
     return GridDomainError(f"inadmissible cell jet{at}: {e}", cell=cell)
 
 
+def _cell_slots(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """The 3m jet slots (qbar, qdot1, qdot2) over active cells, (3m, ncells)."""
+    return np.concatenate(_cell_jets(grid, values), axis=1).T
+
+
+def _evaluate_cells(model: LagrangianModel, grid: Grid, slots, first: int = 0):
+    """L over per-cell slot arrays of the active cells first, first + 1, ...;
+    a domain error names the offending cell."""
+    try:
+        return model.L(slots)
+    except GridDomainError:
+        raise
+    except DomainError as e:
+        raise _wrap_cell_domain_error(grid, e, first) from e
+
+
 def _cell_values(model: LagrangianModel, grid: Grid, values: np.ndarray) -> np.ndarray:
     """L at every active cell jet, one batched plain evaluation."""
-    qbar, qdot1, qdot2 = _cell_jets(grid, values)
-    slots = list(np.concatenate([qbar, qdot1, qdot2], axis=1).T)
-    try:
-        out = model.L(slots)
-    except GridDomainError:
-        raise
-    except DomainError as e:
-        raise _wrap_cell_domain_error(grid, e) from e
-    return np.broadcast_to(np.asarray(out, dtype=float), (len(qbar),))
+    out = _evaluate_cells(model, grid, list(_cell_slots(grid, values)))
+    return np.broadcast_to(np.asarray(out, dtype=float), (len(grid.active_cells),))
 
 
-def _cell_values_and_gradients(model: LagrangianModel, grid: Grid,
-                               values: np.ndarray):
-    """L and dL/d(slot) at every active cell jet.
+def _cell_expansion(model: LagrangianModel, grid: Grid, slots: np.ndarray,
+                    second: bool, first: int = 0) -> Taylor:
+    """L as one batched Taylor pass seeded on the 3m rows of ``slots``, one
+    column per active cell from ``first`` on."""
+    out = _evaluate_cells(model, grid, seed(slots, second), first)
+    if not isinstance(out, Taylor):
+        raise InvalidInputError("Lagrangian did not propagate Taylor numbers")
+    return out
 
-    One batched dual pass: slot s carries value (ncells,) and derivative
-    rows (3m, ncells) seeded with the unit vector e_s, so the result's
-    derivative stacks the full slot gradient per cell.  Returns
-    (L (ncells,), G (3m, ncells)).
-    """
-    qbar, qdot1, qdot2 = _cell_jets(grid, values)
-    ncells, m = qbar.shape
-    k = 3 * m
-    flat = np.concatenate([qbar, qdot1, qdot2], axis=1)
-    slots = []
-    for s in range(k):
-        seed = np.zeros((k, ncells))
-        seed[s] = 1.0
-        slots.append(Dual(flat[:, s], seed))
-    try:
-        out = model.L(slots)
-    except GridDomainError:
-        raise
-    except DomainError as e:
-        raise _wrap_cell_domain_error(grid, e) from e
-    if not isinstance(out, Dual):
-        raise InvalidInputError("Lagrangian did not propagate dual numbers")
-    value = np.broadcast_to(np.asarray(out.value, dtype=float), (ncells,))
-    deriv = np.broadcast_to(np.asarray(out.deriv, dtype=float), (k, ncells))
-    return value, deriv
+
+def _cell_gradients(model: LagrangianModel, grid: Grid,
+                    values: np.ndarray) -> np.ndarray:
+    """dL/d(slot) at every active cell jet, shape (3m, ncells), from one
+    batched first-order pass."""
+    out = _cell_expansion(model, grid, _cell_slots(grid, values), second=False)
+    return np.broadcast_to(np.asarray(out.grad, dtype=float),
+                           (3 * model.m, len(grid.active_cells)))
+
+
+# Hessian entries per second-order pass.  Each (3m, 3m, cells) temporary then
+# stays at 64 KiB and the pass reuses small heap blocks; one pass over all
+# cells makes megabyte temporaries that raise the process's peak memory.
+_HESSIAN_BLOCK = 8192
 
 
 def _cell_hessians(model: LagrangianModel, grid: Grid,
                    values: np.ndarray) -> np.ndarray:
-    """Per-cell Hessian of L over the 3m jet slots, shape (ncells, 3m, 3m).
-
-    One batched hyper-dual pass per slot pair i <= j; symmetry fills the
-    lower triangle.
-    """
-    qbar, qdot1, qdot2 = _cell_jets(grid, values)
-    ncells, m = qbar.shape
-    k = 3 * m
-    flat = np.concatenate([qbar, qdot1, qdot2], axis=1)
+    """Per-cell Hessian of L over the 3m jet slots, shape (ncells, 3m, 3m),
+    from batched second-order passes over blocks of cells."""
+    k = 3 * model.m
+    slots = _cell_slots(grid, values)
+    ncells = slots.shape[1]
+    step = max(1, _HESSIAN_BLOCK // (k * k))
     H = np.empty((ncells, k, k))
-    for i in range(k):
-        for j in range(i, k):
-            slots = [HyperDual(flat[:, s],
-                               1.0 if s == i else 0.0,
-                               1.0 if s == j else 0.0, 0.0)
-                     for s in range(k)]
-            try:
-                out = model.L(slots)
-            except GridDomainError:
-                raise
-            except DomainError as e:
-                raise _wrap_cell_domain_error(grid, e) from e
-            if not isinstance(out, HyperDual):
-                raise InvalidInputError(
-                    "Lagrangian did not propagate hyper-dual numbers")
-            H[:, i, j] = out.d12
-            H[:, j, i] = H[:, i, j]
+    for lo in range(0, ncells, step):
+        hi = min(lo + step, ncells)
+        out = _cell_expansion(model, grid, slots[:, lo:hi], True, first=lo)
+        H[lo:hi] = np.moveaxis(np.broadcast_to(out.hess, (k, k, hi - lo)), -1, 0)
     return H
 
 
@@ -419,7 +409,7 @@ def discrete_action_gradient(model: LagrangianModel, f: GridField) -> np.ndarray
     """
     _require_model_field(model, f)
     grid = f.grid
-    _, G = _cell_values_and_gradients(model, grid, f.values)
+    G = _cell_gradients(model, grid, f.values)
     grad = np.zeros((grid.nx, grid.ny, model.m))
     for ni, nj, contrib in _corner_coefficients(grid, G, model.m):
         np.add.at(grad, (ni, nj), contrib)
@@ -458,7 +448,7 @@ def boundary_momentum(model: LagrangianModel, f: GridField):
     _require_model_field(model, f)
     grid = f.grid
     m = model.m
-    _, G = _cell_values_and_gradients(model, grid, f.values)
+    G = _cell_gradients(model, grid, f.values)
     cells = grid.active_cells
     ci, cj = cells[:, 0], cells[:, 1]
     nan_shape = (grid.nx - 1, grid.ny - 1, m)
@@ -537,7 +527,7 @@ def _assemble_jacobian(model: LagrangianModel, grid: Grid, values: np.ndarray,
         for blk in range(3):
             T[c * m:(c + 1) * m, blk * m:(blk + 1) * m] = (
                 coeff[c, blk] * np.eye(m))
-    blocks = grid.hx * grid.hy * np.einsum("as,nst,bt->nab", T, H, T)
+    blocks = grid.hx * grid.hy * (T @ H @ T.T)
     cells = grid.active_cells
     ci, cj = cells[:, 0], cells[:, 1]
     corner_flat = np.stack([(ci + di) * grid.ny + (cj + dj)
@@ -563,8 +553,7 @@ def _cells_admissible(model: LagrangianModel, grid: Grid,
     own domain errors."""
     if model.domain_indicator is None:
         return True
-    qbar, qdot1, qdot2 = _cell_jets(grid, values)
-    slots = list(np.concatenate([qbar, qdot1, qdot2], axis=1).T)
+    slots = list(_cell_slots(grid, values))
     return bool(np.all(np.asarray(model.domain_indicator(slots)) > 0.0))
 
 

@@ -14,9 +14,8 @@ H(q, p1, p2) = p1.v1 + p2.v2 - L(q, v1, v2), with the velocities recovered
 by Newton inversion of the Legendre map.  Since p = dL/dv at the recovered
 velocities, first derivatives of H do not see dv/dp (the envelope property):
 dH/dp_i = v_i and dH/dq = -dL/dq.  The transformed H therefore supports
-plain and first-order dual evaluation exactly; hyper-dual (second-order)
-evaluation is refused rather than done wrong -- differentiate the Lagrangian
-side instead.
+plain and first-order Taylor evaluation exactly; second-order evaluation is
+refused rather than done wrong -- differentiate the Lagrangian side instead.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff
-from .autodiff import Dual, HyperDual, ScalarField
+from .autodiff import ScalarField, Taylor
 from .bundles import Jet, Phase, PhaseCovector, PhaseJet, beta
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      SingularJacobianError)
@@ -120,17 +119,6 @@ def ham_dynamics_member(model: HamiltonianModel, ph: Phase,
                     p2dot2=split)
 
 
-def _velocity_hessian(model: LagrangianModel, z: np.ndarray) -> np.ndarray:
-    """Hessian block d^2 L / dv dv (2m x 2m) at the flattened jet z."""
-    m = model.m
-    out = np.empty((2 * m, 2 * m))
-    for i in range(2 * m):
-        for j in range(i, 2 * m):
-            out[i, j] = autodiff.hessian_mixed(model.L, z, m + i, m + j)
-            out[j, i] = out[i, j]
-    return out
-
-
 def _momenta(model: LagrangianModel, z: np.ndarray) -> np.ndarray:
     """(dL/dqdot1, dL/dqdot2) at the flattened jet z, as one 2m vector."""
     g = autodiff.grad(model.L, z)
@@ -163,7 +151,7 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
     for _ in range(max_iter):
         if res <= tol:
             return jet_of(v)
-        J = _velocity_hessian(model, z)
+        J = autodiff.hessian(model.L, z)[m:, m:]
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as e:
@@ -192,68 +180,9 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
         last_iterate=jet_of(v), residual=res)
 
 
-class _LegendreTransform:
-    """Pointwise Legendre transform of a Lagrangian, with warm-started
-    inversion.  Instances hold per-instance cache state only; parallel
-    callers must use independent HamiltonianModel instances."""
-
-    def __init__(self, model: LagrangianModel, invert: Callable):
-        self.model = model
-        self.invert = invert
-        self._last_jet: Jet | None = None
-
-    def _velocities(self, q: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> Jet:
-        ph = Phase(q=q, p1=p1, p2=p2)
-        j = self.invert(self.model, ph, self._last_jet)
-        self._last_jet = j
-        return j
-
-    def _eval_point(self, xs: list):
-        m = self.model.m
-        plain = [x.value if isinstance(x, Dual) else x for x in xs]
-        q = np.asarray(plain[:m], dtype=float)
-        p1 = np.asarray(plain[m:2 * m], dtype=float)
-        p2 = np.asarray(plain[2 * m:], dtype=float)
-        j = self._velocities(q, p1, p2)
-        # The recovered velocities enter as constants: p = dL/dv there, so
-        # their dependence on (q, p) drops out of first derivatives.
-        acc = 0.0
-        for a in range(m):
-            acc = acc + xs[m + a] * j.qdot1[a] + xs[2 * m + a] * j.qdot2[a]
-        largs = list(xs[:m]) + [float(c) for c in j.qdot1] + [float(c) for c in j.qdot2]
-        return acc - self.model.L(largs)
-
-    def __call__(self, xs):
-        if any(isinstance(x, HyperDual) for x in xs):
-            raise InvalidInputError(
-                "second-order evaluation of a transformed Hamiltonian is not "
-                "supported; differentiate the Lagrangian side instead")
-        if any(isinstance(x, np.ndarray)
-               or (isinstance(x, Dual) and isinstance(x.value, np.ndarray))
-               for x in xs):
-            # Batched call: fall back to an element-wise loop.
-            def entry(x, k):
-                if isinstance(x, Dual):
-                    return Dual(float(x.value[k]), float(np.asarray(x.deriv)[k])
-                                if np.ndim(x.deriv) else float(x.deriv))
-                return float(x[k]) if np.ndim(x) else float(x)
-            n = max(np.shape(x.value if isinstance(x, Dual) else x)[0]
-                    for x in xs
-                    if np.ndim(x.value if isinstance(x, Dual) else x))
-            outs = [self._eval_point([entry(x, k) for x in xs]) for k in range(n)]
-            if any(isinstance(o, Dual) for o in outs):
-                return Dual(np.array([o.value for o in outs]),
-                            np.array([o.deriv for o in outs]))
-            return np.array(outs)
-        return self._eval_point(list(xs))
-
-
-def _default_invert(model: LagrangianModel, ph: Phase, warm: Jet | None) -> Jet:
-    if warm is None or not model.admissible(warm):
-        warm = Jet(q=ph.q, qdot1=np.zeros(model.m), qdot2=np.zeros(model.m))
-    else:
-        warm = Jet(q=ph.q, qdot1=warm.qdot1, qdot2=warm.qdot2)
-    return legendre_invert(model, ph, warm)
+def _default_invert(model: LagrangianModel, ph: Phase) -> Jet:
+    zero = np.zeros(model.m)
+    return legendre_invert(model, ph, Jet(q=ph.q, qdot1=zero, qdot2=zero))
 
 
 def hamiltonian_from_lagrangian(model: LagrangianModel,
@@ -263,18 +192,33 @@ def hamiltonian_from_lagrangian(model: LagrangianModel,
     """Legendre transform of a Lagrangian model.
 
     H(q, p1, p2) = p1.v1 + p2.v2 - L(q, v1, v2) with the velocities obtained
-    from ``invert(model, ph, warm_start_jet_or_None) -> Jet``.  The default
-    strategy runs ``legendre_invert`` warm-started from the previously
-    recovered jet (H is typically evaluated at many nearby points during AD
-    sweeps) and from zero velocities initially; models whose admissible
-    region excludes zero velocities need a custom strategy.  The admissible
-    predicate defaults to accepting every phase point; pass one for models
-    with a restricted dual domain.
+    from ``invert(model, ph) -> Jet``.  H is a pure function of its point.
+    The default strategy runs ``legendre_invert`` from zero velocities;
+    models whose admissible region excludes zero velocities need a custom
+    strategy.  The admissible predicate defaults to accepting every phase
+    point; pass one for models with a restricted dual domain.
     """
-    transform = _LegendreTransform(model, invert if invert is not None
-                                   else _default_invert)
-    H = ScalarField(arity=3 * model.m, eval=transform)
-    return HamiltonianModel(m=model.m, H=H,
+    m = model.m
+    if invert is None:
+        invert = _default_invert
+
+    def eval_H(xs):
+        if any(isinstance(x, Taylor) and x.hess is not None for x in xs):
+            raise InvalidInputError(
+                "second-order evaluation of a transformed Hamiltonian is not "
+                "supported; differentiate the Lagrangian side instead")
+        plain = np.array([x.value if isinstance(x, Taylor) else x for x in xs],
+                         dtype=float)
+        j = invert(model, Phase(q=plain[:m], p1=plain[m:2 * m], p2=plain[2 * m:]))
+        # The recovered velocities enter as constants: p = dL/dv there, so
+        # their dependence on (q, p) drops out of first derivatives.
+        acc = 0.0
+        for a in range(m):
+            acc = acc + xs[m + a] * j.qdot1[a] + xs[2 * m + a] * j.qdot2[a]
+        largs = list(xs[:m]) + [float(c) for c in j.qdot1] + [float(c) for c in j.qdot2]
+        return acc - model.L(largs)
+
+    return HamiltonianModel(m=m, H=ScalarField(arity=3 * m, eval=eval_H),
                             admissible=admissible if admissible is not None
                             else (lambda ph: True),
                             name=f"legendre-transform({model.name})" if model.name

@@ -12,8 +12,8 @@ A Lagrangian L(q, qdot1, qdot2) induces, without any regularity assumption,
 * the pointwise Euler-Lagrange residual dL/dq - D1(dL/dqdot1) - D2(dL/dqdot2)
   with the total derivatives expanded along a second-order jet.
 
-Derivatives of L come from forward-mode AD (one dual pass per slot, one
-hyper-dual pass per Hessian entry).
+Derivatives of L come from forward-mode AD: one Taylor pass for the
+gradient, one second-order Taylor pass for the Hessian.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def el_residual_pointwise(model: LagrangianModel, s: SecondJet) -> np.ndarray:
                               + H[qdot2^b, qdot1^a] d12^b ],
 
     and analogously for D2 with (qdot2, d12, d22); H is the Hessian of L at
-    the jet, computed by hyper-dual passes.
+    the jet, computed by one second-order Taylor pass.
     """
     j = s.jet
     _require_admissible(model, j)

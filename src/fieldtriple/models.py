@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import Dual, HyperDual, ScalarField
+from .autodiff import ScalarField, Taylor
 from .bundles import Jet, Phase
 from .errors import DomainError, InvalidParameterError
 from .hamiltonian import HamiltonianModel
@@ -72,7 +72,7 @@ __all__ = [
 
 
 def _value(x):
-    return x.value if isinstance(x, (Dual, HyperDual)) else x
+    return x.value if isinstance(x, Taylor) else x
 
 
 def _require_negative(x, what: str) -> None:
@@ -103,7 +103,7 @@ class MinkowskiMetric:
 
     def inner(self, v, w):
         """eta(v, w) for two vectors given as length-4 sequences; entries may
-        be plain numbers, arrays, or dual kinds."""
+        be plain numbers, arrays, or Taylor numbers."""
         acc = v[0] * w[0]
         for i in range(1, self.dim):
             acc = acc - v[i] * w[i]

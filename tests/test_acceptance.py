@@ -139,7 +139,7 @@ def test_criterion_3_string_legendre_structure():
     # Legendre transform of L equals the closed-form H = +sqrt(-det gd);
     # H is the positive root since p1.v1 + p2.v2 = 2L > 0 on admissible
     # sheets, and H^2 + det gd = 0 pins the square.
-    def invert(mdl, ph, warm):
+    def invert(mdl, ph):
         return legendre_invert(mdl, ph, nambu_legendre_inverse_closed_form(ph))
 
     lt = hamiltonian_from_lagrangian(model, invert=invert,

@@ -1,5 +1,5 @@
-"""Forward-mode dual and hyper-dual differentiation, against hand values
-and the independent central-difference oracle."""
+"""Forward-mode Taylor differentiation, against hand values and the
+independent central-difference oracle."""
 
 import math
 
@@ -9,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fieldtriple.autodiff import (
-    Dual,
-    HyperDual,
     ScalarField,
+    Taylor,
     fd_grad,
     grad,
     hessian,
     hessian_mixed,
+    seed,
     sqrt,
 )
 from fieldtriple.errors import (
@@ -23,8 +23,11 @@ from fieldtriple.errors import (
     InvalidInputError,
     InvalidParameterError,
 )
+from fieldtriple.grid import Grid, GridField, _cell_hessians, _cell_jets
+from fieldtriple.hamiltonian import hamiltonian_from_lagrangian
 from fieldtriple.models import (
     get_lagrangian,
+    harmonic_lagrangian,
     nambu_lagrangian,
     sample_admissible_string_jet,
 )
@@ -42,50 +45,53 @@ prod_square = field(2, lambda xs: xs[0] * xs[1] * xs[1])
 
 
 # ---------------------------------------------------------------------------
-# Dual / HyperDual arithmetic
+# Taylor arithmetic
 
 
 def test_dual_product_rule():
-    a = Dual(2.0, 1.0)
-    b = Dual(3.0, 0.0)
+    a = Taylor(2.0, 1.0)
+    b = Taylor(3.0, 0.0)
     c = a * b
-    assert c.value == 6.0 and c.deriv == 3.0
+    assert c.value == 6.0 and c.grad == 3.0
+    assert c.hess is None
 
 
 def test_dual_quotient_and_chain():
-    x = Dual(4.0, 1.0)
-    y = sqrt(x)  # d/dx sqrt(x) = 1/(2 sqrt(x)) = 0.25
+    x = Taylor(4.0, np.array([1.0]), 0.0)
+    y = sqrt(x)  # d/dx sqrt(x) = 1/(2 sqrt(x)) = 0.25, d2 = -1/32
     assert y.value == 2.0
-    assert y.deriv == pytest.approx(0.25, rel=1e-15)
-    z = 1.0 / x  # d/dx x^-1 = -1/16
-    assert z.deriv == pytest.approx(-1.0 / 16.0, rel=1e-15)
+    assert y.grad[0] == pytest.approx(0.25, rel=1e-15)
+    assert y.hess[0, 0] == pytest.approx(-1.0 / 32.0, rel=1e-15)
+    z = 1.0 / x  # d/dx x^-1 = -1/16, d2 = 2/64
+    assert z.grad[0] == pytest.approx(-1.0 / 16.0, rel=1e-15)
+    assert z.hess[0, 0] == pytest.approx(1.0 / 32.0, rel=1e-15)
 
 
 def test_hyperdual_mixed_second_derivative():
-    # f(x, y) = x^2 y: f_xy = 2x
-    x = HyperDual(3.0, 1.0, 0.0, 0.0)
-    y = HyperDual(5.0, 0.0, 1.0, 0.0)
+    # f(x, y) = x^2 y: f_x = 2xy, f_y = x^2, f_xx = 2y, f_xy = 2x, f_yy = 0
+    x, y = seed([3.0, 5.0], second=True)
     f = x * x * y
     assert f.value == 45.0
-    assert f.d1 == pytest.approx(30.0)   # 2xy
-    assert f.d2 == pytest.approx(9.0)    # x^2
-    assert f.d12 == pytest.approx(6.0)   # 2x
+    assert f.grad.tolist() == pytest.approx([30.0, 9.0])
+    assert f.hess.tolist() == [[10.0, 6.0], [6.0, 0.0]]
 
 
 def test_sqrt_of_negative_dual_is_domain_error():
     with pytest.raises(DomainError):
-        sqrt(Dual(-1.0, 1.0))
+        sqrt(Taylor(-1.0, 1.0))
     with pytest.raises(DomainError):
-        sqrt(HyperDual(-0.5, 1.0, 0.0, 0.0))
+        sqrt(Taylor(-0.5, np.array([1.0]), 0.0))
 
 
 @given(finite, finite)
 def test_dual_lifting_consistency_bitwise(a, b):
-    # evaluating on duals with zero derivative parts reproduces the plain
-    # value bit for bit
+    # evaluating on Taylor numbers, first or second order, reproduces the
+    # plain value bit for bit
     plain = prod_square([a, b])
-    lifted = prod_square([Dual(a, 0.0), Dual(b, 0.0)])
-    assert lifted.value == plain or (math.isnan(plain) and math.isnan(lifted.value))
+    for second in (False, True):
+        lifted = prod_square(seed([a, b], second))
+        assert lifted.value == plain or (math.isnan(plain)
+                                         and math.isnan(lifted.value))
 
 
 # ---------------------------------------------------------------------------
@@ -164,19 +170,18 @@ def test_hessian_mixed_matches_fd_on_nambu():
     j = sample_admissible_string_jet(rng)
     x = np.concatenate([j.q, j.qdot1, j.qdot2])
 
-    def fd2(i, k, h=1e-4):
-        def g_i(pt):
-            return fd_grad(model.L, pt, h=h)[i]
+    def fd_column(k, h=1e-4):
         xp, xm = x.copy(), x.copy()
         hk = h * max(1.0, abs(x[k]))
         xp[k] += hk
         xm[k] -= hk
-        return (g_i(xp) - g_i(xm)) / (2 * hk)
+        return (fd_grad(model.L, xp, h=h) - fd_grad(model.L, xm, h=h)) / (2 * hk)
 
+    exact = hessian(model.L, x)
+    approx = np.stack([fd_column(k) for k in range(12)], axis=1)
+    assert np.all(np.abs(exact - approx) <= 1e-5 * np.maximum(1.0, np.abs(exact)))
     for i, k in ((4, 5), (4, 8), (6, 11), (5, 5)):
-        exact = hessian_mixed(model.L, x, i, k)
-        approx = fd2(i, k)
-        assert abs(exact - approx) <= 1e-5 * max(1.0, abs(exact))
+        assert hessian_mixed(model.L, x, i, k) == exact[i, k]
 
 
 def test_full_hessian_is_symmetric_matrix():
@@ -187,6 +192,25 @@ def test_full_hessian_is_symmetric_matrix():
     H = hessian(model.L, x)
     assert H.shape == (12, 12)
     assert np.max(np.abs(H - H.T)) <= 1e-12
+
+
+def test_cell_hessians_match_pointwise_hessian():
+    model = nambu_lagrangian()
+    g = Grid.square(9, 9)
+    f = GridField.from_function(g, lambda x, y: np.array(
+        [x, y, 0.1 * x * y, 0.1 * np.sin(np.pi * x) * np.sin(np.pi * y)]), 4)
+    H = _cell_hessians(model, g, f.values)
+    jets = np.concatenate(_cell_jets(g, f.values), axis=1)
+    assert H.shape == (len(jets), 12, 12)
+    for Hc, z in zip(H, jets):
+        ref = hessian(model.L, z)
+        assert np.max(np.abs(Hc - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_hessian_of_transformed_hamiltonian_is_refused():
+    ham = hamiltonian_from_lagrangian(harmonic_lagrangian(1))
+    with pytest.raises(InvalidInputError):
+        hessian(ham.H, [0.0, 0.5, -1.0])
 
 
 # ---------------------------------------------------------------------------

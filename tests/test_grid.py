@@ -16,6 +16,8 @@ from fieldtriple.errors import (
 from fieldtriple.grid import (
     Grid,
     GridField,
+    _assemble_jacobian,
+    _cell_hessians,
     boundary_momentum,
     discrete_action,
     discrete_action_gradient,
@@ -158,6 +160,34 @@ def test_gradient_matches_finite_differences(name, m, fn):
                 fd = (discrete_action(model, GridField(grid=g, values=vp))
                       - discrete_action(model, GridField(grid=g, values=vm))) / (2 * h)
                 assert abs(grad[i, j, k] - fd) / scale <= 1e-6
+
+
+@pytest.mark.parametrize("name,m,fn", [
+    ("nambu", 4, lambda x, y: np.array(
+        [x, y, 0.1 * x * y, 0.1 * np.sin(np.pi * x) * np.sin(np.pi * y)])),
+    ("sigma", 2, lambda x, y: np.array([x * y, np.cos(x + y)])),
+])
+def test_newton_jacobian_matches_residual_differences(name, m, fn):
+    model = get_lagrangian(name, m)
+    g = Grid.square(9, 9)
+    f = GridField.from_function(g, fn, m)
+    inodes = g.interior_nodes
+    free_dof = np.full(g.nx * g.ny * m, -1, dtype=np.int64)
+    node_flat = inodes[:, 0] * g.ny + inodes[:, 1]
+    for c in range(m):
+        free_dof[node_flat * m + c] = np.arange(len(inodes)) * m + c
+    J = _assemble_jacobian(model, g, f.values, free_dof, len(inodes) * m)
+    delta = np.random.default_rng(5).standard_normal((len(inodes), m))
+
+    def residual(t):
+        u = f.values.copy()
+        u[inodes[:, 0], inodes[:, 1]] += t * delta
+        return discrete_el_residual(model, GridField(grid=g, values=u))
+
+    h = 1e-6
+    fd = (residual(h) - residual(-h)) / (2 * h)
+    jd = (J @ delta.ravel()).reshape(fd.shape)
+    assert np.max(np.abs(jd - fd)) <= 1e-7 * np.max(np.abs(fd))
 
 
 def test_el_residual_is_interior_gradient_block():
@@ -390,6 +420,18 @@ def test_solver_rejects_inadmissible_initial_cell():
     with pytest.raises(GridDomainError) as exc:
         solve_dirichlet(NAMBU, g, bvals, f)
     assert "cell" in str(exc.value)
+
+
+def test_hessian_pass_names_the_inadmissible_cell():
+    # Collapsing the corner node (8, 8) onto (7, 7) makes the two tangents of
+    # cell (7, 7), the last of 64 and outside the first block of cells,
+    # parallel.
+    g = Grid.square(9, 9)
+    values = GridField.from_function(g, near_flat_sheet(0.1), 4).values
+    values[8, 8] = values[7, 7]
+    with pytest.raises(GridDomainError) as exc:
+        _cell_hessians(NAMBU, g, values)
+    assert exc.value.cell == (7, 7)
 
 
 def test_solver_rejects_bad_parameters():

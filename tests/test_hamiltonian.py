@@ -43,7 +43,7 @@ NAMBU_H = nambu_hamiltonian()
 STANDARD_PHASE = Phase([0.0] * 4, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
 
 
-def _string_invert(model, ph, warm):
+def _string_invert(model, ph):
     """Inversion strategy for the string: seed Newton with the closed-form
     inverse, which lands inside its basin at every admissible point."""
     return legendre_invert(model, ph, nambu_legendre_inverse_closed_form(ph))
@@ -199,6 +199,14 @@ def test_transform_of_harmonic_is_half_p_squared():
         q, p1, p2 = rng.standard_normal(3)
         got = model.H.eval(np.array([q, p1, p2]))
         assert got == pytest.approx(0.5 * (p1 * p1 + p2 * p2), abs=1e-12)
+
+
+def test_transform_value_does_not_depend_on_call_history():
+    here = np.array([1.8, -1.3, -1.6])
+    fresh = hamiltonian_from_lagrangian(HARM_L).H.eval(here)
+    model = hamiltonian_from_lagrangian(HARM_L)
+    model.H.eval(np.array([-0.8, 0.6, -0.9]))
+    assert model.H.eval(here) == fresh
 
 
 def test_transform_of_string_matches_closed_form():
