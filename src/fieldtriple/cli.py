@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,10 +150,6 @@ class RunConfig:
 # Formatting helpers
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
-
-
 def _grid_str(grid: Grid) -> str:
     return f"{grid.nx}x{grid.ny}"
 
@@ -176,19 +171,27 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+_TABLE_CHUNK = 4096
+
+
+def _write_table(path: str, header: str, row_format: str,
+                 table: np.ndarray) -> None:
+    """Write a header line, then ``row_format % row`` per table row; rows
+    become Python floats a chunk at a time, which keeps peak memory flat."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _TABLE_CHUNK):
+            chunk = table[start:start + _TABLE_CHUNK].tolist()
+            fh.writelines(row_format % tuple(row) for row in chunk)
+
+
 def write_field_csv(path: str, fld: GridField) -> None:
     """Field CSV: x,y,comp0.. rows over all nodes in row-major order."""
-    grid = fld.grid
     m = fld.values.shape[2]
-    x, y = grid.node_coords()
-    lines = ["x,y," + ",".join(f"comp{k}" for k in range(m))]
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            vals = fld.values[i, j]
-            lines.append(
-                _fmt(x[i, j]) + "," + _fmt(y[i, j]) + ","
-                + ",".join(_fmt(v) for v in vals))
-    _write_text(path, "\n".join(lines) + "\n")
+    x, y = fld.grid.node_coords()
+    table = np.column_stack([x.ravel(), y.ravel(), fld.values.reshape(-1, m)])
+    _write_table(path, "x,y," + ",".join(f"comp{k}" for k in range(m)),
+                 ",".join(["%.17g"] * (2 + m)) + "\n", table)
 
 
 def read_field_csv(path: str, grid: Grid, m: int) -> GridField:
@@ -224,21 +227,18 @@ def read_field_csv(path: str, grid: Grid, m: int) -> GridField:
 def write_momentum_csv(path: str, grid: Grid, mom: GridMomentum) -> None:
     """Momentum CSV: cell_i,cell_j,p1_*,p2_* rows over active cells."""
     m = mom.p1.shape[2]
+    cells = grid.active_cells
+    ci, cj = cells[:, 0], cells[:, 1]
+    table = np.column_stack([cells, mom.p1[ci, cj], mom.p2[ci, cj]])
     header = ("cell_i,cell_j,"
               + ",".join(f"p1_{k}" for k in range(m)) + ","
               + ",".join(f"p2_{k}" for k in range(m)))
-    lines = [header]
-    for ci, cj in grid.active_cells:
-        lines.append(
-            f"{ci},{cj},"
-            + ",".join(_fmt(v) for v in mom.p1[ci, cj]) + ","
-            + ",".join(_fmt(v) for v in mom.p2[ci, cj]))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_table(path, header, "%d,%d," + ",".join(["%.17g"] * (2 * m)) + "\n",
+                 table)
 
 
 def _sibling(path: str, suffix: str) -> str:
-    stem, ext = os.path.splitext(path)
-    return stem + suffix
+    return os.path.splitext(path)[0] + suffix
 
 
 def _make_grid(cfg: RunConfig) -> Grid:
@@ -263,14 +263,11 @@ def _run_solve(cfg: RunConfig) -> dict:
     exprs = [parse_expr(src) for src in cfg.bc]
     grid = _make_grid(cfg)
     x, y = grid.node_coords()
+    inside = grid.mask != OUTSIDE
 
     values = np.full((grid.nx, grid.ny, model.m), np.nan)
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            if grid.mask[i, j] == OUTSIDE:
-                continue
-            values[i, j] = [evaluate(e, float(x[i, j]), float(y[i, j]))
-                            for e in exprs]
+    for k, e in enumerate(exprs):
+        values[inside, k] = evaluate(e, x[inside], y[inside])
     initial = GridField(grid, values)
     bnodes = grid.boundary_nodes
     bvals = values[bnodes[:, 0], bnodes[:, 1]]
@@ -280,7 +277,6 @@ def _run_solve(cfg: RunConfig) -> dict:
                                     tol=tol, max_iter=cfg.max_iter)
     mom, _ = boundary_momentum(model, solution)
 
-    inside = grid.mask != OUTSIDE
     max_error = float(np.max(np.abs(solution.values[inside] - initial.values[inside])))
 
     write_field_csv(cfg.out, solution)
@@ -330,13 +326,13 @@ def _run_check_maps(cfg: RunConfig) -> dict:
     }
 
 
-def _sample_jet(cfg: RunConfig, model, rng: np.random.Generator):
+def _sample_jet(model, rng: np.random.Generator):
     if model.name == "nambu":
         return sample_admissible_string_jet(rng)
     return random_jet(rng, model.m)
 
 
-def _sample_phase(cfg: RunConfig, model, rng: np.random.Generator):
+def _sample_phase(model, rng: np.random.Generator):
     if model.name == "nambu":
         return sample_admissible_string_phase(rng)
     return random_phase(rng, model.m)
@@ -350,13 +346,13 @@ def _run_legendre(cfg: RunConfig) -> dict:
     fwd_max = 0.0
     inv_max = 0.0
     for _ in range(cfg.points):
-        j = _sample_jet(cfg, lag, rng)
+        j = _sample_jet(lag, rng)
         ph = legendre(lag, j)
         cov = dH(ham, ph)
         fwd_max = max(fwd_max,
                       float(np.max(np.abs(cov.psi1 - j.qdot1))),
                       float(np.max(np.abs(cov.psi2 - j.qdot2))))
-        ph0 = _sample_phase(cfg, ham, rng)
+        ph0 = _sample_phase(ham, rng)
         cov0 = dH(ham, ph0)
         ph1 = legendre(lag, Jet(ph0.q, cov0.psi1, cov0.psi2))
         inv_max = max(inv_max,
@@ -384,8 +380,8 @@ def _run_phase_check(cfg: RunConfig) -> dict:
     ham_max = 0.0
     agree_max = 0.0
     for _ in range(cfg.points):
-        w_l = phase_dynamics_member(lag, _sample_jet(cfg, lag, rng), rng)
-        w_h = ham_dynamics_member(ham, _sample_phase(cfg, ham, rng), rng)
+        w_l = phase_dynamics_member(lag, _sample_jet(lag, rng), rng)
+        w_h = ham_dynamics_member(ham, _sample_phase(ham, rng), rng)
         for w in (w_l, w_h):
             rl = phase_relation_residual(lag, w)
             rh = ham_phase_residual(ham, w)

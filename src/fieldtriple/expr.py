@@ -19,18 +19,21 @@ end of input).  Printing with :func:`expr_to_text` inserts only the
 parentheses needed to preserve the tree, and reparsing the printed form
 reproduces the original tree exactly.
 
-Evaluation is plain float arithmetic through the ``math`` module; leaving a
-function's domain (square root of a negative value, division by zero, pow
-domain violations, overflow) raises :class:`DomainError` rather than
-returning a complex or infinite result.
+Evaluation is array evaluation: elementwise over arrays of one shape, with
+host-math values (IEEE ``+ - * /``, the ``math`` module's functions and pow),
+so array and scalar calls agree bit for bit.  Every non-finite result raises
+:class:`DomainError` rather than returning an infinite or nan value.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, InvalidInputError
 
@@ -94,15 +97,25 @@ Expr = Union[Num, Var, Neg, Binary, Call]
 
 _VARIABLES = ("x", "y")
 
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-}
 
-FUNCTION_NAMES = tuple(sorted(_FUNCTIONS)) + ("sqrt",)
+def _host(fn):
+    """A host ``math`` function applied value by value, giving float64
+    (numpy's exp, sinh, cosh and power can differ from libm in the last bit)."""
+
+    def apply(*args):
+        values = map(fn, *(a.flat for a in args))
+        return np.fromiter(values, float, args[0].size).reshape(args[0].shape)
+
+    return apply
+
+
+_FUNCTIONS = {name: _host(getattr(math, name))
+              for name in ("sin", "cos", "exp", "sinh", "cosh", "sqrt")}
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": _host(math.pow)}
+
+FUNCTION_NAMES = tuple(sorted(_FUNCTIONS))
 
 # Binary precedence; unary minus sits between "* /" and "^" at level 3.
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -210,7 +223,7 @@ class _Parser:
         if tok.kind == "name":
             if tok.text in _VARIABLES:
                 return Var(tok.text)
-            if tok.text in _FUNCTIONS or tok.text == "sqrt":
+            if tok.text in _FUNCTIONS:
                 opener = self.advance()
                 if opener.kind != "(":
                     raise ExprSyntaxError(
@@ -277,45 +290,40 @@ def expr_to_text(e: Expr) -> str:
 # Evaluation
 
 
-def evaluate(e: Expr, x: float, y: float) -> float:
-    """Evaluate at a point, as plain float arithmetic.
-
-    Domain violations (sqrt of a negative value, division by zero, pow
-    outside its real domain, overflow) raise DomainError.
-    """
+def _eval(e: Expr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if isinstance(e, Num):
-        return e.value
+        return np.full(x.shape, e.value)
     if isinstance(e, Var):
         return x if e.name == "x" else y
     if isinstance(e, Neg):
-        return -evaluate(e.arg, x, y)
+        return -_eval(e.arg, x, y)
     if isinstance(e, Call):
-        v = evaluate(e.arg, x, y)
-        if e.fn == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v!r}")
-            return math.sqrt(v)
-        try:
-            return _FUNCTIONS[e.fn](v)
-        except OverflowError:
-            raise DomainError(f"{e.fn} overflow at argument {v!r}") from None
-    if isinstance(e, Binary):
-        a = evaluate(e.lhs, x, y)
-        b = evaluate(e.rhs, x, y)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            return a / b
-        try:
-            return math.pow(a, b)
-        except ValueError:
-            raise DomainError(f"pow domain violation: {a!r} ^ {b!r}") from None
-        except OverflowError:
-            raise DomainError(f"pow overflow: {a!r} ^ {b!r}") from None
-    raise InvalidInputError(f"not an expression node: {type(e).__name__}")
+        fn, args = _FUNCTIONS[e.fn], (_eval(e.arg, x, y),)
+    elif isinstance(e, Binary):
+        fn, args = _OPERATORS[e.op], (_eval(e.lhs, x, y), _eval(e.rhs, x, y))
+    else:
+        raise InvalidInputError(f"not an expression node: {type(e).__name__}")
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError):
+        raise DomainError(f"{expr_to_text(e)} leaves its domain") from None
+
+
+def evaluate(e: Expr, x, y):
+    """Evaluate elementwise over x and y, arrays of one shape.
+
+    A scalar point gives a float, an array point an array of its shape.
+    Values are IEEE arithmetic and host ``math`` functions, identical bit
+    for bit between array and scalar calls.  Any non-finite result (sqrt of
+    a negative value, division by zero, pow outside its real domain,
+    overflow, non-finite input) raises DomainError.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise InvalidInputError(f"x and y shapes differ: {x.shape} vs {y.shape}")
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        value = _eval(e, x, y)
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"{expr_to_text(e)} is not finite")
+    return float(value) if x.ndim == 0 else np.array(value)

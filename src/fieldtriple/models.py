@@ -167,25 +167,30 @@ def _check_metric(m: int, target_metric) -> np.ndarray:
     return g
 
 
+def _half_quadratic_form(m: int, g: np.ndarray) -> ScalarField:
+    """(1/2) g_ab (w1^a w1^b + w2^a w2^b) on slots (q, w1, w2), each of size m."""
+
+    def eval_form(xs):
+        w1 = xs[m:2 * m]
+        w2 = xs[2 * m:]
+        acc = 0.0
+        for a in range(m):
+            for b in range(m):
+                gab = g[a, b]
+                if gab != 0.0:
+                    acc = acc + gab * (w1[a] * w1[b] + w2[a] * w2[b])
+        return 0.5 * acc
+
+    return ScalarField(arity=3 * m, eval=eval_form)
+
+
 def harmonic_lagrangian(m: int = 1, target_metric=None,
                         name: str = "harmonic") -> LagrangianModel:
     """L = (1/2) g_ab (v1^a v1^b + v2^a v2^b), admissible everywhere."""
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
     g = _check_metric(m, target_metric)
-
-    def eval_L(xs):
-        v1 = xs[m:2 * m]
-        v2 = xs[2 * m:]
-        acc = 0.0
-        for a in range(m):
-            for b in range(m):
-                gab = g[a, b]
-                if gab != 0.0:
-                    acc = acc + gab * (v1[a] * v1[b] + v2[a] * v2[b])
-        return 0.5 * acc
-
-    return LagrangianModel(m=m, L=ScalarField(arity=3 * m, eval=eval_L),
+    return LagrangianModel(m=m, L=_half_quadratic_form(m, g),
                            admissible=lambda j: True, name=name)
 
 
@@ -196,19 +201,7 @@ def harmonic_hamiltonian(m: int = 1, target_metric=None,
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
     ginv = np.linalg.inv(_check_metric(m, target_metric))
-
-    def eval_H(xs):
-        p1 = xs[m:2 * m]
-        p2 = xs[2 * m:]
-        acc = 0.0
-        for a in range(m):
-            for b in range(m):
-                gab = ginv[a, b]
-                if gab != 0.0:
-                    acc = acc + gab * (p1[a] * p1[b] + p2[a] * p2[b])
-        return 0.5 * acc
-
-    return HamiltonianModel(m=m, H=ScalarField(arity=3 * m, eval=eval_H),
+    return HamiltonianModel(m=m, H=_half_quadratic_form(m, ginv),
                             admissible=lambda ph: True, name=name)
 
 

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from fieldtriple.cli import main, read_field_csv, write_field_csv
-from fieldtriple.grid import Grid, GridField, discrete_action
+from fieldtriple.cli import main, read_field_csv, write_field_csv, write_momentum_csv
+from fieldtriple.grid import Grid, GridField, GridMomentum, discrete_action
 from fieldtriple.models import get_lagrangian
 
 
@@ -162,6 +162,42 @@ def test_field_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(g.values, values)
 
 
+_FINITE_EXTREMES = np.array([-0.0, 5e-324, 1.7976931348623157e308,
+                             -1.7976931348623157e308, 0.1, -2.5e-310, 1e22])
+
+
+def _reference_rows(rows):
+    return "".join(",".join(f if isinstance(f, str) else "%.17g" % f for f in row)
+                   + "\n" for row in rows).encode("utf-8")
+
+
+def test_csv_writers_match_per_value_reference(tmp_path):
+    grid = Grid.disc_mask(21, 17)
+    values = np.resize(_FINITE_EXTREMES, (grid.nx, grid.ny, 2))
+    values[grid.mask == 0] = np.nan
+    x, y = grid.node_coords()
+    path = tmp_path / "field.csv"
+    write_field_csv(str(path), GridField(grid, values))
+    want = _reference_rows(
+        [["x,y,comp0,comp1"]]
+        + [[x[i, j], y[i, j], *values[i, j]]
+           for i in range(grid.nx) for j in range(grid.ny)])
+    assert path.read_bytes() == want
+    assert b"nan" in want and b"-0," in want and b"4.9406564584124654e-324" in want
+
+    shape = (grid.nx - 1, grid.ny - 1, 2)
+    p1 = np.resize(_FINITE_EXTREMES[::-1], shape)
+    p2 = np.resize(_FINITE_EXTREMES[2:], shape)
+    cells = grid.active_cells
+    path = tmp_path / "momenta.csv"
+    write_momentum_csv(str(path), grid, GridMomentum(grid, p1, p2))
+    want = _reference_rows(
+        [["cell_i,cell_j,p1_0,p1_1,p2_0,p2_1"]]
+        + [[str(ci), str(cj), *p1[ci, cj], *p2[ci, cj]] for ci, cj in cells])
+    assert path.read_bytes() == want
+    assert b"\n10,12," in want and b"-1.7976931348623157e+308" in want
+
+
 def test_field_csv_rejects_malformed_input(tmp_path):
     grid = Grid.square(9, 9)
     path = tmp_path / "bad.csv"
@@ -253,6 +289,14 @@ def test_valid_threads_variable_accepted(capsys, monkeypatch):
     monkeypatch.setenv("FIELD_TRIPLE_THREADS", "2")
     code, _, _ = run(capsys, "check-maps", "--points", "1")
     assert code == 0
+
+
+@pytest.mark.parametrize("bc", ["sin(1e400)", "x*1e200*1e200", "1e400"])
+def test_non_finite_boundary_value_exits_3(tmp_path, capsys, bc):
+    code, _, stderr = run(capsys, *solve_args(tmp_path / "o.csv", bc=(bc,)))
+    assert code == 3
+    assert stderr.startswith("fieldtriple: numerical failure:")
+    assert "Traceback" not in stderr
 
 
 def test_expression_error_reports_offset(tmp_path, capsys):

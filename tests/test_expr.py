@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldtriple.errors import DomainError, ExprSyntaxError
+from fieldtriple.errors import DomainError, ExprSyntaxError, InvalidInputError
 from fieldtriple.expr import (
     FUNCTION_NAMES,
     Binary,
@@ -175,6 +176,9 @@ def test_print_then_parse_recovers_ast(e):
     ("(-1.0)^0.5", 0.0, 0.0),
     ("exp(x)", 1000.0, 0.0),
     ("x^x", 1e300, 0.0),
+    ("sin(1e400)", 0, 0),          # the literal is inf: math.sin raises ValueError
+    ("x*1e200*1e200", 1, 0),       # IEEE overflow to inf
+    ("-1e400", 0, 0),              # no operation fails; the result is -inf
 ])
 def test_evaluation_domain_errors(src, x, y):
     with pytest.raises(DomainError):
@@ -184,3 +188,59 @@ def test_evaluation_domain_errors(src, x, y):
 def test_zero_to_negative_power_is_domain_error():
     with pytest.raises(DomainError):
         ev("x^-1", 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation
+
+_GRID_X, _GRID_Y = np.meshgrid(np.linspace(-1.5, 2.0, 4), np.linspace(-0.5, 3.0, 3))
+
+
+@given(asts)
+@settings(max_examples=300, deadline=None)
+def test_array_evaluation_matches_scalar_bitwise(e):
+    try:
+        values = evaluate(e, _GRID_X, _GRID_Y)
+    except DomainError:
+        failures = 0
+        for x, y in zip(_GRID_X.flat, _GRID_Y.flat):
+            try:
+                evaluate(e, float(x), float(y))
+            except DomainError:
+                failures += 1
+        assert failures > 0
+        return
+    assert values.shape == _GRID_X.shape and values.dtype == np.float64
+    for got, x, y in zip(values.flat, _GRID_X.flat, _GRID_Y.flat):
+        want = evaluate(e, float(x), float(y))
+        assert type(want) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_constant_expression_fills_the_array_shape():
+    x = np.zeros((2, 3))
+    assert np.array_equal(evaluate(parse_expr("-0.5"), x, x), np.full((2, 3), -0.5))
+
+
+@pytest.mark.parametrize("src,culprit", [
+    ("2 + sqrt(x - 1)", "sqrt(x-1.0)"),
+    ("1 + x*1e200*1e200", "x*1e+200*1e+200"),
+    ("1 + 1/(x - 2)", "1.0/(x-2.0)"),
+    ("exp(3*x)/2", "exp(3.0*x)"),
+])
+def test_domain_error_names_the_failing_subexpression(src, culprit):
+    with pytest.raises(DomainError) as exc:
+        evaluate(parse_expr(src), np.array([0.5, 2.0, 300.0]), np.zeros(3))
+    assert str(exc.value) == f"{culprit} leaves its domain"
+
+
+def test_mismatched_shapes_are_invalid_input():
+    with pytest.raises(InvalidInputError):
+        evaluate(parse_expr("x + y"), np.zeros(2), np.zeros(3))
+
+
+def test_array_result_does_not_alias_the_input():
+    x = np.array([1.0, 2.0])
+    out = evaluate(parse_expr("x"), x, np.zeros(2))
+    out[0] = 5.0
+    assert x[0] == 1.0
