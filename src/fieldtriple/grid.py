@@ -616,6 +616,10 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
             raise SingularJacobianError(
                 f"Newton system is singular at iteration {iterations}: {e}") from e
         step = lu.solve(-res.ravel()).reshape(len(inodes), m)
+        # Free the factors before the line search and the next splu, so one
+        # LU at most is alive and peak memory does not hang on how the
+        # allocator reuses the previous factors' blocks.
+        del J, lu
         if not np.isfinite(step).all():
             raise SingularJacobianError(
                 f"Newton step is non-finite at iteration {iterations}")

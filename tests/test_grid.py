@@ -2,8 +2,11 @@
 per-cell momenta, conservation form, continuum consistency, and the
 Dirichlet Newton solver."""
 
+import weakref
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from fieldtriple import autodiff
 from fieldtriple.autodiff import ScalarField
@@ -372,6 +375,30 @@ def test_string_strongly_curved_boundary_stalls_gracefully():
     assert rep.final_residual <= r0
     assert rep.final_residual > 1e-10
     assert np.all(np.isfinite(sol.values))
+
+
+def test_newton_releases_each_factorization(monkeypatch):
+    """Each Newton step's LU factors are gone before the next factorization,
+    so peak memory holds one factorization, not the previous one as well."""
+    factors = []
+    splu = scipy.sparse.linalg.splu
+
+    class Factors:
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def tracked_splu(J):
+        assert all(ref() is None for ref in factors)
+        lu = Factors(splu(J))
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
+    g = Grid.square(9, 9)
+    _, rep = _solve_with_bc(NAMBU, g, near_flat_sheet(0.1), m=4,
+                            tol=1e-10, max_iter=4)
+    assert rep.iterations >= 2 and len(factors) >= 2
+    assert all(ref() is None for ref in factors)
 
 
 def test_string_affine_boundary_is_exact_solution():
