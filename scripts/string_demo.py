@@ -10,10 +10,17 @@ Three stages, each printing the figures the library guarantees:
 2. Canonical-map identities on the iterated bundles for the string
    dimension (m = 4).
 3. Boundary-value problems on a square parameter patch: a family of
-   spanning surfaces with boundary (x, y, eps*x*y, 0).  Near-flat boundary
-   data converges to machine residual; at eps = 0.1 the Newton iteration
-   stalls against the reparametrisation degeneracy of the area functional
-   and the run reports the stall honestly instead of pretending progress.
+   spanning surfaces with boundary (x, y, eps*x*y, 0), each solve started
+   at the bilinear sheet through that boundary.  For small eps that sheet
+   is already a discrete solution to within the tolerance, so those rows
+   take 0 Newton steps: they show no convergence from elsewhere.  At
+   eps = 0.1 the start is off-solution and the damped Newton iteration
+   stalls, as it does from every off-solution start (on 17x17, adding
+   0.1*sin(pi*x)*sin(pi*y) to the last component of the eps = 1e-3 start
+   stalls at 1.85e-4).  The discrete area functional is degenerate along
+   tangential reparametrisations, and the timelike sheet's Dirichlet
+   problem is not unique, because its field equation is hyperbolic.  The
+   run reports the stall instead of pretending progress.
 
 Usage:
     python3 scripts/string_demo.py [--points 500] [--grid 17] [--seed 0]
@@ -112,10 +119,15 @@ def spanning_surfaces(n, seed):
         print(f"  {eps:7.1e}  {str(rep.converged):9s}  {rep.iterations:4d}"
               f"  {rep.final_residual:.6e}  {conservation:.6e}"
               f"  {rep.action:.9f}")
-    print("\nthe eps = 0.1 row demonstrates the documented stall: the area")
-    print("functional is degenerate along tangential reparametrisations, so")
-    print("the damped Newton iteration cannot push the residual below the")
-    print("soft-mode floor and reports converged = False with the best")
+    print("\nevery row starts at the bilinear sheet through its boundary; for")
+    print("small eps that sheet is already a discrete solution to within the")
+    print("tolerance, so those rows take 0 Newton steps.  The eps = 0.1 row")
+    print("starts off-solution and shows the documented stall, which every")
+    print("off-solution start meets (on 17x17 a transverse bump")
+    print("0.1*sin(pi*x)*sin(pi*y) on the eps = 1e-3 start stalls at 1.85e-4):")
+    print("the area functional is degenerate along tangential")
+    print("reparametrisations and the timelike Dirichlet problem is not")
+    print("unique, so the solve reports converged = False with the best")
     print("iterate instead of raising.")
 
 

@@ -195,33 +195,55 @@ def write_field_csv(path: str, fld: GridField) -> None:
 
 
 def read_field_csv(path: str, grid: Grid, m: int) -> GridField:
-    """Read a field CSV produced by write_field_csv back onto a grid."""
+    """Read a field CSV produced by write_field_csv back onto a grid.
+
+    Blank lines are skipped; the x, y columns are not read.  The value
+    columns are parsed in one ``np.loadtxt`` call, which accepts a subset of
+    what ``float`` does and gives the same values.  When it fails, or the
+    comma count shows a row with extra columns, the rows are parsed one by
+    one with ``float``, which names the first faulty row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     expect_header = "x,y," + ",".join(f"comp{k}" for k in range(m))
     if not lines or lines[0] != expect_header:
         raise InvalidInputError(
             f"field CSV header mismatch: expected {expect_header!r}")
-    rows = [ln for ln in lines[1:] if ln]
+    rows = list(filter(None, lines[1:]))
     if len(rows) != grid.nx * grid.ny:
         raise InvalidInputError(
             f"field CSV has {len(rows)} rows, expected {grid.nx * grid.ny}")
-    values = np.empty((grid.nx, grid.ny, m))
-    k = 0
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            parts = rows[k].split(",")
-            if len(parts) != 2 + m:
-                raise InvalidInputError(
-                    f"field CSV row {k + 2} has {len(parts)} columns, expected {2 + m}")
-            try:
-                values[i, j] = [float(p) for p in parts[2:]]
-            except ValueError:
-                raise InvalidInputError(
-                    f"field CSV row {k + 2} has a non-numeric value") from None
-            k += 1
+    try:
+        # Every row has at least 2 + m columns once this succeeds, so the
+        # comma count below leaves exactly 2 + m in each.
+        table = np.loadtxt(rows, delimiter=",", comments=None,
+                           usecols=range(2, 2 + m), ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or text.count(",") != (len(rows) + 1) * (m + 1):
+        table = _parse_rows(rows, m)
+    values = table.reshape(grid.nx, grid.ny, m)
     values[grid.mask == OUTSIDE] = np.nan
     return GridField(grid, values)
+
+
+def _parse_rows(rows: list[str], m: int) -> np.ndarray:
+    """The value columns of field CSV rows, one ``float`` per value; raises
+    ``InvalidInputError`` naming the first row (counted from the header as
+    row 1) with a wrong column count or a non-numeric value."""
+    table = np.empty((len(rows), m))
+    for k, row in enumerate(rows):
+        parts = row.split(",")
+        if len(parts) != 2 + m:
+            raise InvalidInputError(
+                f"field CSV row {k + 2} has {len(parts)} columns, expected {2 + m}")
+        try:
+            table[k] = [float(p) for p in parts[2:]]
+        except ValueError:
+            raise InvalidInputError(
+                f"field CSV row {k + 2} has a non-numeric value") from None
+    return table
 
 
 def write_momentum_csv(path: str, grid: Grid, mom: GridMomentum) -> None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fieldtriple.cli import main, read_field_csv, write_field_csv, write_momentum_csv
+from fieldtriple.errors import InvalidInputError
 from fieldtriple.grid import Grid, GridField, GridMomentum, discrete_action
 from fieldtriple.models import get_lagrangian
 
@@ -196,6 +197,97 @@ def test_csv_writers_match_per_value_reference(tmp_path):
         + [[str(ci), str(cj), *p1[ci, cj], *p2[ci, cj]] for ci, cj in cells])
     assert path.read_bytes() == want
     assert b"\n10,12," in want and b"-1.7976931348623157e+308" in want
+
+
+def _read_with_float(text, grid, m):
+    """Reference reader: one float() per value, outside nodes set to nan."""
+    rows = [ln for ln in text.splitlines()[1:] if ln]
+    values = np.array([[float(p) for p in row.split(",")[2:]] for row in rows])
+    values = values.reshape(grid.nx, grid.ny, m)
+    values[grid.mask == 0] = np.nan
+    return values
+
+
+def test_field_csv_reader_matches_per_value_reference(tmp_path):
+    grid = Grid.disc_mask(21, 17)
+    values = np.resize(_FINITE_EXTREMES, (grid.nx, grid.ny, 2))
+    values[grid.mask == 0] = np.nan
+    path = tmp_path / "field.csv"
+    write_field_csv(str(path), GridField(grid, values))
+    lines = path.read_text().splitlines()
+    # Blank lines anywhere after the header are skipped.
+    text = "\n".join(lines[:5] + [""] + lines[5:] + ["", ""]) + "\n"
+    path.write_text(text)
+    got = read_field_csv(str(path), grid, m=2).values
+    want = _read_with_float(text, grid, 2)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+    assert all(v in text for v in ("nan", "-0,", "4.9406564584124654e-324",
+                                   "-2.5000000000000171e-310",
+                                   "1.7976931348623157e+308",
+                                   "-1.7976931348623157e+308"))
+
+
+def test_field_csv_reader_accepts_what_float_accepts(tmp_path):
+    # np.loadtxt rejects digit separators; the row-by-row parse takes them
+    # as float() does.
+    grid = Grid.square(3, 3)
+    path = tmp_path / "field.csv"
+    text = "x,y,comp0\n" + "0,0,1_0\n" * 9
+    path.write_text(text)
+    got = read_field_csv(str(path), grid, m=1).values
+    assert np.array_equal(got, _read_with_float(text, grid, 1))
+    assert got[1, 1, 0] == 10.0
+
+
+def _field_csv_text(grid, m, edit=None):
+    rows = ["x,y," + ",".join(f"comp{k}" for k in range(m))]
+    rows += [",".join(["0.5"] * (2 + m))] * (grid.nx * grid.ny)
+    if edit is not None:
+        edit(rows)
+    return "\n".join(rows) + "\n"
+
+
+def _assert_rejected(tmp_path, text, grid, m, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError) as exc:
+        read_field_csv(str(path), grid, m=m)
+    assert message in str(exc.value)
+
+
+def test_field_csv_rejects_wrong_header(tmp_path):
+    grid = Grid.square(3, 3)
+    text = _field_csv_text(grid, 2, lambda rows: rows.__setitem__(0, "x,y,comp0"))
+    _assert_rejected(tmp_path, text, grid, 2, "header mismatch")
+    _assert_rejected(tmp_path, "", grid, 2, "header mismatch")
+
+
+def test_field_csv_rejects_wrong_row_count(tmp_path):
+    grid = Grid.square(3, 3)
+    text = _field_csv_text(grid, 1, lambda rows: rows.pop())
+    _assert_rejected(tmp_path, text, grid, 1, "has 8 rows, expected 9")
+
+
+@pytest.mark.parametrize("row", ["0.5,0.5", "0.5,0.5,0.5,0.5", " "])
+def test_field_csv_rejects_wrong_column_count(tmp_path, row):
+    # A blank line before the faulty row does not count as a row.
+    grid = Grid.square(3, 3)
+
+    def edit(rows):
+        rows[4] = row
+        rows.insert(2, "")
+
+    columns = len(row.split(","))
+    _assert_rejected(tmp_path, _field_csv_text(grid, 1, edit), grid, 1,
+                     f"row 5 has {columns} columns, expected 3")
+
+
+def test_field_csv_rejects_non_numeric_value(tmp_path):
+    grid = Grid.square(3, 3)
+    text = _field_csv_text(grid, 2,
+                           lambda rows: rows.__setitem__(7, "0.5,0.5,0.5,abc"))
+    _assert_rejected(tmp_path, text, grid, 2, "row 8 has a non-numeric value")
 
 
 def test_field_csv_rejects_malformed_input(tmp_path):

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 
 from fieldtriple import autodiff
@@ -15,12 +16,15 @@ from fieldtriple.errors import (
     GridDomainError,
     InvalidInputError,
     InvalidParameterError,
+    SingularJacobianError,
 )
 from fieldtriple.grid import (
     Grid,
     GridField,
     _assemble_jacobian,
     _cell_hessians,
+    _dissection_order,
+    _factor_jacobian,
     boundary_momentum,
     discrete_action,
     discrete_action_gradient,
@@ -385,11 +389,14 @@ def test_newton_releases_each_factorization(monkeypatch):
 
     class Factors:
         def __init__(self, lu):
-            self.solve = lu.solve
+            self.lu = lu
 
-    def tracked_splu(J):
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def tracked_splu(*args, **kwargs):
         assert all(ref() is None for ref in factors)
-        lu = Factors(splu(J))
+        lu = Factors(splu(*args, **kwargs))
         factors.append(weakref.ref(lu))
         return lu
 
@@ -399,6 +406,178 @@ def test_newton_releases_each_factorization(monkeypatch):
                             tol=1e-10, max_iter=4)
     assert rep.iterations >= 2 and len(factors) >= 2
     assert all(ref() is None for ref in factors)
+
+
+# ---------------------------------------------------------------------------
+# Newton factorization: nested-dissection order and the definiteness trial
+
+
+def _check_dissection(rank, i0, i1, j0, j1):
+    """Ranks in the box [i0, i1) x [j0, j1) of a full rank table (-1 where
+    no node is): the box is numbered as one block, and each separator line
+    after both halves it splits.  Returns the box's ranks."""
+    box = rank[i0:i1, j0:j1]
+    ranks = np.sort(box[box >= 0])
+    if len(ranks):
+        assert ranks[-1] - ranks[0] == len(ranks) - 1
+    di, dj = i1 - i0, j1 - j0
+    if di * dj <= 8:
+        return ranks
+    if di >= dj:
+        mid = (i0 + i1) // 2
+        halves = (_check_dissection(rank, i0, mid, j0, j1),
+                  _check_dissection(rank, mid + 1, i1, j0, j1))
+        line = rank[mid, j0:j1]
+    else:
+        mid = (j0 + j1) // 2
+        halves = (_check_dissection(rank, i0, i1, j0, mid),
+                  _check_dissection(rank, i0, i1, mid + 1, j1))
+        line = rank[i0:i1, mid]
+    line = line[line >= 0]
+    for half in halves:
+        if len(half) and len(line):
+            assert half.max() < line.min()
+    return ranks
+
+
+@pytest.mark.parametrize("grid", [Grid.square(33, 33), Grid.square(21, 17),
+                                  Grid.square(4, 40), Grid.disc_mask(19, 23)],
+                         ids=["33x33", "21x17", "4x40", "disc-19x23"])
+def test_dissection_order_numbers_separators_after_their_halves(grid):
+    inodes = grid.interior_nodes
+    order = _dissection_order(inodes)
+    assert np.array_equal(np.sort(order), np.arange(len(inodes)))
+    lo = inodes.min(axis=0)
+    hi = inodes.max(axis=0) + 1
+    rank = np.full(tuple(hi - lo), -1)
+    rank[inodes[order, 0] - lo[0], inodes[order, 1] - lo[1]] = np.arange(len(order))
+    _check_dissection(rank, 0, rank.shape[0], 0, rank.shape[1])
+
+
+def test_solve_without_interior_nodes_is_converged():
+    g = Grid(nx=3, ny=4, hx=0.5, hy=1 / 3, mask=np.ones((3, 4)))
+    sol, rep = _solve_with_bc(HARM1, g, lambda x, y: np.array([x + y]), m=1)
+    assert rep.converged and rep.iterations == 0
+    assert rep.final_residual == 0.0
+
+
+class _RecordedLU:
+    """A SuperLU factorization that records its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = []
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, b):
+        x = self.lu.solve(b)
+        self.solves.append((b, x))
+        return x
+
+
+def _record_factorizations(monkeypatch):
+    """Wrap splu; returns the list of (J, permc_spec, recorded LU) per call."""
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def recording_splu(J, **kwargs):
+        lu = _RecordedLU(splu(J, **kwargs))
+        calls.append((J, kwargs.get("permc_spec"), lu))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    return calls
+
+
+@pytest.mark.parametrize("name,m,grid,fn", [
+    ("harmonic", 1, Grid.square(33, 33),
+     lambda x, y: np.array([np.sin(x) * np.cosh(y)])),
+    ("harmonic", 3, Grid.square(21, 17),
+     lambda x, y: np.array([x, y * y, np.exp(x)])),
+    ("sigma", 2, Grid.square(17, 17),
+     lambda x, y: np.array([x * y, np.exp(-x)])),
+    ("harmonic", 1, Grid.disc_mask(19, 23),
+     lambda x, y: np.array([x * x - y * y + np.sqrt(x + 1)])),
+    ("graph-area", 1, Grid.square(17, 17),
+     lambda x, y: np.array([0.5 * (x * x - y * y)])),
+], ids=["harmonic", "harmonic-m3", "sigma-m2", "harmonic-disc", "graph-area"])
+def test_definite_newton_systems_keep_the_diagonal_pivot_trial(
+        monkeypatch, name, m, grid, fn):
+    model = (minimal_surface_model() if name == "graph-area"
+             else get_lagrangian(name, m))
+    calls = _record_factorizations(monkeypatch)
+    _, rep = _solve_with_bc(model, grid, fn, m,
+                            interior=lambda x, y: np.full(m, 0.3))
+    assert rep.converged and rep.iterations >= 1
+    assert len(calls) == rep.iterations
+    assert all(spec == "NATURAL" and len(lu.solves) == 1
+               for _, spec, lu in calls)
+
+
+def test_string_newton_falls_back_to_mmd_ata_after_one_trial(monkeypatch):
+    calls = _record_factorizations(monkeypatch)
+    _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
+                            m=4, tol=1e-10, max_iter=4)
+    assert rep.iterations >= 2
+    assert [spec for _, spec, _ in calls] == (
+        ["NATURAL"] + ["MMD_ATA"] * rep.iterations)
+    assert [len(lu.solves) for _, _, lu in calls] == [0] + [1] * rep.iterations
+
+
+@pytest.mark.parametrize("name,m,grid,fn", [
+    ("harmonic", 1, Grid.square(33, 33),
+     lambda x, y: np.array([0.7 * np.sin(2.1 * x) * np.cosh(y) + 1.3 * x * x * y])),
+    ("sigma", 3, Grid.square(14, 19),
+     lambda x, y: np.array([x, y ** 1.5, np.cosh(x * y)])),
+], ids=["harmonic-33", "sigma-m3-14x19"])
+def test_definite_newton_step_matches_partial_pivoting(monkeypatch, name, m,
+                                                       grid, fn):
+    splu = scipy.sparse.linalg.splu
+    calls = _record_factorizations(monkeypatch)
+    _solve_with_bc(get_lagrangian(name, m), grid, fn, m)
+    (J, spec, lu), = calls
+    (b, step), = lu.solves
+    assert spec == "NATURAL"
+    ref = splu(J).solve(b)
+    assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+# The tiny first pivot of the trial swamps every other entry, the remaining
+# block becomes exactly rank one, and the last pivot cancels to an exact zero;
+# the matrix itself is well conditioned (condition number 1.22).
+_SWAMPED = [[1e-20, 1.0, -2.0], [1.0, 2.0, 1.0], [-2.0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize("A", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+    _SWAMPED,
+], ids=["zero-diagonal", "negative-pivot", "exact-zero-pivot"])
+def test_indefinite_matrix_falls_back_to_partial_pivoting(A):
+    J = scipy.sparse.csc_matrix(np.array(A))
+    b = np.arange(1.0, len(A) + 1.0)
+    lu, definite = _factor_jacobian(J, True)
+    assert definite is False
+    assert np.allclose(lu.solve(b), np.linalg.solve(A, b), rtol=0, atol=1e-14)
+
+
+def test_exact_zero_pivot_case_makes_the_trial_raise():
+    with pytest.raises(RuntimeError):
+        scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(np.array(_SWAMPED)),
+                                 permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
+
+
+def test_singular_newton_system_raises():
+    # L = qbar is linear in the nodal values: its Hessian, and so the Newton
+    # matrix, is zero while the residual is not.
+    model = LagrangianModel(
+        m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0 * xs[0]),
+        admissible=lambda j: True, name="linear")
+    with pytest.raises(SingularJacobianError):
+        _solve_with_bc(model, Grid.square(7, 7), lambda x, y: np.array([x]), m=1)
 
 
 def test_string_affine_boundary_is_exact_solution():
