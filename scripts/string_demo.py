@@ -76,7 +76,7 @@ def pointwise_structure(points, seed):
         round_trip = max(round_trip,
                          float(np.max(np.abs(rec.qdot1 - j.qdot1))),
                          float(np.max(np.abs(rec.qdot2 - j.qdot2))))
-        w = phase_dynamics_member(model, j, rng)
+        w = phase_dynamics_member(model, j, free=rng.standard_normal((3, 4)))
         dynamics_gap = max(dynamics_gap, ham_phase_residual(ham, w))
     print("pointwise structure "
           f"({points} random admissible worldsheet jets):")

@@ -234,11 +234,12 @@ class ScalarField:
         return self.eval(xs)
 
 
-def _point(f: ScalarField, x: Sequence[float]) -> np.ndarray:
+def _point(f: ScalarField, x, batch: bool = False) -> np.ndarray:
+    """x as a float array of shape (arity,), or (arity,) + batch if allowed."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != f.arity:
-        raise InvalidInputError(
-            f"point has shape {x.shape}, expected ({f.arity},)")
+    if x.ndim < 1 or x.shape[0] != f.arity or (x.ndim > 1 and not batch):
+        expected = f"({f.arity},)" + (" + batch" if batch else "")
+        raise InvalidInputError(f"point has shape {x.shape}, expected {expected}")
     return x
 
 
@@ -252,17 +253,25 @@ def seed(x, second: bool) -> list[Taylor]:
     return [Taylor(x[i], eye[i], hess) for i in range(k)]
 
 
-def _expand(f: ScalarField, x: Sequence[float], second: bool) -> Taylor:
-    """f at x in one seeded pass, to second order if ``second``."""
-    r = f(seed(_point(f, x), second))
+def _expand(f: ScalarField, x: np.ndarray, second: bool) -> Taylor:
+    """f at the checked point x in one seeded pass, to second order if
+    ``second``."""
+    r = f(seed(x, second))
     if not isinstance(r, Taylor):
         raise InvalidInputError("field did not propagate Taylor numbers")
     return r
 
 
-def grad(f: ScalarField, x: Sequence[float]) -> np.ndarray:
-    """Exact gradient of f at x via one seeded first-order pass."""
-    out = np.empty(f.arity)
+def grad(f: ScalarField, x) -> np.ndarray:
+    """Exact gradient of f at x via one seeded first-order pass.
+
+    ``x`` has shape (arity,) + batch: one point, or a batch of points along
+    trailing axes.  The result has the shape of ``x``; entry [i, b...] is
+    df/dx_i at point b, from the same float operations as a pass at that
+    point alone.
+    """
+    x = _point(f, x, batch=True)
+    out = np.empty(x.shape)
     out[:] = _expand(f, x, second=False).grad
     return out
 
@@ -297,7 +306,7 @@ def hessian(f: ScalarField, x: Sequence[float]) -> np.ndarray:
     is exactly symmetric."""
     k = f.arity
     out = np.empty((k, k))
-    out[:] = _expand(f, x, second=True).hess
+    out[:] = _expand(f, _point(f, x), second=True).hess
     return out
 
 

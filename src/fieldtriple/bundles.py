@@ -34,6 +34,16 @@ dq(v).dp(w) - dp(v).dq(w), i.e. omega = dq ^ dp.  The induced isomorphism
 ``beta_m`` sends the tangent vector (q, p, dq, dp) to the covector
 (q, p, -dp, dq).  With this choice ``beta_tilde`` (the composite glued from
 the two factors) reproduces ``beta`` exactly, component for component.
+
+Batches
+-------
+Every block has shape (m,) + batch: the m components first, then trailing
+axes that hold many points side by side, as the channels of ``autodiff`` do.
+All blocks of one object, its anchor's included, share one batch shape, and
+a single point has batch shape ().  ``kappa``, ``alpha``, ``beta`` and the
+projections act on batches as written.  The pairings return one float and
+``beta_m`` (hence ``beta_tilde``) acts on one factor point, so they reject
+batched blocks.
 """
 
 from __future__ import annotations
@@ -74,21 +84,32 @@ __all__ = [
 ]
 
 
-def _as_block(x, m: int | None, name: str) -> np.ndarray:
+def _as_block(x, shape: tuple | None, name: str) -> np.ndarray:
+    """``x`` as a float block of shape (m,) + batch, m >= 1; ``shape``, when
+    given, is the shape the other blocks of the object already have."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise InvalidInputError(f"block {name} must be a 1-d array, got shape {arr.shape}")
-    if m is not None and arr.shape[0] != m:
+    if arr.ndim < 1 or arr.shape[0] < 1:
         raise InvalidInputError(
-            f"block {name} has length {arr.shape[0]}, expected {m}")
+            f"block {name} must have shape (m,) + batch, got shape {arr.shape}")
+    if shape is not None and arr.shape != shape:
+        raise InvalidInputError(
+            f"block {name} has shape {arr.shape}, expected {shape}")
     return arr
 
 
-def _set_blocks(obj, names, m: int | None = None) -> None:
+def _set_blocks(obj, names, shape: tuple | None = None) -> None:
     for name in names:
-        arr = _as_block(getattr(obj, name), m, name)
-        m = arr.shape[0]
+        arr = _as_block(getattr(obj, name), shape, name)
+        shape = arr.shape
         object.__setattr__(obj, name, arr)
+
+
+def _single_point(*blocks) -> None:
+    """Reject batched blocks where a single point is required."""
+    for b in blocks:
+        if b.ndim != 1:
+            raise InvalidInputError(
+                f"expected a single point, got a block of shape {b.shape}")
 
 
 class _BlockValue:
@@ -167,7 +188,7 @@ class PhaseJet(_BlockValue):
         if not isinstance(self.base, Phase):
             raise InvalidInputError("base must be a Phase")
         _set_blocks(self, ("qdot1", "p1dot1", "p2dot1", "qdot2", "p1dot2", "p2dot2"),
-                    m=self.base.m)
+                    self.base.q.shape)
 
     @property
     def m(self) -> int:
@@ -195,7 +216,7 @@ class JetTangent(_BlockValue):
     def __post_init__(self):
         if not isinstance(self.jet, Jet):
             raise InvalidInputError("jet must be a Jet")
-        _set_blocks(self, ("dq", "dqdot1", "dqdot2"), m=self.jet.m)
+        _set_blocks(self, ("dq", "dqdot1", "dqdot2"), self.jet.q.shape)
 
     @property
     def m(self) -> int:
@@ -221,7 +242,7 @@ class JetVariation(_BlockValue):
     def __post_init__(self):
         if not isinstance(self.jet, Jet):
             raise InvalidInputError("jet must be a Jet")
-        _set_blocks(self, ("dq", "dqdot1", "dqdot2"), m=self.jet.m)
+        _set_blocks(self, ("dq", "dqdot1", "dqdot2"), self.jet.q.shape)
 
     @property
     def m(self) -> int:
@@ -245,7 +266,7 @@ class JetCovector(_BlockValue):
     def __post_init__(self):
         if not isinstance(self.jet, Jet):
             raise InvalidInputError("jet must be a Jet")
-        _set_blocks(self, ("a", "b1", "b2"), m=self.jet.m)
+        _set_blocks(self, ("a", "b1", "b2"), self.jet.q.shape)
 
     @property
     def m(self) -> int:
@@ -265,7 +286,7 @@ class PhaseCovector(_BlockValue):
     def __post_init__(self):
         if not isinstance(self.phase, Phase):
             raise InvalidInputError("phase must be a Phase")
-        _set_blocks(self, ("phi", "psi1", "psi2"), m=self.phase.m)
+        _set_blocks(self, ("phi", "psi1", "psi2"), self.phase.q.shape)
 
     @property
     def m(self) -> int:
@@ -284,7 +305,7 @@ class PhaseTangent(_BlockValue):
     def __post_init__(self):
         if not isinstance(self.phase, Phase):
             raise InvalidInputError("phase must be a Phase")
-        _set_blocks(self, ("dq", "dp1", "dp2"), m=self.phase.m)
+        _set_blocks(self, ("dq", "dp1", "dp2"), self.phase.q.shape)
 
     @property
     def m(self) -> int:
@@ -325,6 +346,7 @@ def pair_jet(w: PhaseJet, dv: JetVariation) -> float:
 
     Both arguments must sit over the same Jet (exact block equality).
     """
+    _single_point(w.qdot1, dv.dq)
     if not _same_jet(project_to_jet(w), dv.jet):
         raise IncompatiblePointsError(
             "phase jet and variation sit over different jets")
@@ -335,6 +357,7 @@ def pair_jet(w: PhaseJet, dv: JetVariation) -> float:
 
 def pair_covector(c: JetCovector, v: JetTangent) -> float:
     """Canonical pairing <c, v> = a.dq + b1.dqdot1 + b2.dqdot2 (same jet required)."""
+    _single_point(c.a, v.dq)
     if not _same_jet(c.jet, v.jet):
         raise IncompatiblePointsError("covector and tangent sit over different jets")
     return float(np.dot(c.a, v.dq) + np.dot(c.b1, v.dqdot1) + np.dot(c.b2, v.dqdot2))
@@ -342,6 +365,7 @@ def pair_covector(c: JetCovector, v: JetTangent) -> float:
 
 def pair_phase_covector(c: PhaseCovector, u: PhaseTangent) -> float:
     """Canonical pairing <c, u> = phi.dq + psi1.dp1 + psi2.dp2 (same phase required)."""
+    _single_point(c.phi, u.dq)
     if not _same_phase(c.phase, u.phase):
         raise IncompatiblePointsError(
             "covector and tangent sit over different phase points")
@@ -381,10 +405,10 @@ def beta_m(q, p, dq, dp):
     fourth with dp-variations.
     """
     q = _as_block(q, None, "q")
-    m = q.shape[0]
-    p = _as_block(p, m, "p")
-    dq = _as_block(dq, m, "dq")
-    dp = _as_block(dp, m, "dp")
+    _single_point(q)
+    p = _as_block(p, q.shape, "p")
+    dq = _as_block(dq, q.shape, "dq")
+    dp = _as_block(dp, q.shape, "dp")
     return q, p, -dp, dq
 
 
@@ -409,6 +433,7 @@ def omega2_pair(w: PhaseJet, u: PhaseTangent) -> float:
     """Pairing of a phase jet with a phase tangent through the bi-form
     structure: qdot1.dp1 + qdot2.dp2 - (p1dot1 + p2dot2).dq.
     Both arguments must sit over the same phase point."""
+    _single_point(w.qdot1, u.dq)
     if not _same_phase(w.base, u.phase):
         raise IncompatiblePointsError(
             "phase jet and tangent sit over different phase points")

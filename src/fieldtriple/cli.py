@@ -312,6 +312,7 @@ def _run_solve(cfg: RunConfig) -> dict:
         "action": rep.action,
         "max_error": max_error,
         "pass": bool(rep.converged),
+        "stop_reason": rep.message or "converged",
     }
     _write_text(_sibling(cfg.out, ".report.json"), _report_json(report))
     return report
@@ -360,26 +361,32 @@ def _sample_phase(model, rng: np.random.Generator):
     return random_phase(rng, model.m)
 
 
+def _stack(points):
+    """One Jet or Phase holding ``points`` along a trailing batch axis."""
+    cls = type(points[0])
+    return cls(**{f.name: np.stack([getattr(p, f.name) for p in points], axis=-1)
+                  for f in fields(cls)})
+
+
+def _max_abs(*arrays) -> float:
+    return float(max(np.max(np.abs(a)) for a in arrays))
+
+
 def _run_legendre(cfg: RunConfig) -> dict:
     lag = get_lagrangian(cfg.model, cfg.m)
     ham = get_hamiltonian(cfg.model, cfg.m)
     tol = 1e-9 if cfg.tol is None else cfg.tol
     rng = np.random.default_rng(cfg.seed)
-    fwd_max = 0.0
-    inv_max = 0.0
+    jets, phases = [], []
     for _ in range(cfg.points):
-        j = _sample_jet(lag, rng)
-        ph = legendre(lag, j)
-        cov = dH(ham, ph)
-        fwd_max = max(fwd_max,
-                      float(np.max(np.abs(cov.psi1 - j.qdot1))),
-                      float(np.max(np.abs(cov.psi2 - j.qdot2))))
-        ph0 = _sample_phase(ham, rng)
-        cov0 = dH(ham, ph0)
-        ph1 = legendre(lag, Jet(ph0.q, cov0.psi1, cov0.psi2))
-        inv_max = max(inv_max,
-                      float(np.max(np.abs(ph1.p1 - ph0.p1))),
-                      float(np.max(np.abs(ph1.p2 - ph0.p2))))
+        jets.append(_sample_jet(lag, rng))
+        phases.append(_sample_phase(ham, rng))
+    j, ph0 = _stack(jets), _stack(phases)
+    cov = dH(ham, legendre(lag, j))
+    fwd_max = _max_abs(cov.psi1 - j.qdot1, cov.psi2 - j.qdot2)
+    cov0 = dH(ham, ph0)
+    ph1 = legendre(lag, Jet(ph0.q, cov0.psi1, cov0.psi2))
+    inv_max = _max_abs(ph1.p1 - ph0.p1, ph1.p2 - ph0.p2)
     passed = fwd_max <= tol and inv_max <= tol
     return {
         "command": cfg.command,
@@ -398,18 +405,19 @@ def _run_phase_check(cfg: RunConfig) -> dict:
     ham = get_hamiltonian(cfg.model, cfg.m)
     tol = 1e-8 if cfg.tol is None else cfg.tol
     rng = np.random.default_rng(cfg.seed)
-    lag_max = 0.0
-    ham_max = 0.0
-    agree_max = 0.0
+    jets, free_l, phases, free_h = [], [], [], []
     for _ in range(cfg.points):
-        w_l = phase_dynamics_member(lag, _sample_jet(lag, rng), rng)
-        w_h = ham_dynamics_member(ham, _sample_phase(ham, rng), rng)
-        for w in (w_l, w_h):
-            rl = phase_relation_residual(lag, w)
-            rh = ham_phase_residual(ham, w)
-            lag_max = max(lag_max, rl)
-            ham_max = max(ham_max, rh)
-            agree_max = max(agree_max, abs(rl - rh))
+        jets.append(_sample_jet(lag, rng))
+        free_l.append(rng.standard_normal((3, lag.m)))
+        phases.append(_sample_phase(ham, rng))
+        free_h.append(rng.standard_normal((3, ham.m)))
+    w_l = phase_dynamics_member(lag, _stack(jets), np.stack(free_l, axis=-1))
+    w_h = ham_dynamics_member(ham, _stack(phases), np.stack(free_h, axis=-1))
+    rl = [phase_relation_residual(lag, w) for w in (w_l, w_h)]
+    rh = [ham_phase_residual(ham, w) for w in (w_l, w_h)]
+    lag_max = _max_abs(*rl)
+    ham_max = _max_abs(*rh)
+    agree_max = _max_abs(*(a - b for a, b in zip(rl, rh)))
     passed = lag_max <= tol and ham_max <= tol and agree_max <= tol
     return {
         "command": cfg.command,
@@ -623,6 +631,8 @@ def main(argv: list[str] | None = None) -> int:
     if cfg.out is not None and cfg.command != "solve":
         _write_text(cfg.out, text)
     if not report["pass"]:
-        print("fieldtriple: numerical failure: report did not pass", file=sys.stderr)
+        why = report.get("stop_reason")
+        print("fieldtriple: numerical failure: report did not pass"
+              + (f": {why}" if why else ""), file=sys.stderr)
         return 3
     return 0

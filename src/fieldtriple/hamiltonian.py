@@ -14,8 +14,9 @@ H(q, p1, p2) = p1.v1 + p2.v2 - L(q, v1, v2), with the velocities recovered
 by Newton inversion of the Legendre map.  Since p = dL/dv at the recovered
 velocities, first derivatives of H do not see dv/dp (the envelope property):
 dH/dp_i = v_i and dH/dq = -dL/dq.  The transformed H therefore supports
-plain and first-order Taylor evaluation exactly; second-order evaluation is
-refused rather than done wrong -- differentiate the Lagrangian side instead.
+plain and first-order Taylor evaluation exactly, one point at a time;
+second-order evaluation is refused rather than done wrong -- differentiate
+the Lagrangian side instead -- and so is a batch of points.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .autodiff import ScalarField, Taylor
 from .bundles import Jet, Phase, PhaseCovector, PhaseJet, beta
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      SingularJacobianError)
-from .lagrangian import LagrangianModel, dL, legendre
+from .lagrangian import (LagrangianModel, _max_norm_per_point, _member_free, dL,
+                         legendre)
 
 __all__ = [
     "HamiltonianModel",
@@ -47,7 +49,8 @@ class HamiltonianModel:
     """A Hamiltonian with its admissible domain.
 
     ``H`` has arity 3m over the flattened phase point (q, p1, p2) and must
-    be finite on every admissible Phase.
+    be finite on every admissible Phase.  ``admissible`` takes a Phase, one
+    point or a batch, and says whether every point of it is admissible.
     """
 
     m: int
@@ -75,41 +78,36 @@ def _require_admissible(model: HamiltonianModel, ph: Phase) -> None:
 
 
 def dH(model: HamiltonianModel, ph: Phase) -> PhaseCovector:
-    """Differential of H at an admissible phase point."""
+    """Differential of H at an admissible phase point, or at a batch of
+    them in one Taylor pass."""
     _require_admissible(model, ph)
     g = autodiff.grad(model.H, _flat_phase(ph))
     m = model.m
     return PhaseCovector(phase=ph, phi=g[:m], psi1=g[m:2 * m], psi2=g[2 * m:])
 
 
-def ham_phase_residual(model: HamiltonianModel, w: PhaseJet) -> float:
+def ham_phase_residual(model: HamiltonianModel, w: PhaseJet):
     """Distance of a phase jet from the Hamiltonian phase dynamics:
-    max-norm of beta(w) - dH(model, w.base) over the 3m covector components."""
+    max-norm of beta(w) - dH(model, w.base) over the 3m covector components.
+    A float for one phase jet; for a batch, an array of the batch shape
+    holding each point's max-norm."""
     c = dH(model, w.base)
     b = beta(w)
-    return float(max(np.max(np.abs(b.phi - c.phi)),
-                     np.max(np.abs(b.psi1 - c.psi1)),
-                     np.max(np.abs(b.psi2 - c.psi2))))
+    return _max_norm_per_point(b.phi - c.phi, b.psi1 - c.psi1, b.psi2 - c.psi2)
 
 
 def ham_dynamics_member(model: HamiltonianModel, ph: Phase,
-                        rng: np.random.Generator | None = None) -> PhaseJet:
+                        free=None) -> PhaseJet:
     """One member of the Hamiltonian dynamics over the phase point ``ph``.
 
     The relation fixes qdot1, qdot2 and the combination p1dot1 + p2dot2 =
-    -dH/dq; the split and the cross derivatives are free (canonical choice:
-    p1dot1 = -dH/dq, p2dot2 = 0, cross blocks 0; ``rng`` randomises them).
+    -dH/dq; the split and the cross derivatives are free.  ``free`` holds
+    them as one array of shape (3, m) + batch, rows (split, cross1, cross2),
+    giving p2dot2 = split, p1dot1 = -dH/dq - split, p2dot1 = cross1,
+    p1dot2 = cross2; the default of zeros is the canonical member.
     """
     c = dH(model, ph)
-    m = model.m
-    if rng is None:
-        split = np.zeros(m)
-        cross1 = np.zeros(m)
-        cross2 = np.zeros(m)
-    else:
-        split = rng.standard_normal(m)
-        cross1 = rng.standard_normal(m)
-        cross2 = rng.standard_normal(m)
+    split, cross1, cross2 = _member_free(free, ph.q.shape)
     return PhaseJet(base=ph,
                     qdot1=c.psi1,
                     p1dot1=-c.phi - split,
@@ -209,6 +207,10 @@ def hamiltonian_from_lagrangian(model: LagrangianModel,
                 "supported; differentiate the Lagrangian side instead")
         plain = np.array([x.value if isinstance(x, Taylor) else x for x in xs],
                          dtype=float)
+        if plain.ndim != 1:
+            raise InvalidInputError(
+                "a transformed Hamiltonian inverts the Legendre map one point "
+                "at a time; evaluate it point by point")
         j = invert(model, Phase(q=plain[:m], p1=plain[m:2 * m], p2=plain[2 * m:]))
         # The recovered velocities enter as constants: p = dL/dv there, so
         # their dependence on (q, p) drops out of first derivatives.

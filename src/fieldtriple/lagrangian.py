@@ -44,10 +44,12 @@ class LagrangianModel:
     """A Lagrangian with its admissible domain.
 
     ``L`` has arity 3m over the flattened jet (q, qdot1, qdot2) and must be
-    finite on every admissible jet.  ``domain_indicator`` is an optional
-    vectorised margin function over the same flattened arguments, positive
-    exactly on the admissible region; the grid solver uses it for cheap
-    whole-grid admissibility checks and it must agree with ``admissible``.
+    finite on every admissible jet.  ``admissible`` takes a Jet, one point or
+    a batch, and says whether every point of it is admissible.
+    ``domain_indicator`` is an optional vectorised margin function over the
+    same flattened arguments, positive exactly on the admissible region; the
+    grid solver uses it for cheap whole-grid admissibility checks and it must
+    agree with ``admissible``.
     """
 
     m: int
@@ -103,7 +105,11 @@ def _require_admissible(model: LagrangianModel, j: Jet) -> None:
 
 
 def dL(model: LagrangianModel, j: Jet) -> JetCovector:
-    """Differential of L at an admissible jet, as a covector on jet space."""
+    """Differential of L at an admissible jet, as a covector on jet space.
+
+    A batch of jets (blocks of shape (m,) + batch) is differentiated in one
+    Taylor pass; the model's admissibility check then covers the whole batch.
+    """
     _require_admissible(model, j)
     g = autodiff.grad(model.L, _flat_jet(j))
     m = model.m
@@ -116,45 +122,57 @@ def legendre(model: LagrangianModel, j: Jet) -> Phase:
     return project_to_phase(dL(model, j))
 
 
-def phase_relation_residual(model: LagrangianModel, w: PhaseJet) -> float:
+def _max_norm_per_point(*blocks):
+    """Max-norm over the component axis of the stacked blocks, each of shape
+    (m,) + batch: a float for one point, an array of the batch shape for a
+    batch."""
+    r = np.max(np.abs(np.concatenate(blocks)), axis=0)
+    return float(r) if r.ndim == 0 else r
+
+
+def phase_relation_residual(model: LagrangianModel, w: PhaseJet):
     """Distance of a phase jet from the Lagrangian phase dynamics.
 
     Returns the max-norm of alpha(w) - dL(model, jet of w) over the 3m
     covector components; the jet blocks agree by construction.  Zero (to
     tolerance) exactly on members of the dynamics: p1 = dL/dqdot1,
-    p2 = dL/dqdot2, p1dot1 + p2dot2 = dL/dq.
+    p2 = dL/dqdot2, p1dot1 + p2dot2 = dL/dq.  A float for one phase jet; for
+    a batch, an array of the batch shape holding each point's max-norm.
     """
     from .bundles import alpha
 
     c = dL(model, project_to_jet(w))
     aw = alpha(w)
-    return float(max(np.max(np.abs(aw.a - c.a)),
-                     np.max(np.abs(aw.b1 - c.b1)),
-                     np.max(np.abs(aw.b2 - c.b2))))
+    return _max_norm_per_point(aw.a - c.a, aw.b1 - c.b1, aw.b2 - c.b2)
+
+
+def _member_free(free, shape: tuple) -> np.ndarray:
+    """The free parameters (split, cross1, cross2) of a dynamics member over
+    points whose blocks have ``shape``; None means zeros."""
+    if free is None:
+        return np.zeros((3,) + shape)
+    free = np.asarray(free, dtype=float)
+    if free.shape != (3,) + shape:
+        raise InvalidInputError(
+            f"free parameters have shape {free.shape}, expected {(3,) + shape}")
+    return free
 
 
 def phase_dynamics_member(model: LagrangianModel, j: Jet,
-                          rng: np.random.Generator | None = None) -> PhaseJet:
+                          free=None) -> PhaseJet:
     """One member of the phase dynamics over the jet ``j``.
 
     The relation fixes (p1, p2) via the Legendre map and the combination
     p1dot1 + p2dot2 = dL/dq; the split between p1dot1 and p2dot2 and the
-    cross derivatives (p2dot1, p1dot2) are free.  With ``rng`` omitted the
-    canonical choice p1dot1 = dL/dq, p2dot2 = 0, cross blocks 0 is made;
-    otherwise the free 3m parameters are drawn at random, which still lands
-    exactly on the relation.
+    cross derivatives (p2dot1, p1dot2) are free.  ``free`` holds them as one
+    array of shape (3, m) + batch, rows (split, cross1, cross2), giving
+    p2dot2 = split, p1dot1 = dL/dq - split, p2dot1 = cross1, p1dot2 = cross2.
+    Every choice lands exactly on the relation; the default of zeros is the
+    canonical member.  ``rng.standard_normal((3, m))`` draws a random one.
     """
     c = dL(model, j)
-    m = model.m
+    split, cross1, cross2 = _member_free(free, j.q.shape)
     base = Phase(q=j.q, p1=c.b1, p2=c.b2)
-    if rng is None:
-        split = np.zeros(m)
-        cross1 = np.zeros(m)
-        cross2 = np.zeros(m)
-    else:
-        split = rng.standard_normal(m)
-        cross1 = rng.standard_normal(m)
-        cross2 = rng.standard_normal(m)
     return PhaseJet(base=base,
                     qdot1=j.qdot1,
                     p1dot1=c.a - split,

@@ -157,10 +157,10 @@ def test_criterion_3_string_legendre_structure():
         square_gap = max(square_gap, abs(h_cf * h_cf + det))
         assert h_cf > 0.0
 
-        w = ham_dynamics_member(ham, ph, rng)
+        w = ham_dynamics_member(ham, ph, free=rng.standard_normal((3, 4)))
         residual_gap = max(residual_gap, phase_relation_residual(model, w))
         j = sample_admissible_string_jet(rng)
-        wl = phase_dynamics_member(model, j, rng)
+        wl = phase_dynamics_member(model, j, free=rng.standard_normal((3, 4)))
         residual_gap = max(residual_gap, ham_phase_residual(ham, wl))
     elapsed = time.perf_counter() - t0
     assert lt_gap <= 1e-9

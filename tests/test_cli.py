@@ -37,6 +37,7 @@ def test_solve_harmonic_saddle(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["pass"] is True
+    assert report["stop_reason"] == "converged"
     assert report["final_residual"] <= 1e-10
     assert report["action"] == 1.3330078125
     # the saddle is discretely stationary: the solve keeps the start field
@@ -86,15 +87,24 @@ def test_solve_disc_domain(tmp_path, capsys):
 
 
 def test_solve_stall_exits_3_but_writes_artifacts(tmp_path, capsys):
-    out = tmp_path / "stall.csv"
-    code, stdout, stderr = run(capsys, *solve_args(
-        out, bc=("x", "y", "0.1*x*y", "0"), model="nambu", grid="9x9",
-        extra=("--max-iter", "4")))
-    assert code == 3
-    report = json.loads(stdout)
-    assert report["pass"] is False
-    assert out.exists()
-    assert (tmp_path / "stall.report.json").exists()
+    # The same off-solution string solve stops at the cap with 4 steps and
+    # stalls in the line search after 26 steps with 50 allowed.
+    stops = {"4": ("iteration cap 4 reached", 4),
+             "50": ("line search stalled: no step decreased the residual", 26)}
+    for max_iter, (reason, steps) in stops.items():
+        out = tmp_path / f"stall{max_iter}.csv"
+        code, stdout, stderr = run(capsys, *solve_args(
+            out, bc=("x", "y", "0.1*x*y", "0"), model="nambu", grid="9x9",
+            extra=("--max-iter", max_iter)))
+        assert code == 3
+        report = json.loads(stdout)
+        assert report["pass"] is False
+        assert report["stop_reason"] == reason
+        assert report["iterations"] == steps
+        assert stderr.strip().endswith(f"report did not pass: {reason}")
+        assert out.exists()
+        on_disk = json.loads((tmp_path / f"stall{max_iter}.report.json").read_text())
+        assert on_disk == report
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +143,13 @@ def test_phase_check(capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["pass"] is True
+    # Round-off residuals fail a tolerance of 1e-300; only solves carry a
+    # stop reason.
+    code, stdout, stderr = run(capsys, "phase-check", "--model", "nambu",
+                               "--points", "30", "--tol", "1e-300")
+    assert code == 3
+    assert json.loads(stdout)["pass"] is False
+    assert stderr == "fieldtriple: numerical failure: report did not pass\n"
 
 
 def test_action_of_written_field(tmp_path, capsys):

@@ -23,6 +23,7 @@ from fieldtriple.grid import (
     GridField,
     _assemble_jacobian,
     _cell_hessians,
+    _cell_slots,
     _dissection_order,
     _factor_jacobian,
     boundary_momentum,
@@ -626,6 +627,27 @@ def test_solver_rejects_inadmissible_initial_cell():
     with pytest.raises(GridDomainError) as exc:
         solve_dirichlet(NAMBU, g, bvals, f)
     assert "cell" in str(exc.value)
+
+
+def test_line_search_that_never_regains_admissibility_raises():
+    # Harmonic L whose domain indicator is positive only within 1e-12 of the
+    # start's cell slopes.  The start x^2 y is not discretely harmonic, so the
+    # Newton step is nonzero, and even its 2^-29 fraction moves some cell
+    # slope out of the band.  The grid solver reads only the indicator.
+    g = Grid.square(9, 9)
+    f = GridField.from_function(g, lambda x, y: np.array([x * x * y]), m=1)
+    _, s1, s2 = _cell_slots(g, f.values)
+
+    def indicator(xs):
+        return 1e-12 - np.abs(xs[1] - s1) - np.abs(xs[2] - s2)
+
+    banded = LagrangianModel(m=1, L=HARM1.L, admissible=lambda j: True,
+                             domain_indicator=indicator, name="banded")
+    assert np.all(indicator(list(_cell_slots(g, f.values))) > 0.0)
+    with pytest.raises(GridDomainError) as exc:
+        solve_dirichlet(banded, g, boundary_rows(f), f)
+    assert str(exc.value) == ("line search could not restore admissibility "
+                              "at iteration 0")
 
 
 def test_hessian_pass_names_the_inadmissible_cell():

@@ -103,7 +103,7 @@ def test_ham_member_canonical_and_randomized():
     for _ in range(100):
         ph = sample_admissible_string_phase(rng)
         w0 = ham_dynamics_member(NAMBU_H, ph)
-        w1 = ham_dynamics_member(NAMBU_H, ph, rng)
+        w1 = ham_dynamics_member(NAMBU_H, ph, free=rng.standard_normal((3, 4)))
         assert ham_phase_residual(NAMBU_H, w0) <= 1e-12
         assert ham_phase_residual(NAMBU_H, w1) <= 1e-12
         assert project_to_phase(w0) == ph
@@ -124,11 +124,11 @@ def test_dynamics_agree_between_both_descriptions():
     rng = np.random.default_rng(47)
     for _ in range(100):
         j = sample_admissible_string_jet(rng)
-        w = phase_dynamics_member(NAMBU_L, j, rng)
+        w = phase_dynamics_member(NAMBU_L, j, free=rng.standard_normal((3, 4)))
         assert ham_phase_residual(NAMBU_H, w) <= 1e-8
 
         ph = sample_admissible_string_phase(rng)
-        w = ham_dynamics_member(NAMBU_H, ph, rng)
+        w = ham_dynamics_member(NAMBU_H, ph, free=rng.standard_normal((3, 4)))
         assert phase_relation_residual(NAMBU_L, w) <= 1e-8
 
 

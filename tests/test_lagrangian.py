@@ -149,7 +149,7 @@ def test_phase_dynamics_member_canonical_and_randomized():
     for _ in range(100):
         j = sample_admissible_string_jet(rng)
         w0 = phase_dynamics_member(NAMBU, j)
-        w1 = phase_dynamics_member(NAMBU, j, rng)
+        w1 = phase_dynamics_member(NAMBU, j, free=rng.standard_normal((3, 4)))
         assert phase_relation_residual(NAMBU, w0) <= 1e-12
         assert phase_relation_residual(NAMBU, w1) <= 1e-12
         assert project_to_jet(w0) == j

@@ -194,7 +194,7 @@ def test_string_momentum_divergence_vanishes_on_members():
     rng = np.random.default_rng(29)
     for _ in range(100):
         j = sample_admissible_string_jet(rng)
-        w = phase_dynamics_member(NAMBU, j, rng)
+        w = phase_dynamics_member(NAMBU, j, free=rng.standard_normal((3, 4)))
         assert np.max(np.abs(w.p1dot1 + w.p2dot2)) <= 1e-14
 
 
@@ -220,6 +220,36 @@ def test_samplers_respect_admissibility_margin():
         assert GramMatrix.from_velocities(MINKOWSKI, j.qdot1, j.qdot2).det < -1e-3
         ph = sample_admissible_string_phase(rng)
         assert GramMatrix.from_momenta(MINKOWSKI, ph.p1, ph.p2).det < -1e-3
+
+
+def test_string_jet_sampler_gram_bound():
+    # v1 = e0 + u/2 and v2 = (0, r d) with unit u, d and r in [0.5, 2] give
+    # det g = -r^2 (3/4 + (u.d)^2 / 4) <= -0.1875, so one draw always lands
+    # inside the admissible margin.
+    rng = np.random.default_rng(2024)
+    dets = np.empty(10_000)
+    for k in range(len(dets)):
+        j = sample_admissible_string_jet(rng)
+        u, v2 = 2.0 * j.qdot1[1:], j.qdot2[1:]
+        r = np.linalg.norm(v2)
+        c = float(u @ v2) / r
+        dets[k] = GramMatrix.from_velocities(MINKOWSKI, j.qdot1, j.qdot2).det
+        assert dets[k] == pytest.approx(-r * r * (0.75 + 0.25 * c * c), rel=1e-13)
+    assert np.max(dets) <= -0.1875 * (1.0 - 1e-12)
+    assert np.max(dets) >= -0.19  # the bound is nearly attained
+
+
+def test_string_jet_sampler_draws_once():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(100):
+        j = sample_admissible_string_jet(rng)
+        u = ref.standard_normal(3)
+        d = ref.standard_normal(3)
+        r = ref.uniform(0.5, 2.0)
+        q = ref.standard_normal(4)
+        assert np.array_equal(j.qdot1[1:], 0.5 * (u / np.linalg.norm(u)))
+        assert np.array_equal(j.qdot2[1:], r * (d / np.linalg.norm(d)))
+        assert np.array_equal(j.q, q)
 
 
 def test_catalog_names_and_dimensions():
