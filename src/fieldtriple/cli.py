@@ -174,24 +174,31 @@ def _write_text(path: str, text: str) -> None:
 _TABLE_CHUNK = 4096
 
 
-def _write_table(path: str, header: str, row_format: str,
+def _write_table(path: str, header: str, lead: list[str],
                  table: np.ndarray) -> None:
-    """Write a header line, then ``row_format % row`` per table row; rows
-    become Python floats a chunk at a time, which keeps peak memory flat."""
+    """Write a header line, then per table row its leading columns, already
+    formatted and ending in a comma, and the row of ``table`` in ``%.17g``.
+    Each chunk of rows is formatted by one ``%`` from Python floats, which
+    keeps peak memory flat; the leading columns are numbers, so they hold
+    no ``%`` of their own."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _TABLE_CHUNK):
-            chunk = table[start:start + _TABLE_CHUNK].tolist()
-            fh.writelines(row_format % tuple(row) for row in chunk)
+            stop = start + _TABLE_CHUNK
+            fh.write((row.join(lead[start:stop]) + row)
+                     % tuple(table[start:stop].ravel().tolist()))
 
 
 def write_field_csv(path: str, fld: GridField) -> None:
-    """Field CSV: x,y,comp0.. rows over all nodes in row-major order."""
+    """Field CSV: x,y,comp0.. rows over all nodes in row-major order; each
+    grid line's coordinate is formatted once."""
     m = fld.values.shape[2]
     x, y = fld.grid.node_coords()
-    table = np.column_stack([x.ravel(), y.ravel(), fld.values.reshape(-1, m)])
+    xs = ["%.17g," % v for v in x[:, 0].tolist()]
+    ys = ["%.17g," % v for v in y[0].tolist()]
     _write_table(path, "x,y," + ",".join(f"comp{k}" for k in range(m)),
-                 ",".join(["%.17g"] * (2 + m)) + "\n", table)
+                 [a + b for a in xs for b in ys], fld.values.reshape(-1, m))
 
 
 def read_field_csv(path: str, grid: Grid, m: int) -> GridField:
@@ -247,16 +254,18 @@ def _parse_rows(rows: list[str], m: int) -> np.ndarray:
 
 
 def write_momentum_csv(path: str, grid: Grid, mom: GridMomentum) -> None:
-    """Momentum CSV: cell_i,cell_j,p1_*,p2_* rows over active cells."""
+    """Momentum CSV: cell_i,cell_j,p1_*,p2_* rows over active cells; each
+    cell index is formatted once."""
     m = mom.p1.shape[2]
     cells = grid.active_cells
     ci, cj = cells[:, 0], cells[:, 1]
-    table = np.column_stack([cells, mom.p1[ci, cj], mom.p2[ci, cj]])
+    label = [f"{k}," for k in range(max(grid.nx, grid.ny))]
     header = ("cell_i,cell_j,"
               + ",".join(f"p1_{k}" for k in range(m)) + ","
               + ",".join(f"p2_{k}" for k in range(m)))
-    _write_table(path, header, "%d,%d," + ",".join(["%.17g"] * (2 * m)) + "\n",
-                 table)
+    lead = [label[i] + label[j] for i, j in zip(ci.tolist(), cj.tolist())]
+    _write_table(path, header, lead,
+                 np.column_stack([mom.p1[ci, cj], mom.p2[ci, cj]]))
 
 
 def _sibling(path: str, suffix: str) -> str:

@@ -583,28 +583,48 @@ def _dissection_order(inodes: np.ndarray) -> np.ndarray:
 
 
 def _factor_jacobian(J, definite: bool):
-    """LU factors of the Newton matrix ``J``; returns ``(lu, definite)``.
+    """LU factors of the Newton matrix ``J``; returns ``(lu, order, definite)``.
 
-    While ``definite`` holds, ``J`` is first factored in its own order with
-    diagonal pivots, and the trial is kept only if no row was swapped and
-    every pivot is positive: for a symmetric ``J`` that proves it positive
-    definite.  An exact zero pivot makes the trial raise, which also means
-    "not definite".  Otherwise the trial is freed before ``J`` is factored
-    with partial pivoting in the MMD(J^T J) column order, and ``definite``
-    comes back False; a ``RuntimeError`` from that factorization propagates.
+    ``lu`` factors ``J[order][:, order]``: the step solves
+    ``x[order] = lu.solve(b[order])``.  While ``definite`` holds and every
+    diagonal entry of ``J`` is positive (a positive definite matrix has a
+    positive diagonal), ``J`` is first factored with diagonal pivots, and the
+    trial is kept only if no row was swapped and every pivot is positive: for
+    a symmetric ``J`` that proves it positive definite.  The trial drops
+    ``J``'s stored zeros and orders it by connected component, stably, so
+    each decoupled block (a checkerboard of the grid) is factored on its own
+    in the order it had in ``J``; a matrix of one component is factored as
+    it stands.  An exact zero pivot makes the trial raise, which also means
+    "not definite".  Otherwise the trial is freed before ``J`` itself, stored
+    zeros included, is factored with partial pivoting in the MMD(J^T J)
+    column order, and ``definite`` comes back False; a ``RuntimeError`` from
+    that factorization propagates.
     """
-    if definite:
+    n = J.shape[0]
+    if definite and np.all(J.diagonal() > 0.0):
+        # Imported here: only a solve that runs the trial pays for it.
+        from scipy.sparse.csgraph import connected_components
+
+        trial = J.copy()
+        trial.eliminate_zeros()
+        ncomp, labels = connected_components(trial, directed=False)
+        if ncomp > 1:
+            order = np.argsort(labels, kind="stable")
+            trial = trial[order][:, order]
+        else:
+            order, trial = np.arange(n), J
         try:
-            lu = scipy.sparse.linalg.splu(J, permc_spec="NATURAL",
+            lu = scipy.sparse.linalg.splu(trial, permc_spec="NATURAL",
                                           diag_pivot_thresh=0.0,
                                           options={"SymmetricMode": True})
         except RuntimeError:
             lu = None
+        del trial
         if (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
                 and np.all(lu.U.diagonal() > 0.0)):
-            return lu, True
+            return lu, order, True
         del lu
-    return scipy.sparse.linalg.splu(J, permc_spec="MMD_ATA"), False
+    return scipy.sparse.linalg.splu(J, permc_spec="MMD_ATA"), np.arange(n), False
 
 
 def _max_norm(r: np.ndarray) -> float:
@@ -636,15 +656,23 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     (halving the step) until the trial iterate is admissible and strictly
     decreases the residual max-norm, so accepted steps never increase it.
 
-    The interior dofs are numbered in geometric nested-dissection order.  A
-    step first factors the Hessian in that order with diagonal pivots and
-    keeps the factors only if no row was swapped and every pivot is
-    positive, which proves the system positive definite (the harmonic and
-    sigma models: elliptic field equations).  Otherwise it factors with
-    partial pivoting in the MMD(J^T J) column order (the string: indefinite,
-    hyperbolic), and later steps of the solve skip the trial.  On the
-    harmonic 257x257 solve L + U hold 2.57 M nonzeros, against 4.59 M with
-    splu's default COLAMD order; on the string 33x33, 1.11 M against 1.20 M.
+    The interior dofs are numbered in geometric nested-dissection order.
+    When the Hessian's diagonal is positive, a step first factors it in that
+    order with diagonal pivots and keeps the factors only if no row was
+    swapped and every pivot is positive, which proves the system positive
+    definite (the harmonic and sigma models: elliptic field equations).  The
+    trial factors each decoupled block of the Hessian on its own: with
+    hx = hy the cell term |qdot|^2 is ((u11 - u00)^2 + (u10 - u01)^2) / 2h^2,
+    which couples nodes only across cell diagonals, so the harmonic system
+    splits into two checkerboards per component, and the sigma system, whose
+    constant target metric couples the components, into two.  Otherwise the
+    step factors the Hessian as assembled with partial pivoting in the
+    MMD(J^T J) column order (the string: indefinite, hyperbolic, with a
+    negative diagonal, so no trial runs), and later steps of the solve skip
+    the trial.  On the harmonic 257x257 solve L + U hold 2.57 M nonzeros,
+    against 4.59 M with splu's default COLAMD order, and factoring the two
+    checkerboards apart halves the factorization time; on the string 33x33,
+    L + U hold 1.11 M against 1.20 M.
 
     Returns ``(field, report)``.  Non-convergence (stalled line search or
     iteration cap) is reported through ``report.converged`` with the best
@@ -687,11 +715,13 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     while res_norm > tol and iterations < max_iter:
         J = _assemble_jacobian(model, grid, u, free_dof, nfree)
         try:
-            lu, definite = _factor_jacobian(J, definite)
+            lu, order, definite = _factor_jacobian(J, definite)
         except RuntimeError as e:
             raise SingularJacobianError(
                 f"Newton system is singular at iteration {iterations}: {e}") from e
-        step = lu.solve(-res.ravel()).reshape(len(inodes), m)
+        step = np.empty(nfree)
+        step[order] = lu.solve(-res.ravel()[order])
+        step = step.reshape(len(inodes), m)
         # Free the factors before the line search and the next splu, so one
         # LU at most is alive and peak memory does not hang on how the
         # allocator reuses the previous factors' blocks.

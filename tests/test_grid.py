@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 
 from fieldtriple import autodiff
+from fieldtriple import grid as grid_module
 from fieldtriple.autodiff import ScalarField
 from fieldtriple.bundles import Jet
 from fieldtriple.errors import (
@@ -479,14 +481,18 @@ class _RecordedLU:
 
 
 def _record_factorizations(monkeypatch):
-    """Wrap splu; returns the list of (J, permc_spec, recorded LU) per call."""
+    """Wrap splu; returns the list of (J, permc_spec, recorded LU) per call,
+    with None for the LU of a call that raised."""
     calls = []
     splu = scipy.sparse.linalg.splu
 
     def recording_splu(J, **kwargs):
-        lu = _RecordedLU(splu(J, **kwargs))
-        calls.append((J, kwargs.get("permc_spec"), lu))
-        return lu
+        lu = None
+        try:
+            lu = _RecordedLU(splu(J, **kwargs))
+            return lu
+        finally:
+            calls.append((J, kwargs.get("permc_spec"), lu))
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     return calls
@@ -517,31 +523,85 @@ def test_definite_newton_systems_keep_the_diagonal_pivot_trial(
                for _, spec, lu in calls)
 
 
-def test_string_newton_falls_back_to_mmd_ata_after_one_trial(monkeypatch):
+def _record_newton_matrices(monkeypatch):
+    """Wrap the Newton matrix assembly and factorization; returns the lists
+    of assembled matrices and of ``_factor_jacobian`` results."""
+    assembled, factored = [], []
+    assemble, factor = grid_module._assemble_jacobian, grid_module._factor_jacobian
+
+    def recording_assemble(*args):
+        J = assemble(*args)
+        assembled.append(J)
+        return J
+
+    def recording_factor(J, definite):
+        out = factor(J, definite)
+        factored.append(out)
+        return out
+
+    monkeypatch.setattr(grid_module, "_assemble_jacobian", recording_assemble)
+    monkeypatch.setattr(grid_module, "_factor_jacobian", recording_factor)
+    return assembled, factored
+
+
+def test_string_newton_skips_the_trial_and_factors_with_mmd_ata(monkeypatch):
+    """The string's Newton matrix has a negative diagonal, so no diagonal
+    pivot trial runs; partial pivoting gets the matrix as assembled, its
+    stored zeros included."""
     calls = _record_factorizations(monkeypatch)
+    assembled, _ = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
                             m=4, tol=1e-10, max_iter=4)
     assert rep.iterations >= 2
-    assert [spec for _, spec, _ in calls] == (
-        ["NATURAL"] + ["MMD_ATA"] * rep.iterations)
-    assert [len(lu.solves) for _, _, lu in calls] == [0] + [1] * rep.iterations
+    assert [spec for _, spec, _ in calls] == ["MMD_ATA"] * rep.iterations
+    assert [len(lu.solves) for _, _, lu in calls] == [1] * rep.iterations
+    assert np.all(assembled[0].diagonal() < 0.0)
+    for (J, _, _), J_asm in zip(calls, assembled, strict=True):
+        assert J is J_asm
+        assert J.nnz == J_asm.nnz and np.any(J.data == 0.0)
 
 
-@pytest.mark.parametrize("name,m,grid,fn", [
+@pytest.mark.parametrize("name,m,grid,fn,components", [
     ("harmonic", 1, Grid.square(33, 33),
-     lambda x, y: np.array([0.7 * np.sin(2.1 * x) * np.cosh(y) + 1.3 * x * x * y])),
+     lambda x, y: np.array([0.7 * np.sin(2.1 * x) * np.cosh(y) + 1.3 * x * x * y]),
+     2),
     ("sigma", 3, Grid.square(14, 19),
-     lambda x, y: np.array([x, y ** 1.5, np.cosh(x * y)])),
-], ids=["harmonic-33", "sigma-m3-14x19"])
+     lambda x, y: np.array([x, y ** 1.5, np.cosh(x * y)]), 1),
+    ("harmonic", 2, Grid.square(17, 17),
+     lambda x, y: np.array([np.sin(x) * np.cosh(y) + x * x, np.exp(x * y)]), 4),
+    ("harmonic", 1, Grid.disc_mask(21, 21),
+     lambda x, y: np.array([x * x - y * y + np.sqrt(x + 1)]), 2),
+    ("sigma", 2, Grid.square(17, 17),
+     lambda x, y: np.array([x * y, np.exp(-x)]), 2),
+], ids=["harmonic-33", "sigma-m3-14x19", "harmonic-m2-17", "harmonic-disc-21",
+        "sigma-m2-17"])
 def test_definite_newton_step_matches_partial_pivoting(monkeypatch, name, m,
-                                                       grid, fn):
+                                                       grid, fn, components):
+    """The trial factors the decoupled blocks of the Newton matrix (with
+    hx = hy, two checkerboards per harmonic component, two for sigma; one
+    block with hx != hy) and keeps them; its step matches partial pivoting
+    on the matrix as assembled."""
     splu = scipy.sparse.linalg.splu
     calls = _record_factorizations(monkeypatch)
+    assembled, factored = _record_newton_matrices(monkeypatch)
     _solve_with_bc(get_lagrangian(name, m), grid, fn, m)
+    (J_asm,), ((_, order, definite),) = assembled, factored
     (J, spec, lu), = calls
-    (b, step), = lu.solves
-    assert spec == "NATURAL"
-    ref = splu(J).solve(b)
+    (b, x), = lu.solves
+    assert spec == "NATURAL" and definite is True
+    ncomp, labels = connected_components(J, directed=False)
+    assert ncomp == components
+    if components == 1:
+        assert J is J_asm and np.array_equal(order, np.arange(J.shape[0]))
+    else:
+        assert J.nnz == np.count_nonzero(J_asm.data)
+        assert (J - J_asm[order][:, order]).count_nonzero() == 0
+        # Each block is contiguous and keeps the assembled order inside.
+        assert np.all(np.diff(labels) >= 0)
+        assert np.all(np.diff(order)[np.diff(labels) == 0] > 0)
+    rhs, step = np.empty_like(b), np.empty_like(x)
+    rhs[order], step[order] = b, x
+    ref = splu(J_asm).solve(rhs)
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -551,17 +611,70 @@ def test_definite_newton_step_matches_partial_pivoting(monkeypatch, name, m,
 _SWAMPED = [[1e-20, 1.0, -2.0], [1.0, 2.0, 1.0], [-2.0, 1.0, 0.0]]
 
 
-@pytest.mark.parametrize("A", [
-    [[0.0, 1.0], [1.0, 0.0]],
-    [[1.0, 0.0], [0.0, -1.0]],
-    _SWAMPED,
-], ids=["zero-diagonal", "negative-pivot", "exact-zero-pivot"])
-def test_indefinite_matrix_falls_back_to_partial_pivoting(A):
+# Positive diagonal, condition number 1.21: the tiny first pivot swamps the
+# rest, and the trial's last pivot cancels to an exact zero.
+_SWAMPED_POSITIVE = [[2.0 ** -53, 3.0, 2.0], [3.0, 1.0, -2.0], [2.0, -2.0, 2.0]]
+
+
+@pytest.mark.parametrize("A,trial", [
+    ([[0.0, 1.0], [1.0, 0.0]], None),
+    ([[1.0, 0.0], [0.0, -1.0]], None),
+    (_SWAMPED, None),
+    ([[1.0, 2.0], [2.0, 1.0]], "rejected"),
+    ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "rejected"),
+    (_SWAMPED_POSITIVE, "raises"),
+], ids=["zero-diagonal", "negative-pivot", "exact-zero-pivot",
+        "positive-diagonal-negative-pivot", "positive-diagonal-row-swap",
+        "positive-diagonal-exact-zero-pivot"])
+def test_indefinite_matrix_falls_back_to_partial_pivoting(monkeypatch, A, trial):
+    """A diagonal entry <= 0 skips the trial; a positive diagonal reaches
+    it, and a negative pivot, a swapped row or an exact zero pivot rejects
+    it."""
+    calls = _record_factorizations(monkeypatch)
     J = scipy.sparse.csc_matrix(np.array(A))
     b = np.arange(1.0, len(A) + 1.0)
-    lu, definite = _factor_jacobian(J, True)
+    lu, order, definite = _factor_jacobian(J, True)
     assert definite is False
+    assert [spec for _, spec, _ in calls] == (
+        ["MMD_ATA"] if trial is None else ["NATURAL", "MMD_ATA"])
+    if trial is not None:
+        assert (calls[0][2] is None) == (trial == "raises")
+    assert calls[-1][0] is J and np.array_equal(order, np.arange(len(A)))
     assert np.allclose(lu.solve(b), np.linalg.solve(A, b), rtol=0, atol=1e-14)
+
+
+def _with_stored_zeros(A):
+    """CSC matrix of the dense ``A`` that stores every entry, zeros too."""
+    A = np.array(A)
+    rows, cols = np.indices(A.shape)
+    return scipy.sparse.coo_matrix(
+        (A.ravel(), (rows.ravel(), cols.ravel())), shape=A.shape).tocsc()
+
+
+@pytest.mark.parametrize("A,definite", [
+    ([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 2.0]], True),
+    ([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]], False),
+], ids=["definite", "negative-pivot"])
+def test_trial_factors_the_decoupled_blocks(monkeypatch, A, definite):
+    """Stored zeros are dropped and the components {0, 2} and {1} ordered
+    one after the other for the trial; a rejected trial leaves partial
+    pivoting with the matrix as given, stored zeros included."""
+    calls = _record_factorizations(monkeypatch)
+    J = _with_stored_zeros(A)
+    b = np.array([1.0, -2.0, 3.0])
+    lu, order, kept = _factor_jacobian(J, True)
+    assert kept is definite
+    assert np.array_equal(calls[0][0].toarray(), np.array(A)[[0, 2, 1]][:, [0, 2, 1]])
+    assert calls[0][0].nnz == 5
+    if definite:
+        assert len(calls) == 1 and np.array_equal(order, [0, 2, 1])
+    else:
+        assert [spec for _, spec, _ in calls] == ["NATURAL", "MMD_ATA"]
+        assert calls[1][0] is J and J.nnz == 9
+        assert np.array_equal(order, np.arange(3))
+    x = np.empty(3)
+    x[order] = lu.solve(b[order])
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-14)
 
 
 def test_exact_zero_pivot_case_makes_the_trial_raise():
@@ -569,6 +682,20 @@ def test_exact_zero_pivot_case_makes_the_trial_raise():
         scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(np.array(_SWAMPED)),
                                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
                                  options={"SymmetricMode": True})
+
+
+def test_non_finite_newton_step_raises():
+    """A Newton matrix of order 1e-300 against a residual of order 1e10
+    overflows the step."""
+
+    def eval_L(xs):
+        return 1e-300 * (xs[1] * xs[1] + xs[2] * xs[2]) / 2.0 + 1e10 * xs[0]
+
+    model = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L),
+                            admissible=lambda j: True, name="overflow")
+    with pytest.raises(SingularJacobianError,
+                       match="Newton step is non-finite at iteration 0"):
+        _solve_with_bc(model, Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
 
 
 def test_singular_newton_system_raises():
