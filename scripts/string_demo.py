@@ -32,6 +32,9 @@ import sys
 import numpy as np
 
 from fieldtriple.bundles import (
+    JetTangent,
+    Phase,
+    PhaseJet,
     alpha,
     beta,
     beta_tilde,
@@ -39,8 +42,6 @@ from fieldtriple.bundles import (
     pair_covector,
     pair_jet,
     project_to_jet,
-    random_jet_tangent,
-    random_phase_jet,
 )
 from fieldtriple.grid import (
     Grid,
@@ -56,28 +57,30 @@ from fieldtriple.models import (
     nambu_hamiltonian,
     nambu_legendre_closed_form,
     nambu_legendre_inverse_closed_form,
+    draw_string_jet,
     sample_admissible_string_jet,
 )
+
+
+def max_abs(*arrays):
+    return float(max(np.max(np.abs(a)) for a in arrays))
 
 
 def pointwise_structure(points, seed):
     rng = np.random.default_rng(seed)
     model = get_lagrangian("nambu")
     ham = nambu_hamiltonian()
-    momenta_gap = round_trip = dynamics_gap = 0.0
-    for _ in range(points):
-        j = sample_admissible_string_jet(rng)
-        ad = legendre(model, j)
-        cf = nambu_legendre_closed_form(j)
-        momenta_gap = max(momenta_gap,
-                          float(np.max(np.abs(ad.p1 - cf.p1))),
-                          float(np.max(np.abs(ad.p2 - cf.p2))))
-        rec = nambu_legendre_inverse_closed_form(cf)
-        round_trip = max(round_trip,
-                         float(np.max(np.abs(rec.qdot1 - j.qdot1))),
-                         float(np.max(np.abs(rec.qdot2 - j.qdot2))))
-        w = phase_dynamics_member(model, j, free=rng.standard_normal((3, 4)))
-        dynamics_gap = max(dynamics_gap, ham_phase_residual(ham, w))
+    # per point, a jet's draws and then a dynamics member's free parameters
+    draws, free = zip(*[(draw_string_jet(rng), rng.standard_normal((3, 4)))
+                        for _ in range(points)])
+    j = sample_admissible_string_jet(draws=draws)
+    ad = legendre(model, j)
+    cf = nambu_legendre_closed_form(j)
+    momenta_gap = max_abs(ad.p1 - cf.p1, ad.p2 - cf.p2)
+    rec = nambu_legendre_inverse_closed_form(cf)
+    round_trip = max_abs(rec.qdot1 - j.qdot1, rec.qdot2 - j.qdot2)
+    w = phase_dynamics_member(model, j, free=np.stack(free, axis=-1))
+    dynamics_gap = max_abs(ham_phase_residual(ham, w))
     print("pointwise structure "
           f"({points} random admissible worldsheet jets):")
     print(f"  closed-form momenta vs automatic differentiation  {momenta_gap:.3e}")
@@ -87,14 +90,12 @@ def pointwise_structure(points, seed):
 
 def map_identities(points, seed):
     rng = np.random.default_rng(seed + 1)
-    pairing_gap = 0.0
-    both_equal = True
-    for _ in range(points):
-        w = random_phase_jet(rng, 4)
-        v = random_jet_tangent(rng, 4, jet=project_to_jet(w))
-        pairing_gap = max(pairing_gap, abs(
-            pair_covector(alpha(w), v) - pair_jet(w, kappa(v))))
-        both_equal = both_equal and beta(w) == beta_tilde(w)
+    # per point, a random phase jet's nine blocks and a jet tangent's three
+    x = rng.standard_normal((points, 12, 4)).transpose(1, 2, 0)
+    w = PhaseJet(Phase(*x[0:3]), *x[3:9])
+    v = JetTangent(project_to_jet(w), *x[9:12])
+    pairing_gap = max_abs(pair_covector(alpha(w), v) - pair_jet(w, kappa(v)))
+    both_equal = beta(w) == beta_tilde(w)
     print("\ncanonical maps on the iterated bundles (m = 4):")
     print(f"  velocity-side pairing identity                    {pairing_gap:.3e}")
     print(f"  both constructions of the momentum-side map agree {both_equal}")

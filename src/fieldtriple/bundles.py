@@ -40,10 +40,10 @@ Batches
 Every block has shape (m,) + batch: the m components first, then trailing
 axes that hold many points side by side, as the channels of ``autodiff`` do.
 All blocks of one object, its anchor's included, share one batch shape, and
-a single point has batch shape ().  ``kappa``, ``alpha``, ``beta`` and the
-projections act on batches as written.  The pairings return one float and
-``beta_m`` (hence ``beta_tilde``) acts on one factor point, so they reject
-batched blocks.
+a single point has batch shape ().  Every map acts on batches.  The
+pairings reduce over the component axis only: a float for one point, an
+array of the batch shape for a batch, each entry rounded as that point's
+own pairing.  Paired arguments must hold the same batch over one anchor.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ __all__ = [
     "random_phase",
     "random_phase_jet",
     "random_jet_tangent",
-    "random_jet_variation",
     "random_phase_tangent",
 ]
 
@@ -104,12 +103,24 @@ def _set_blocks(obj, names, shape: tuple | None = None) -> None:
         object.__setattr__(obj, name, arr)
 
 
-def _single_point(*blocks) -> None:
-    """Reject batched blocks where a single point is required."""
-    for b in blocks:
-        if b.ndim != 1:
-            raise InvalidInputError(
-                f"expected a single point, got a block of shape {b.shape}")
+def _same_anchor(a, b, what: str) -> None:
+    """Reject anchors (two Jets or two Phases) that hold different batches
+    or differ at any point; every block shares its anchor's batch."""
+    if a.q.shape[1:] != b.q.shape[1:]:
+        raise InvalidInputError(
+            f"cannot pair batch shape {a.q.shape[1:]} with {b.q.shape[1:]}")
+    if a != b:
+        raise IncompatiblePointsError(f"{what} sit over different points")
+
+
+def _pairing(*pairs):
+    """Sum of a.b over the block pairs, reduced over the component axis: a
+    float for one point, an array of the batch shape for a batch.  Each
+    point's components are made contiguous (``.T`` moves them last), so it
+    rounds as ``np.dot`` of its two vectors; a strided axis would not."""
+    total = sum(np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+                for a, b in pairs).T
+    return float(total) if total.ndim == 0 else total
 
 
 class _BlockValue:
@@ -312,16 +323,6 @@ class PhaseTangent(_BlockValue):
         return self.phase.m
 
 
-def _same_jet(a: Jet, b: Jet) -> bool:
-    return (np.array_equal(a.q, b.q) and np.array_equal(a.qdot1, b.qdot1)
-            and np.array_equal(a.qdot2, b.qdot2))
-
-
-def _same_phase(a: Phase, b: Phase) -> bool:
-    return (np.array_equal(a.q, b.q) and np.array_equal(a.p1, b.p1)
-            and np.array_equal(a.p2, b.p2))
-
-
 def kappa(v: JetTangent) -> JetVariation:
     """Exchange "variation of first-order data" for "first-order data of a
     variation".
@@ -339,37 +340,28 @@ def kappa_inv(w: JetVariation) -> JetTangent:
     return JetTangent(jet=w.jet, dq=w.dq, dqdot1=w.dqdot1, dqdot2=w.dqdot2)
 
 
-def pair_jet(w: PhaseJet, dv: JetVariation) -> float:
+def pair_jet(w: PhaseJet, dv: JetVariation):
     """Evaluation pairing of a phase jet against the jet of a variation.
 
     pair_jet(w, dv) = (p1dot1 + p2dot2).dq + p1.dqdot1 + p2.dqdot2.
 
     Both arguments must sit over the same Jet (exact block equality).
     """
-    _single_point(w.qdot1, dv.dq)
-    if not _same_jet(project_to_jet(w), dv.jet):
-        raise IncompatiblePointsError(
-            "phase jet and variation sit over different jets")
-    return float(np.dot(w.p1dot1 + w.p2dot2, dv.dq)
-                 + np.dot(w.base.p1, dv.dqdot1)
-                 + np.dot(w.base.p2, dv.dqdot2))
+    _same_anchor(project_to_jet(w), dv.jet, "phase jet and variation")
+    return _pairing((w.p1dot1 + w.p2dot2, dv.dq), (w.base.p1, dv.dqdot1),
+                    (w.base.p2, dv.dqdot2))
 
 
-def pair_covector(c: JetCovector, v: JetTangent) -> float:
+def pair_covector(c: JetCovector, v: JetTangent):
     """Canonical pairing <c, v> = a.dq + b1.dqdot1 + b2.dqdot2 (same jet required)."""
-    _single_point(c.a, v.dq)
-    if not _same_jet(c.jet, v.jet):
-        raise IncompatiblePointsError("covector and tangent sit over different jets")
-    return float(np.dot(c.a, v.dq) + np.dot(c.b1, v.dqdot1) + np.dot(c.b2, v.dqdot2))
+    _same_anchor(c.jet, v.jet, "covector and tangent")
+    return _pairing((c.a, v.dq), (c.b1, v.dqdot1), (c.b2, v.dqdot2))
 
 
-def pair_phase_covector(c: PhaseCovector, u: PhaseTangent) -> float:
+def pair_phase_covector(c: PhaseCovector, u: PhaseTangent):
     """Canonical pairing <c, u> = phi.dq + psi1.dp1 + psi2.dp2 (same phase required)."""
-    _single_point(c.phi, u.dq)
-    if not _same_phase(c.phase, u.phase):
-        raise IncompatiblePointsError(
-            "covector and tangent sit over different phase points")
-    return float(np.dot(c.phi, u.dq) + np.dot(c.psi1, u.dp1) + np.dot(c.psi2, u.dp2))
+    _same_anchor(c.phase, u.phase, "covector and tangent")
+    return _pairing((c.phi, u.dq), (c.psi1, u.dp1), (c.psi2, u.dp2))
 
 
 def alpha(w: PhaseJet) -> JetCovector:
@@ -405,7 +397,6 @@ def beta_m(q, p, dq, dp):
     fourth with dp-variations.
     """
     q = _as_block(q, None, "q")
-    _single_point(q)
     p = _as_block(p, q.shape, "p")
     dq = _as_block(dq, q.shape, "dq")
     dp = _as_block(dp, q.shape, "dp")
@@ -429,16 +420,13 @@ def beta_tilde(w: PhaseJet) -> PhaseCovector:
                          psi2=b2)
 
 
-def omega2_pair(w: PhaseJet, u: PhaseTangent) -> float:
+def omega2_pair(w: PhaseJet, u: PhaseTangent):
     """Pairing of a phase jet with a phase tangent through the bi-form
     structure: qdot1.dp1 + qdot2.dp2 - (p1dot1 + p2dot2).dq.
     Both arguments must sit over the same phase point."""
-    _single_point(w.qdot1, u.dq)
-    if not _same_phase(w.base, u.phase):
-        raise IncompatiblePointsError(
-            "phase jet and tangent sit over different phase points")
-    return float(np.dot(w.qdot1, u.dp1) + np.dot(w.qdot2, u.dp2)
-                 - np.dot(w.p1dot1 + w.p2dot2, u.dq))
+    _same_anchor(w.base, u.phase, "phase jet and tangent")
+    return (_pairing((w.qdot1, u.dp1), (w.qdot2, u.dp2))
+            - _pairing((w.p1dot1 + w.p2dot2, u.dq)))
 
 
 def project_to_jet(x) -> Jet:
@@ -500,14 +488,6 @@ def random_jet_tangent(rng: np.random.Generator, m: int,
         jet = random_jet(rng, m)
     return JetTangent(jet=jet, dq=rng.standard_normal(m),
                       dqdot1=rng.standard_normal(m), dqdot2=rng.standard_normal(m))
-
-
-def random_jet_variation(rng: np.random.Generator, m: int,
-                         jet: Jet | None = None) -> JetVariation:
-    if jet is None:
-        jet = random_jet(rng, m)
-    return JetVariation(jet=jet, dq=rng.standard_normal(m),
-                        dqdot1=rng.standard_normal(m), dqdot2=rng.standard_normal(m))
 
 
 def random_phase_tangent(rng: np.random.Generator,

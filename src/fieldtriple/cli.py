@@ -48,6 +48,10 @@ import numpy as np
 
 from .bundles import (
     Jet,
+    JetTangent,
+    Phase,
+    PhaseJet,
+    PhaseTangent,
     alpha,
     beta,
     beta_tilde,
@@ -58,11 +62,6 @@ from .bundles import (
     pair_phase_covector,
     project_to_jet,
     project_to_phase,
-    random_jet,
-    random_jet_tangent,
-    random_phase,
-    random_phase_jet,
-    random_phase_tangent,
 )
 from .errors import (
     DomainError,
@@ -93,6 +92,7 @@ from .models import (
     MODEL_NAMES,
     get_hamiltonian,
     get_lagrangian,
+    draw_string_jet,
     sample_admissible_string_jet,
     sample_admissible_string_phase,
 )
@@ -335,15 +335,17 @@ def _run_check_maps(cfg: RunConfig) -> dict:
     omega_max = 0.0
     beta_equal = True
     for m in dims:
-        for _ in range(cfg.points):
-            w = random_phase_jet(rng, m)
-            v = random_jet_tangent(rng, m, jet=project_to_jet(w))
-            gap = pair_covector(alpha(w), v) - pair_jet(w, kappa(v))
-            alpha_max = max(alpha_max, abs(gap))
-            u = random_phase_tangent(rng, project_to_phase(w))
-            gap2 = pair_phase_covector(beta(w), u) - omega2_pair(w, u)
-            omega_max = max(omega_max, abs(gap2))
-            beta_equal = beta_equal and beta(w) == beta_tilde(w)
+        # Per point, a phase jet's nine blocks of m normals, a jet tangent's
+        # three and a phase tangent's three: the stream of 15 m-normal calls.
+        x = rng.standard_normal((cfg.points, 15, m)).transpose(1, 2, 0)
+        w = PhaseJet(Phase(*x[0:3]), *x[3:9])
+        v = JetTangent(project_to_jet(w), *x[9:12])
+        u = PhaseTangent(project_to_phase(w), *x[12:15])
+        gap = pair_covector(alpha(w), v) - pair_jet(w, kappa(v))
+        alpha_max = max(alpha_max, _max_abs(gap))
+        gap2 = pair_phase_covector(beta(w), u) - omega2_pair(w, u)
+        omega_max = max(omega_max, _max_abs(gap2))
+        beta_equal = beta_equal and beta(w) == beta_tilde(w)
     passed = beta_equal and alpha_max <= tol and omega_max <= tol
     return {
         "command": cfg.command,
@@ -358,23 +360,21 @@ def _run_check_maps(cfg: RunConfig) -> dict:
     }
 
 
-def _sample_jet(model, rng: np.random.Generator):
+def _draw(model, rng: np.random.Generator):
+    """One point's draws for ``_build``: the string samplers' per-point
+    draw, or the three blocks of m normals of a random point."""
     if model.name == "nambu":
-        return sample_admissible_string_jet(rng)
-    return random_jet(rng, model.m)
+        return draw_string_jet(rng)
+    return rng.standard_normal((3, model.m))
 
 
-def _sample_phase(model, rng: np.random.Generator):
-    if model.name == "nambu":
-        return sample_admissible_string_phase(rng)
-    return random_phase(rng, model.m)
-
-
-def _stack(points):
-    """One Jet or Phase holding ``points`` along a trailing batch axis."""
-    cls = type(points[0])
-    return cls(**{f.name: np.stack([getattr(p, f.name) for p in points], axis=-1)
-                  for f in fields(cls)})
+def _build(model, draws, cls):
+    """One ``cls``, Jet or Phase, holding a point per ``_draw`` result."""
+    if model.name != "nambu":
+        return cls(*np.stack(draws, axis=-1))
+    if cls is Jet:
+        return sample_admissible_string_jet(draws=draws)
+    return sample_admissible_string_phase(draws=draws)
 
 
 def _max_abs(*arrays) -> float:
@@ -386,11 +386,9 @@ def _run_legendre(cfg: RunConfig) -> dict:
     ham = get_hamiltonian(cfg.model, cfg.m)
     tol = 1e-9 if cfg.tol is None else cfg.tol
     rng = np.random.default_rng(cfg.seed)
-    jets, phases = [], []
-    for _ in range(cfg.points):
-        jets.append(_sample_jet(lag, rng))
-        phases.append(_sample_phase(ham, rng))
-    j, ph0 = _stack(jets), _stack(phases)
+    jet_draws, phase_draws = zip(*[(_draw(lag, rng), _draw(ham, rng))
+                                   for _ in range(cfg.points)])
+    j, ph0 = _build(lag, jet_draws, Jet), _build(ham, phase_draws, Phase)
     cov = dH(ham, legendre(lag, j))
     fwd_max = _max_abs(cov.psi1 - j.qdot1, cov.psi2 - j.qdot2)
     cov0 = dH(ham, ph0)
@@ -414,14 +412,14 @@ def _run_phase_check(cfg: RunConfig) -> dict:
     ham = get_hamiltonian(cfg.model, cfg.m)
     tol = 1e-8 if cfg.tol is None else cfg.tol
     rng = np.random.default_rng(cfg.seed)
-    jets, free_l, phases, free_h = [], [], [], []
-    for _ in range(cfg.points):
-        jets.append(_sample_jet(lag, rng))
-        free_l.append(rng.standard_normal((3, lag.m)))
-        phases.append(_sample_phase(ham, rng))
-        free_h.append(rng.standard_normal((3, ham.m)))
-    w_l = phase_dynamics_member(lag, _stack(jets), np.stack(free_l, axis=-1))
-    w_h = ham_dynamics_member(ham, _stack(phases), np.stack(free_h, axis=-1))
+    jet_draws, free_l, phase_draws, free_h = zip(*[
+        (_draw(lag, rng), rng.standard_normal((3, lag.m)),
+         _draw(ham, rng), rng.standard_normal((3, ham.m)))
+        for _ in range(cfg.points)])
+    w_l = phase_dynamics_member(lag, _build(lag, jet_draws, Jet),
+                                np.stack(free_l, axis=-1))
+    w_h = ham_dynamics_member(ham, _build(ham, phase_draws, Phase),
+                              np.stack(free_h, axis=-1))
     rl = [phase_relation_residual(lag, w) for w in (w_l, w_h)]
     rh = [ham_phase_residual(ham, w) for w in (w_l, w_h)]
     lag_max = _max_abs(*rl)

@@ -63,6 +63,7 @@ __all__ = [
     "nambu_legendre_closed_form",
     "nambu_legendre_inverse_closed_form",
     "nambu_hamiltonian",
+    "draw_string_jet",
     "sample_admissible_string_jet",
     "sample_admissible_string_phase",
     "MODEL_NAMES",
@@ -113,11 +114,12 @@ class MinkowskiMetric:
     # and the dual pairing has the identical component formula.
     inner_dual = inner
 
-    def lower(self, v: np.ndarray) -> np.ndarray:
-        return self.signs * np.asarray(v, dtype=float)
+    def lower(self, v) -> np.ndarray:
+        """The index of ``v`` lowered; ``v`` has shape (dim,) + batch."""
+        v = np.asarray(v, dtype=float)
+        return self.signs.reshape((self.dim,) + (1,) * (v.ndim - 1)) * v
 
-    def raise_(self, p: np.ndarray) -> np.ndarray:
-        return self.signs * np.asarray(p, dtype=float)
+    raise_ = lower
 
 
 MINKOWSKI = MinkowskiMetric()
@@ -238,13 +240,14 @@ def nambu_lagrangian() -> LagrangianModel:
 
 
 def nambu_legendre_closed_form(j: Jet) -> Phase:
-    """Closed-form string momenta (see module docstring for the formulas)."""
+    """Closed-form string momenta (see module docstring for the formulas),
+    per point of a batch: each point rounds as it would alone."""
     if j.m != 4:
         raise InvalidParameterError(f"string model needs m=4, got m={j.m}")
     v1, v2 = j.qdot1, j.qdot2
-    A = float(MINKOWSKI.inner(v1, v1))
-    B = float(MINKOWSKI.inner(v1, v2))
-    C = float(MINKOWSKI.inner(v2, v2))
+    A = MINKOWSKI.inner(v1, v1)
+    B = MINKOWSKI.inner(v1, v2)
+    C = MINKOWSKI.inner(v2, v2)
     det = A * C - B * B
     _require_negative(det, "worldsheet Gram determinant")
     s = np.sqrt(-det)
@@ -254,7 +257,7 @@ def nambu_legendre_closed_form(j: Jet) -> Phase:
 
 
 def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
-    """Closed-form inverse of the string Legendre map.
+    """Closed-form inverse of the string Legendre map, per point of a batch.
 
     Same structure as the forward map with indices raised instead of
     lowered; the overall sign is +1/sqrt(-det gd), which is what direct
@@ -264,9 +267,9 @@ def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
     if ph.m != 4:
         raise InvalidParameterError(f"string model needs m=4, got m={ph.m}")
     p1, p2 = ph.p1, ph.p2
-    P11 = float(MINKOWSKI.inner_dual(p1, p1))
-    P12 = float(MINKOWSKI.inner_dual(p1, p2))
-    P22 = float(MINKOWSKI.inner_dual(p2, p2))
+    P11 = MINKOWSKI.inner_dual(p1, p1)
+    P12 = MINKOWSKI.inner_dual(p1, p2)
+    P22 = MINKOWSKI.inner_dual(p2, p2)
     det_d = P11 * P22 - P12 * P12  # equals det gd for gd built from momenta
     _require_negative(det_d, "dual-side Gram determinant")
     s = np.sqrt(-det_d)
@@ -304,8 +307,16 @@ def nambu_hamiltonian() -> HamiltonianModel:
                             admissible=admissible, name="nambu")
 
 
-def sample_admissible_string_jet(rng: np.random.Generator) -> Jet:
-    """Random admissible worldsheet jet, away from the degenerate boundary.
+def draw_string_jet(rng: np.random.Generator) -> tuple:
+    """One string point's draws (u, d, r, q), in the samplers' stream order:
+    ``standard_normal(3)`` twice, ``uniform(0.5, 2)``, ``standard_normal(4)``."""
+    return (rng.standard_normal(3), rng.standard_normal(3),
+            rng.uniform(0.5, 2.0), rng.standard_normal(4))
+
+
+def sample_admissible_string_jet(rng: np.random.Generator | None = None, *,
+                                 draws=None) -> Jet:
+    """Random admissible worldsheet jets, away from the degenerate boundary.
 
     v1 = e0 + u/2 with u a random spatial unit vector is timelike, and
     v2 = (0, r d) with d a random spatial unit vector and r uniform in
@@ -316,20 +327,30 @@ def sample_admissible_string_jet(rng: np.random.Generator) -> Jet:
 
     bounded away from the degenerate boundary det g = 0 by one draw, which
     keeps the sqrt derivatives bounded.
+
+    One jet of batch shape () is drawn from ``rng``; ``draws``, a sequence
+    of ``draw_string_jet`` results, gives a batch of one jet per draw.  All
+    after the draws runs once per batch, each point rounded as alone:
+    ``sqrt(vecdot)`` over a contiguous row rounds as ``np.linalg.norm``.
     """
-    u = rng.standard_normal(3)
-    u /= np.linalg.norm(u)
-    v1 = np.concatenate([[1.0], 0.5 * u])
-    d = rng.standard_normal(3)
-    d /= np.linalg.norm(d)
-    v2 = np.concatenate([[0.0], rng.uniform(0.5, 2.0) * d])
-    return Jet(q=rng.standard_normal(4), qdot1=v1, qdot2=v2)
+    single = draws is None
+    if single:
+        draws = [draw_string_jet(rng)]
+    u, d, r, q = (np.array(x) for x in zip(*draws))
+    u /= np.sqrt(np.vecdot(u, u))[:, None]
+    d /= np.sqrt(np.vecdot(d, d))[:, None]
+    blocks = (q.T, np.concatenate([np.ones((1, len(r))), 0.5 * u.T]),
+              np.concatenate([np.zeros((1, len(r))), r * d.T]))
+    return Jet(*(b[:, 0] if single else b for b in blocks))
 
 
-def sample_admissible_string_phase(rng: np.random.Generator) -> Phase:
-    """Random admissible dual-side point: the image of an admissible jet
-    (the dual Gram determinant there equals the primal one)."""
-    return nambu_legendre_closed_form(sample_admissible_string_jet(rng))
+def sample_admissible_string_phase(rng: np.random.Generator | None = None, *,
+                                   draws=None) -> Phase:
+    """Random admissible dual-side points: the images of admissible jets,
+    drawn as ``sample_admissible_string_jet`` draws them (the dual Gram
+    determinant there equals the primal one)."""
+    return nambu_legendre_closed_form(
+        sample_admissible_string_jet(rng, draws=draws))
 
 
 MODEL_NAMES = ("harmonic", "sigma", "nambu")

@@ -1,8 +1,13 @@
 """Batched evaluation: a batch of points along trailing axes gives, bit for
-bit, what one call per point gives, and single-point operations refuse
-batches."""
+bit, what one call per point gives, and the few single-point operations
+refuse batches.
+
+The per-point samplers, the string closed form and the per-point verb loops
+that the batched code replaced are frozen here as private copies, so the
+batched code keeps being compared with the old code, not with itself."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,20 +17,29 @@ from fieldtriple.bundles import (
     Jet,
     JetCovector,
     JetTangent,
+    JetVariation,
     Phase,
     PhaseJet,
     PhaseTangent,
     alpha,
     beta,
     beta_m,
+    beta_tilde,
     kappa,
     omega2_pair,
     pair_covector,
     pair_jet,
     pair_phase_covector,
+    project_to_jet,
+    project_to_phase,
+    random_jet,
+    random_jet_tangent,
+    random_phase,
+    random_phase_jet,
+    random_phase_tangent,
 )
-from fieldtriple.cli import _sample_jet, _sample_phase, _stack, main
-from fieldtriple.errors import DomainError, InvalidInputError
+from fieldtriple.cli import main
+from fieldtriple.errors import DomainError, IncompatiblePointsError, InvalidInputError
 from fieldtriple.hamiltonian import (
     dH,
     ham_dynamics_member,
@@ -38,10 +52,65 @@ from fieldtriple.lagrangian import (
     phase_dynamics_member,
     phase_relation_residual,
 )
-from fieldtriple.models import get_hamiltonian, get_lagrangian, harmonic_lagrangian
+from fieldtriple.models import (
+    MINKOWSKI,
+    draw_string_jet,
+    get_hamiltonian,
+    get_lagrangian,
+    harmonic_lagrangian,
+    sample_admissible_string_jet,
+    sample_admissible_string_phase,
+)
 
 MODELS = [("nambu", None), ("harmonic", 3), ("sigma", 3)]
 N = 40
+
+
+# ---------------------------------------------------------------------------
+# the per-point code the batched code replaced, frozen
+
+
+def _string_jet(rng):
+    u = rng.standard_normal(3)
+    u /= np.linalg.norm(u)
+    v1 = np.concatenate([[1.0], 0.5 * u])
+    d = rng.standard_normal(3)
+    d /= np.linalg.norm(d)
+    v2 = np.concatenate([[0.0], rng.uniform(0.5, 2.0) * d])
+    return Jet(q=rng.standard_normal(4), qdot1=v1, qdot2=v2)
+
+
+def _string_closed_form(j):
+    v1, v2 = j.qdot1, j.qdot2
+    A = float(MINKOWSKI.inner(v1, v1))
+    B = float(MINKOWSKI.inner(v1, v2))
+    C = float(MINKOWSKI.inner(v2, v2))
+    s = np.sqrt(-(A * C - B * B))
+    w1 = MINKOWSKI.signs * v1
+    w2 = MINKOWSKI.signs * v2
+    return Phase(q=j.q, p1=(B * w2 - C * w1) / s, p2=(B * w1 - A * w2) / s)
+
+
+def _sample_jet(model, rng):
+    if model.name == "nambu":
+        return _string_jet(rng)
+    return random_jet(rng, model.m)
+
+
+def _sample_phase(model, rng):
+    if model.name == "nambu":
+        return _string_closed_form(_string_jet(rng))
+    return random_phase(rng, model.m)
+
+
+def _stack(objs):
+    """One bundle object holding ``objs`` along a trailing batch axis,
+    anchors included."""
+    first = objs[0]
+    return type(first)(*(
+        np.stack([getattr(o, f.name) for o in objs], axis=-1)
+        if isinstance(getattr(first, f.name), np.ndarray)
+        else _stack([getattr(o, f.name) for o in objs]) for f in fields(first)))
 
 
 def point(x, k):
@@ -148,7 +217,7 @@ def test_one_inadmissible_point_fails_the_batch():
 
 
 # ---------------------------------------------------------------------------
-# single-point operations refuse batches
+# batch shapes and the pairings
 
 
 def test_mismatched_batch_shapes_raise():
@@ -166,26 +235,107 @@ def test_mismatched_batch_shapes_raise():
         Jet(np.float64(1.0), np.float64(1.0), np.float64(1.0))
 
 
-def test_pairings_reject_batched_blocks():
-    rng = np.random.default_rng(9)
-    blk = lambda: rng.standard_normal((2, 3))  # noqa: E731
-    jet = Jet(blk(), blk(), blk())
-    phase = Phase(blk(), blk(), blk())
-    w = PhaseJet(Phase(jet.q, blk(), blk()), jet.qdot1, blk(), blk(), jet.qdot2,
-                 blk(), blk())
-    v = JetTangent(jet, blk(), blk(), blk())
-    u = PhaseTangent(w.base, blk(), blk(), blk())
-    assert alpha(w).a.shape == (2, 3)  # the maps themselves take batches
+def _frozen_pairings(w, v, u):
+    """The four single-point pairings of w with v and u, as the bundles
+    computed them: one np.dot per block pair, summed left to right."""
+    a = w.p1dot1 + w.p2dot2
+    jet = float(np.dot(a, v.dq) + np.dot(w.base.p1, v.dqdot1) + np.dot(w.base.p2, v.dqdot2))
+    phase = float(np.dot(-a, u.dq) + np.dot(w.qdot1, u.dp1) + np.dot(w.qdot2, u.dp2))
+    omega = float(np.dot(w.qdot1, u.dp1) + np.dot(w.qdot2, u.dp2) - np.dot(a, u.dq))
+    return {pair_jet: jet, pair_covector: jet, pair_phase_covector: phase,
+            omega2_pair: omega}
+
+
+def test_batched_pairings_match_per_point_bitwise():
+    for m in (1, 2, 3, 4, 5):
+        rng = np.random.default_rng(9 + m)
+        ws = [random_phase_jet(rng, m) for _ in range(N)]
+        vs = [random_jet_tangent(rng, m, jet=project_to_jet(w)) for w in ws]
+        us = [random_phase_tangent(rng, project_to_phase(w)) for w in ws]
+        w, v, u = _stack(ws), _stack(vs), _stack(us)
+        frozen = [_frozen_pairings(*x) for x in zip(ws, vs, us)]
+        cases = ((pair_jet, lambda x, y: (x, kappa(y)), v, vs),
+                 (pair_covector, lambda x, y: (alpha(x), y), v, vs),
+                 (pair_phase_covector, lambda x, y: (beta(x), y), u, us),
+                 (omega2_pair, lambda x, y: (x, y), u, us))
+        for pairing, args, b, bs in cases:
+            batched = pairing(*args(w, b))
+            assert isinstance(batched, np.ndarray) and batched.shape == (N,)
+            singles = [pairing(*args(x, y)) for x, y in zip(ws, bs)]
+            assert all(type(x) is float for x in singles)
+            assert np.array_equal(batched, singles), pairing.__name__
+            assert singles == [f[pairing] for f in frozen], pairing.__name__
+        for p, dp in (("p1", "p1dot1"), ("p2", "p2dot2")):
+            batched = beta_m(w.base.q, getattr(w.base, p), w.qdot1, getattr(w, dp))
+            singles = [beta_m(x.base.q, getattr(x.base, p), x.qdot1, getattr(x, dp))
+                       for x in ws]
+            for b, block in zip(batched, zip(*singles)):
+                assert np.array_equal(b, np.stack(block, axis=-1))
+        assert beta_tilde(w) == _stack([beta_tilde(x) for x in ws]) == beta(w)
+
+
+def test_batched_pairings_check_every_anchor_and_the_batch_shape():
+    rng = np.random.default_rng(21)
+    batch = lambda: rng.standard_normal((3, 5))  # noqa: E731
+    w = PhaseJet(Phase(batch(), batch(), batch()), *(batch() for _ in range(6)))
+    v = JetTangent(project_to_jet(w), batch(), batch(), batch())
+    u = PhaseTangent(w.base, batch(), batch(), batch())
+    # one point of the anchor moved by one ulp
+    q = w.base.q.copy()
+    q[1, 3] = np.nextafter(q[1, 3], np.inf)
+    moved_jet = Jet(q, w.qdot1, w.qdot2)
+    moved_phase = Phase(q, w.base.p1, w.base.p2)
+    with pytest.raises(IncompatiblePointsError):
+        pair_jet(w, JetVariation(moved_jet, v.dq, v.dqdot1, v.dqdot2))
+    with pytest.raises(IncompatiblePointsError):
+        pair_covector(alpha(w), JetTangent(moved_jet, v.dq, v.dqdot1, v.dqdot2))
+    with pytest.raises(IncompatiblePointsError):
+        pair_phase_covector(beta(w), PhaseTangent(moved_phase, u.dq, u.dp1, u.dp2))
+    with pytest.raises(IncompatiblePointsError):
+        omega2_pair(w, PhaseTangent(moved_phase, u.dq, u.dp1, u.dp2))
+    # the first four points of the same batch
+    head = lambda x: x[:, :4]  # noqa: E731
+    jet4 = Jet(head(w.base.q), head(w.qdot1), head(w.qdot2))
+    phase4 = Phase(head(w.base.q), head(w.base.p1), head(w.base.p2))
     with pytest.raises(InvalidInputError):
-        pair_jet(w, kappa(v))
+        pair_jet(w, JetVariation(jet4, head(v.dq), head(v.dqdot1), head(v.dqdot2)))
     with pytest.raises(InvalidInputError):
-        pair_covector(alpha(w), v)
+        pair_covector(alpha(w), JetTangent(jet4, head(v.dq), head(v.dqdot1),
+                                           head(v.dqdot2)))
     with pytest.raises(InvalidInputError):
-        pair_phase_covector(beta(w), u)
+        pair_phase_covector(beta(w), PhaseTangent(phase4, head(u.dq), head(u.dp1),
+                                                  head(u.dp2)))
     with pytest.raises(InvalidInputError):
-        omega2_pair(w, u)
+        omega2_pair(w, PhaseTangent(phase4, head(u.dq), head(u.dp1), head(u.dp2)))
     with pytest.raises(InvalidInputError):
-        beta_m(phase.q, phase.p1, blk(), blk())
+        beta_m(w.base.q, w.base.p1, head(w.qdot1), head(w.p1dot1))
+
+
+# ---------------------------------------------------------------------------
+# the string samplers: a per-point draw, one build per batch
+
+
+@pytest.mark.parametrize("seed", [0, 3, 12345])
+def test_string_build_matches_frozen_per_point_samples_bitwise(seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = [draw_string_jet(rng) for _ in range(N)]
+    state = rng.bit_generator.state
+    jets = sample_admissible_string_jet(draws=draws)
+    phases = sample_admissible_string_phase(draws=draws)
+    assert rng.bit_generator.state == state  # the build draws nothing
+    ref = [_string_jet(ref_rng) for _ in range(N)]
+    assert ref_rng.bit_generator.state == state  # the draws make the old calls
+    assert jets == _stack(ref)
+    assert phases == _stack([_string_closed_form(j) for j in ref])
+    # one point drawn from a generator has batch shape ()
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    one = sample_admissible_string_jet(rng)
+    assert one.q.shape == (4,) and one == _string_jet(ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# single-point operations refuse batches
 
 
 def test_transformed_hamiltonian_rejects_batches():
@@ -257,6 +407,43 @@ def per_point_phase_check(model, m, points, seed):
             "hamiltonian_residual_max": ham_max, "agreement_max": agree_max,
             "tol": 1e-8,
             "pass": lag_max <= 1e-8 and ham_max <= 1e-8 and agree_max <= 1e-8}
+
+
+def per_point_check_maps(m, points, seed):
+    dims = (m,) if m is not None else (1, 2, 4)
+    rng = np.random.default_rng(seed)
+    alpha_max = omega_max = 0.0
+    beta_equal = True
+    for mm in dims:
+        for _ in range(points):
+            w = random_phase_jet(rng, mm)
+            v = random_jet_tangent(rng, mm, jet=project_to_jet(w))
+            u = random_phase_tangent(rng, project_to_phase(w))
+            f = _frozen_pairings(w, v, u)
+            alpha_max = max(alpha_max, abs(f[pair_covector] - f[pair_jet]))
+            omega_max = max(omega_max, abs(f[pair_phase_covector] - f[omega2_pair]))
+            # beta against beta_tilde: -(p1dot1 + p2dot2) against the glued
+            # -p1dot1 + -p2dot2; the other blocks are the same arrays
+            beta_equal = beta_equal and np.array_equal(-(w.p1dot1 + w.p2dot2),
+                                                       -w.p1dot1 + -w.p2dot2)
+    return {"command": "check-maps", "dims": list(dims), "points": points,
+            "seed": seed, "alpha_pairing_max": alpha_max,
+            "beta_tilde_equal": beta_equal, "omega2_pairing_max": omega_max,
+            "tol": 1e-12,
+            "pass": beta_equal and alpha_max <= 1e-12 and omega_max <= 1e-12}
+
+
+@pytest.mark.parametrize("m", [None, 3])
+def test_check_maps_matches_per_point_loop_bytewise(capsys, m):
+    for seed in (0, 1, 12345):
+        for points in (1, 300):
+            argv = ["check-maps", "--seed", str(seed), "--points", str(points)]
+            if m is not None:
+                argv += ["--m", str(m)]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            expected = per_point_check_maps(m, points, seed)
+            assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("verb,reference", [("legendre", per_point_legendre),
