@@ -39,6 +39,7 @@ trivially and never affects output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -477,7 +478,10 @@ def run(cfg: RunConfig) -> dict:
 # Argument and config-file handling
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: nothing changes it
+    after construction, and parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="fieldtriple",
         description="Canonical maps, phase dynamics, and variational grid "

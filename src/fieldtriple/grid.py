@@ -582,26 +582,39 @@ def _dissection_order(inodes: np.ndarray) -> np.ndarray:
     return np.argsort(labels[inodes[:, 0] - lo[0], inodes[:, 1] - lo[1]])
 
 
-def _factor_jacobian(J, definite: bool):
-    """LU factors of the Newton matrix ``J``; returns ``(lu, order, definite)``.
+def _factor_jacobian(J, fallback):
+    """LU factors of the Newton matrix ``J``; returns
+    ``(lu, rows, cols, fallback)``.
 
-    ``lu`` factors ``J[order][:, order]``: the step solves
-    ``x[order] = lu.solve(b[order])``.  While ``definite`` holds and every
-    diagonal entry of ``J`` is positive (a positive definite matrix has a
-    positive diagonal), ``J`` is first factored with diagonal pivots, and the
-    trial is kept only if no row was swapped and every pivot is positive: for
-    a symmetric ``J`` that proves it positive definite.  The trial drops
-    ``J``'s stored zeros and orders it by connected component, stably, so
-    each decoupled block (a checkerboard of the grid) is factored on its own
-    in the order it had in ``J``; a matrix of one component is factored as
-    it stands.  An exact zero pivot makes the trial raise, which also means
-    "not definite".  Otherwise the trial is freed before ``J`` itself, stored
-    zeros included, is factored with partial pivoting in the MMD(J^T J)
-    column order, and ``definite`` comes back False; a ``RuntimeError`` from
-    that factorization propagates.
+    ``lu`` factors ``J[rows][:, cols]``: the step solves
+    ``x[cols] = lu.solve(b[rows])``.  ``fallback`` is the solve's state: None
+    until a step has needed partial pivoting, then the column order of that
+    first fallback.  While it is None and every diagonal entry of ``J`` is
+    positive (a positive definite matrix has a positive diagonal), ``J`` is
+    first factored with diagonal pivots, and the trial is kept, with
+    ``rows = cols = order``, only if no row was swapped and every pivot is
+    positive: for a symmetric ``J`` that proves it positive definite.  The
+    trial drops ``J``'s stored zeros and orders it by connected component,
+    stably, so each decoupled block (a checkerboard of the grid) is factored
+    on its own in the order it had in ``J``; a matrix of one component is
+    factored as it stands.  An exact zero pivot makes the trial raise, which
+    also means "not definite".  Otherwise the trial is freed before ``J``
+    itself, stored zeros included, is factored with partial pivoting in the
+    MMD(J^T J) column order, with identity ``rows`` and ``cols``, and
+    ``fallback`` becomes its final column order ``argsort(lu.perm_c)``.
+    Every later step factors ``J[:, fallback]`` in its natural order with
+    the same pivoting (identity ``rows``, ``cols = fallback``).  That is
+    exact: ``J``'s stored pattern depends only on the grid and the free
+    dofs, so MMD(J^T J) would give the same order again, and the factors,
+    row pivots and step are bitwise those of a fresh ``MMD_ATA``
+    factorization.  A ``RuntimeError`` from a fallback propagates.
     """
     n = J.shape[0]
-    if definite and np.all(J.diagonal() > 0.0):
+    identity = np.arange(n)
+    if fallback is not None:
+        lu = scipy.sparse.linalg.splu(J[:, fallback], permc_spec="NATURAL")
+        return lu, identity, fallback, fallback
+    if np.all(J.diagonal() > 0.0):
         # Imported here: only a solve that runs the trial pays for it.
         from scipy.sparse.csgraph import connected_components
 
@@ -612,7 +625,7 @@ def _factor_jacobian(J, definite: bool):
             order = np.argsort(labels, kind="stable")
             trial = trial[order][:, order]
         else:
-            order, trial = np.arange(n), J
+            order, trial = identity, J
         try:
             lu = scipy.sparse.linalg.splu(trial, permc_spec="NATURAL",
                                           diag_pivot_thresh=0.0,
@@ -622,9 +635,10 @@ def _factor_jacobian(J, definite: bool):
         del trial
         if (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
                 and np.all(lu.U.diagonal() > 0.0)):
-            return lu, order, True
+            return lu, order, order, None
         del lu
-    return scipy.sparse.linalg.splu(J, permc_spec="MMD_ATA"), np.arange(n), False
+    lu = scipy.sparse.linalg.splu(J, permc_spec="MMD_ATA")
+    return lu, identity, identity, np.argsort(lu.perm_c)
 
 
 def _max_norm(r: np.ndarray) -> float:
@@ -668,11 +682,16 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     constant target metric couples the components, into two.  Otherwise the
     step factors the Hessian as assembled with partial pivoting in the
     MMD(J^T J) column order (the string: indefinite, hyperbolic, with a
-    negative diagonal, so no trial runs), and later steps of the solve skip
-    the trial.  On the harmonic 257x257 solve L + U hold 2.57 M nonzeros,
-    against 4.59 M with splu's default COLAMD order, and factoring the two
-    checkerboards apart halves the factorization time; on the string 33x33,
-    L + U hold 1.11 M against 1.20 M.
+    negative diagonal, so no trial runs).  Later steps of the solve skip the
+    trial and reuse that first fallback's column order, which is computed
+    once per solve: the Hessian's stored pattern is the same at every step,
+    so MMD(J^T J) would give the same order again, and the factors and the
+    step are bitwise those of a fresh MMD(J^T J) factorization.  On the
+    harmonic 257x257 solve L + U hold 2.57 M nonzeros, against 4.59 M with
+    splu's default COLAMD order, and factoring the two checkerboards apart
+    halves the factorization time; on the string 33x33, L + U hold 1.11 M
+    against 1.20 M, and reusing the order takes a step's splu from 0.101 to
+    0.075 s (first Newton matrix, 3,844 unknowns).
 
     Returns ``(field, report)``.  Non-convergence (stalled line search or
     iteration cap) is reported through ``report.converged`` with the best
@@ -711,16 +730,16 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     res_norm = _max_norm(res)
     iterations = 0
     message = ""
-    definite = True
+    fallback = None
     while res_norm > tol and iterations < max_iter:
         J = _assemble_jacobian(model, grid, u, free_dof, nfree)
         try:
-            lu, order, definite = _factor_jacobian(J, definite)
+            lu, rows, cols, fallback = _factor_jacobian(J, fallback)
         except RuntimeError as e:
             raise SingularJacobianError(
                 f"Newton system is singular at iteration {iterations}: {e}") from e
         step = np.empty(nfree)
-        step[order] = lu.solve(-res.ravel()[order])
+        step[cols] = lu.solve(-res.ravel()[rows])
         step = step.reshape(len(inodes), m)
         # Free the factors before the line search and the next splu, so one
         # LU at most is alive and peak memory does not hang on how the

@@ -10,6 +10,10 @@ import pytest
 
 from fieldtriple import autodiff
 from fieldtriple.bundles import (
+    JetTangent,
+    Phase,
+    PhaseJet,
+    PhaseTangent,
     alpha,
     beta,
     beta_tilde,
@@ -66,25 +70,50 @@ def report(line: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _per_point_gaps(rng, m, points):
+    """The alpha and omega pairing gaps of ``points`` random points, one
+    point at a time, drawing 15 blocks of m normals per point."""
+    alpha_gaps, omega_gaps = [], []
+    for _ in range(points):
+        w = random_phase_jet(rng, m)
+        v = random_jet_tangent(rng, m, jet=project_to_jet(w))
+        u = random_phase_tangent(rng, project_to_phase(w))
+        alpha_gaps.append(pair_covector(alpha(w), v) - pair_jet(w, kappa(v)))
+        omega_gaps.append(pair_phase_covector(beta(w), u) - omega2_pair(w, u))
+    return np.array(alpha_gaps), np.array(omega_gaps)
+
+
 def test_criterion_1_canonical_map_identities():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
     alpha_max = 0.0
     omega_max = 0.0
+    gaps = []
     for m in (1, 2, 4):
-        for _ in range(1000):
-            w = random_phase_jet(rng, m)
-            v = random_jet_tangent(rng, m, jet=project_to_jet(w))
-            alpha_max = max(alpha_max, abs(
-                pair_covector(alpha(w), v) - pair_jet(w, kappa(v))))
-            u = random_phase_tangent(rng, project_to_phase(w))
-            omega_max = max(omega_max, abs(
-                pair_phase_covector(beta(w), u) - omega2_pair(w, u)))
-            assert beta(w) == beta_tilde(w)
+        # Per point, a phase jet's nine blocks of m normals, a jet tangent's
+        # three and a phase tangent's three: the stream of 15 m-normal calls.
+        x = rng.standard_normal((1000, 15, m)).transpose(1, 2, 0)
+        w = PhaseJet(Phase(*x[0:3]), *x[3:9])
+        v = JetTangent(project_to_jet(w), *x[9:12])
+        u = PhaseTangent(project_to_phase(w), *x[12:15])
+        alpha_gap = pair_covector(alpha(w), v) - pair_jet(w, kappa(v))
+        omega_gap = pair_phase_covector(beta(w), u) - omega2_pair(w, u)
+        assert beta(w) == beta_tilde(w)
+        alpha_max = max(alpha_max, float(np.max(np.abs(alpha_gap))))
+        omega_max = max(omega_max, float(np.max(np.abs(omega_gap))))
+        gaps.append((m, alpha_gap, omega_gap))
     elapsed = time.perf_counter() - t0
     assert alpha_max <= 1e-12
     assert omega_max <= 1e-12
     assert elapsed < 1.0
+    # Untimed: the first 50 points of each dimension give the per-point
+    # loop's gaps bit for bit.
+    rng = np.random.default_rng(0)
+    for m, alpha_gap, omega_gap in gaps:
+        alpha_ref, omega_ref = _per_point_gaps(rng, m, 50)
+        rng.standard_normal((950, 15, m))
+        assert np.array_equal(alpha_gap[:50].view(np.int64), alpha_ref.view(np.int64))
+        assert np.array_equal(omega_gap[:50].view(np.int64), omega_ref.view(np.int64))
     report(f"CRITERION 1 PASS: canonical map identities on 3000 points, "
            f"alpha gap {alpha_max:.3e}, omega gap {omega_max:.3e}, "
            f"both constructions of the momentum-side map identical "

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from fieldtriple import cli as cli_module
 from fieldtriple.cli import main, read_field_csv, write_field_csv, write_momentum_csv
 from fieldtriple.errors import InvalidInputError
 from fieldtriple.grid import Grid, GridField, GridMomentum, discrete_action
@@ -413,3 +414,19 @@ def test_expression_error_reports_offset(tmp_path, capsys):
         tmp_path / "o.csv", bc=("x +",)))
     assert code == 2
     assert "3" in stderr
+
+
+def test_repeated_calls_share_one_parser_and_print_the_same(capsys):
+    """The parser is built once per process; a second round of calls, help
+    and an argument error included, prints what the first round printed."""
+    argvs = [["legendre", "--model", "nambu", "--points", "20", "--seed", "3"],
+             ["phase-check", "--model", "harmonic", "--points", "20"],
+             ["solve", "--model", "no-such-model"],
+             ["solve", "--help"]]
+    first = [run(capsys, *argv) for argv in argvs]
+    second = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 0, 2, 0]
+    assert "usage: fieldtriple solve" in first[3][1]
+    assert "invalid choice: 'no-such-model'" in first[2][2]
+    assert second == first
+    assert cli_module._build_parser() is cli_module._build_parser()

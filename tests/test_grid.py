@@ -480,6 +480,9 @@ class _RecordedLU:
         return x
 
 
+_ORIGINAL_SPLU = scipy.sparse.linalg.splu
+
+
 def _record_factorizations(monkeypatch):
     """Wrap splu; returns the list of (J, permc_spec, recorded LU) per call,
     with None for the LU of a call that raised."""
@@ -534,8 +537,8 @@ def _record_newton_matrices(monkeypatch):
         assembled.append(J)
         return J
 
-    def recording_factor(J, definite):
-        out = factor(J, definite)
+    def recording_factor(J, fallback):
+        out = factor(J, fallback)
         factored.append(out)
         return out
 
@@ -544,21 +547,97 @@ def _record_newton_matrices(monkeypatch):
     return assembled, factored
 
 
+def _same_bits(A, B):
+    """Whether two sparse matrices store the same entries, bit for bit."""
+    A, B = A.tocsc(), B.tocsc()
+    return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data.view(np.int64), B.data.view(np.int64)))
+
+
+def _check_fallback_reuse(calls, assembled, factored, first):
+    """Step ``first`` of the solve is its first fallback and every later
+    step reuses that fallback's column order: it factors ``J_asm[:, cols]``
+    (stored zeros included) in its natural order, and its factors, row
+    pivots and step are bitwise those of a fresh ``MMD_ATA`` factorization
+    of the assembled matrix."""
+    fallbacks = calls[len(calls) - len(assembled) + first:]
+    assert [spec for _, spec, _ in fallbacks] == (
+        ["MMD_ATA"] + ["NATURAL"] * (len(assembled) - first - 1))
+    _, _, _, cols = factored[first]
+    assert np.array_equal(np.sort(cols), np.arange(len(cols)))
+    for k, ((J, _, lu), J_asm, (_, rows, step_cols, fallback)) in enumerate(
+            zip(fallbacks, assembled[first:], factored[first:], strict=True)):
+        n = J_asm.shape[0]
+        assert np.array_equal(rows, np.arange(n))
+        assert fallback is cols
+        if k == 0:
+            assert J is J_asm and np.array_equal(step_cols, np.arange(n))
+        else:
+            assert step_cols is cols
+            assert _same_bits(J, J_asm[:, cols])
+            assert J.nnz == J_asm.nnz
+            assert np.count_nonzero(J.data) == np.count_nonzero(J_asm.data)
+            assert np.array_equal(lu.perm_c, np.arange(n))
+        fresh = _ORIGINAL_SPLU(J_asm, permc_spec="MMD_ATA")
+        assert np.array_equal(cols, np.argsort(fresh.perm_c))
+        assert _same_bits(lu.L, fresh.L) and _same_bits(lu.U, fresh.U)
+        assert np.array_equal(lu.perm_r, fresh.perm_r)
+        (b, x), = lu.solves
+        step = np.empty(n)
+        step[step_cols] = x
+        ref = fresh.solve(b)
+        assert np.array_equal(step.view(np.int64), ref.view(np.int64))
+
+
 def test_string_newton_skips_the_trial_and_factors_with_mmd_ata(monkeypatch):
     """The string's Newton matrix has a negative diagonal, so no diagonal
-    pivot trial runs; partial pivoting gets the matrix as assembled, its
-    stored zeros included."""
+    pivot trial runs.  The first step factors the matrix as assembled, its
+    stored zeros included, with partial pivoting in the MMD(J^T J) order;
+    every later step factors the assembled matrix in that column order."""
     calls = _record_factorizations(monkeypatch)
-    assembled, _ = _record_newton_matrices(monkeypatch)
+    assembled, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
                             m=4, tol=1e-10, max_iter=4)
-    assert rep.iterations >= 2
-    assert [spec for _, spec, _ in calls] == ["MMD_ATA"] * rep.iterations
+    assert rep.iterations == 4
+    assert [spec for _, spec, _ in calls] == (
+        ["MMD_ATA"] + ["NATURAL"] * (rep.iterations - 1))
     assert [len(lu.solves) for _, _, lu in calls] == [1] * rep.iterations
     assert np.all(assembled[0].diagonal() < 0.0)
-    for (J, _, _), J_asm in zip(calls, assembled, strict=True):
-        assert J is J_asm
-        assert J.nnz == J_asm.nnz and np.any(J.data == 0.0)
+    assert np.any(assembled[0].data == 0.0)
+    _check_fallback_reuse(calls, assembled, factored, 0)
+
+
+def _double_hump_model():
+    """L = |grad u|^2/2 + u^2/2 - u^4/4: convex near u = 0, and concave
+    enough for |u| > 1/sqrt(3) that the Newton matrix turns indefinite on
+    a 9x9 grid once the field rises towards boundary data 2.5."""
+
+    def eval_L(xs):
+        u = xs[0]
+        return (xs[1] * xs[1] + xs[2] * xs[2]) / 2.0 + u * u / 2.0 - u * u * u * u / 4.0
+
+    return LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L),
+                           admissible=lambda j: True, name="double-hump")
+
+
+def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
+    """The first step keeps the definite trial; the second step's trial is
+    rejected and falls back to MMD_ATA, and every later step reuses that
+    fallback's column order without running the trial again."""
+    calls = _record_factorizations(monkeypatch)
+    assembled, factored = _record_newton_matrices(monkeypatch)
+    _, rep = _solve_with_bc(_double_hump_model(), Grid.square(9, 9),
+                            lambda x, y: np.array([2.5 + 0.0 * x]), m=1,
+                            interior=lambda x, y: np.array([1.0]), max_iter=4)
+    assert rep.iterations == 4
+    assert [spec for _, spec, _ in calls] == [
+        "NATURAL", "NATURAL", "MMD_ATA", "NATURAL", "NATURAL"]
+    assert all(np.all(J.diagonal() > 0.0) for J in assembled[:2])
+    (_, order, cols, fallback) = factored[0]
+    assert fallback is None and np.array_equal(order, cols)
+    assert len(calls[0][2].solves) == 1 and len(calls[1][2].solves) == 0
+    _check_fallback_reuse(calls, assembled, factored, 1)
 
 
 @pytest.mark.parametrize("name,m,grid,fn,components", [
@@ -585,10 +664,11 @@ def test_definite_newton_step_matches_partial_pivoting(monkeypatch, name, m,
     calls = _record_factorizations(monkeypatch)
     assembled, factored = _record_newton_matrices(monkeypatch)
     _solve_with_bc(get_lagrangian(name, m), grid, fn, m)
-    (J_asm,), ((_, order, definite),) = assembled, factored
+    (J_asm,), ((_, order, cols, fallback),) = assembled, factored
     (J, spec, lu), = calls
     (b, x), = lu.solves
-    assert spec == "NATURAL" and definite is True
+    assert spec == "NATURAL" and fallback is None
+    assert np.array_equal(cols, order)
     ncomp, labels = connected_components(J, directed=False)
     assert ncomp == components
     if components == 1:
@@ -633,13 +713,15 @@ def test_indefinite_matrix_falls_back_to_partial_pivoting(monkeypatch, A, trial)
     calls = _record_factorizations(monkeypatch)
     J = scipy.sparse.csc_matrix(np.array(A))
     b = np.arange(1.0, len(A) + 1.0)
-    lu, order, definite = _factor_jacobian(J, True)
-    assert definite is False
+    lu, rows, cols, fallback = _factor_jacobian(J, None)
     assert [spec for _, spec, _ in calls] == (
         ["MMD_ATA"] if trial is None else ["NATURAL", "MMD_ATA"])
     if trial is not None:
         assert (calls[0][2] is None) == (trial == "raises")
-    assert calls[-1][0] is J and np.array_equal(order, np.arange(len(A)))
+    assert calls[-1][0] is J
+    assert np.array_equal(rows, np.arange(len(A)))
+    assert np.array_equal(cols, np.arange(len(A)))
+    assert np.array_equal(fallback, np.argsort(lu.perm_c))
     assert np.allclose(lu.solve(b), np.linalg.solve(A, b), rtol=0, atol=1e-14)
 
 
@@ -662,18 +744,19 @@ def test_trial_factors_the_decoupled_blocks(monkeypatch, A, definite):
     calls = _record_factorizations(monkeypatch)
     J = _with_stored_zeros(A)
     b = np.array([1.0, -2.0, 3.0])
-    lu, order, kept = _factor_jacobian(J, True)
-    assert kept is definite
+    lu, rows, cols, fallback = _factor_jacobian(J, None)
+    assert (fallback is None) is definite
     assert np.array_equal(calls[0][0].toarray(), np.array(A)[[0, 2, 1]][:, [0, 2, 1]])
     assert calls[0][0].nnz == 5
     if definite:
-        assert len(calls) == 1 and np.array_equal(order, [0, 2, 1])
+        assert len(calls) == 1
+        assert np.array_equal(rows, [0, 2, 1]) and np.array_equal(cols, [0, 2, 1])
     else:
         assert [spec for _, spec, _ in calls] == ["NATURAL", "MMD_ATA"]
         assert calls[1][0] is J and J.nnz == 9
-        assert np.array_equal(order, np.arange(3))
+        assert np.array_equal(rows, np.arange(3)) and np.array_equal(cols, np.arange(3))
     x = np.empty(3)
-    x[order] = lu.solve(b[order])
+    x[cols] = lu.solve(b[rows])
     assert np.allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-14)
 
 
