@@ -38,11 +38,6 @@ __all__ = [
     "hessian_mixed",
     "hessian",
     "sqrt",
-    "sin",
-    "cos",
-    "exp",
-    "sinh",
-    "cosh",
 ]
 
 
@@ -157,15 +152,6 @@ class Taylor:
     def __rtruediv__(self, other):
         return _divide(_lift(other), self)
 
-    def __pow__(self, n):
-        if isinstance(n, Taylor):
-            raise InvalidInputError("exponent must be a plain number")
-        if not float(n).is_integer():
-            _check_value_domain(self.value, np.asarray(self.value) > 0.0, f"x**{n}")
-        a = self.value
-        return _chain(self, a ** n, n * a ** (n - 1),
-                      lambda: n * (n - 1) * a ** (n - 2))
-
 
 def _divide(a: Taylor, b: Taylor) -> Taylor:
     """a / b, from a = v b differentiated once and twice."""
@@ -177,41 +163,19 @@ def _divide(a: Taylor, b: Taylor) -> Taylor:
     return Taylor(v, grad, None if hess is None else hess / b.value)
 
 
-def _chain(x: Taylor, f0, f1, f2) -> Taylor:
-    """f(x) for a scalar f with value f0 and derivative f1 at x.value; the
-    thunk f2 gives f'' and is called only when x tracks a Hessian."""
-    hess = None
-    if x.hess is not None:
-        hess = _scaled(x.hess, f1) + f2() * _outer(x.grad, x.grad)
-    return Taylor(f0, f1 * x.grad, hess)
-
-
 def sqrt(x):
     """Square root with derivative propagation; negative values are a domain error."""
     if isinstance(x, Taylor):
         _check_value_domain(x.value, np.asarray(x.value) > 0.0, "sqrt")
         r = np.sqrt(x.value)
-        return _chain(x, r, 0.5 / r, lambda: -0.25 / (r * x.value))
+        d1 = 0.5 / r
+        hess = None
+        if x.hess is not None:
+            hess = (_scaled(x.hess, d1)
+                    + (-0.25 / (r * x.value)) * _outer(x.grad, x.grad))
+        return Taylor(r, d1 * x.grad, hess)
     _check_value_domain(x, np.asarray(x) >= 0.0, "sqrt")
     return np.sqrt(x)
-
-
-def _unary(name: str, f, df, d2f):
-    def op(x):
-        if isinstance(x, Taylor):
-            return _chain(x, f(x.value), df(x.value), lambda: d2f(x.value))
-        return f(x)
-
-    op.__name__ = name
-    op.__doc__ = f"{name} with first/second derivative propagation."
-    return op
-
-
-sin = _unary("sin", np.sin, np.cos, lambda v: -np.sin(v))
-cos = _unary("cos", np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v))
-exp = _unary("exp", np.exp, np.exp, np.exp)
-sinh = _unary("sinh", np.sinh, np.cosh, np.sinh)
-cosh = _unary("cosh", np.cosh, np.sinh, np.cosh)
 
 
 @dataclass(frozen=True)

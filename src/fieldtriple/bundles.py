@@ -183,8 +183,7 @@ class Phase(_BlockValue):
 class PhaseJet(_BlockValue):
     """Phase-space point with x^1- and x^2-derivatives of all its coordinates.
 
-    ``p1dot2`` reads "derivative of p1 along x^2", and so on.  The d1/d2
-    properties bundle each direction's derivatives as (qdot, p1dot, p2dot).
+    ``p1dot2`` reads "derivative of p1 along x^2", and so on.
     """
 
     base: Phase
@@ -204,14 +203,6 @@ class PhaseJet(_BlockValue):
     @property
     def m(self) -> int:
         return self.base.m
-
-    @property
-    def d1(self):
-        return (self.qdot1, self.p1dot1, self.p2dot1)
-
-    @property
-    def d2(self):
-        return (self.qdot2, self.p1dot2, self.p2dot2)
 
 
 @dataclass(frozen=True, eq=False)

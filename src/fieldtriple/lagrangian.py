@@ -43,19 +43,16 @@ __all__ = [
 class LagrangianModel:
     """A Lagrangian with its admissible domain.
 
-    ``L`` has arity 3m over the flattened jet (q, qdot1, qdot2) and must be
-    finite on every admissible jet.  ``admissible`` takes a Jet, one point or
-    a batch, and says whether every point of it is admissible.
-    ``domain_indicator`` is an optional vectorised margin function over the
-    same flattened arguments, positive exactly on the admissible region; the
-    grid solver uses it for cheap whole-grid admissibility checks and it must
-    agree with ``admissible``.
+    ``L`` has arity 3m over the flattened jet (q, qdot1, qdot2), must be
+    finite on every admissible jet and raises ``DomainError`` on any other:
+    that error is the one admissibility test the grid solver makes.
+    ``admissible`` takes a Jet, one point or a batch, and says whether every
+    point of it is admissible.
     """
 
     m: int
     L: ScalarField
     admissible: Callable[[Jet], bool]
-    domain_indicator: Callable | None = None
     name: str = ""
 
     def __post_init__(self):

@@ -231,12 +231,8 @@ def nambu_lagrangian() -> LagrangianModel:
     def admissible(j: Jet) -> bool:
         return GramMatrix.from_velocities(MINKOWSKI, j.qdot1, j.qdot2).admissible
 
-    def indicator(xs):
-        return -_value(_string_gram_from_slots(xs).det)
-
     return LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L),
-                           admissible=admissible, domain_indicator=indicator,
-                           name="nambu")
+                           admissible=admissible, name="nambu")
 
 
 def nambu_legendre_closed_form(j: Jet) -> Phase:

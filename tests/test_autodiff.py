@@ -83,6 +83,23 @@ def test_sqrt_of_negative_dual_is_domain_error():
         sqrt(Taylor(-0.5, np.array([1.0]), 0.0))
 
 
+def test_sqrt_of_batch_names_the_first_negative_entry():
+    x = Taylor(np.array([4.0, 1.0, -2.0, -3.0]), np.ones((1, 4)), 0.0)
+    with pytest.raises(DomainError) as exc:
+        sqrt(x)
+    assert exc.value.component == 2
+    assert str(exc.value) == "sqrt left the admissible domain at component 2"
+
+
+def test_reflected_subtraction_hand_values():
+    # f(x, y) = 1 - x y: f_x = -y, f_y = -x, f_xy = -1
+    x, y = seed([3.0, 5.0], second=True)
+    f = 1.0 - x * y
+    assert f.value == -14.0
+    assert f.grad.tolist() == [-5.0, -3.0]
+    assert f.hess.tolist() == [[0.0, -1.0], [-1.0, 0.0]]
+
+
 @given(finite, finite)
 def test_dual_lifting_consistency_bitwise(a, b):
     # evaluating on Taylor numbers, first or second order, reproduces the

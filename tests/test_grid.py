@@ -15,6 +15,7 @@ from fieldtriple import grid as grid_module
 from fieldtriple.autodiff import ScalarField
 from fieldtriple.bundles import Jet
 from fieldtriple.errors import (
+    DomainError,
     GridDomainError,
     InvalidInputError,
     InvalidParameterError,
@@ -840,20 +841,23 @@ def test_solver_rejects_inadmissible_initial_cell():
 
 
 def test_line_search_that_never_regains_admissibility_raises():
-    # Harmonic L whose domain indicator is positive only within 1e-12 of the
+    # Harmonic L that raises DomainError outside a 1e-12 band around the
     # start's cell slopes.  The start x^2 y is not discretely harmonic, so the
     # Newton step is nonzero, and even its 2^-29 fraction moves some cell
-    # slope out of the band.  The grid solver reads only the indicator.
+    # slope out of the band: every trial fails the line search's plain pass.
     g = Grid.square(9, 9)
     f = GridField.from_function(g, lambda x, y: np.array([x * x * y]), m=1)
     _, s1, s2 = _cell_slots(g, f.values)
 
-    def indicator(xs):
-        return 1e-12 - np.abs(xs[1] - s1) - np.abs(xs[2] - s2)
+    def eval_L(xs):
+        v1, v2 = (getattr(x, "value", x) for x in xs[1:])
+        if not np.all(np.abs(v1 - s1) + np.abs(v2 - s2) < 1e-12):
+            raise DomainError("cell slope left the band")
+        return HARM1.L(xs)
 
-    banded = LagrangianModel(m=1, L=HARM1.L, admissible=lambda j: True,
-                             domain_indicator=indicator, name="banded")
-    assert np.all(indicator(list(_cell_slots(g, f.values))) > 0.0)
+    banded = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L),
+                             admissible=lambda j: True, name="banded")
+    discrete_action_gradient(banded, f)  # the start is inside the band
     with pytest.raises(GridDomainError) as exc:
         solve_dirichlet(banded, g, boundary_rows(f), f)
     assert str(exc.value) == ("line search could not restore admissibility "

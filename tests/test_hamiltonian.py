@@ -10,6 +10,7 @@ from fieldtriple.bundles import Jet, Phase, PhaseJet, project_to_phase
 from fieldtriple.errors import (
     DomainError,
     InvalidInputError,
+    NoConvergenceError,
     SingularJacobianError,
 )
 from fieldtriple.hamiltonian import (
@@ -179,6 +180,56 @@ def test_invert_affine_lagrangian_is_singular():
     with pytest.raises(SingularJacobianError):
         legendre_invert(affine, Phase([0.0], [2.0], [0.0]),
                         Jet([0.0], [0.0], [0.0]))
+
+
+# Momenta v/sqrt(1 + v^2) fill (-1, 1) only, so p1 = 2 has no preimage.
+SATURATING = LagrangianModel(
+    m=1,
+    L=ScalarField(arity=3, eval=lambda xs: autodiff.sqrt(1.0 + xs[1] * xs[1])
+                  + autodiff.sqrt(1.0 + xs[2] * xs[2])),
+    admissible=lambda j: True,
+    name="saturating",
+)
+ZERO_JET = Jet([0.0], [0.0], [0.0])
+
+
+def _momentum_residual(model, ph, j):
+    got = legendre(model, j)
+    return float(np.max(np.abs(np.concatenate([got.p1 - ph.p1, got.p2 - ph.p2]))))
+
+
+def test_invert_outside_the_momentum_range_stalls():
+    ph = Phase([0.0], [2.0], [0.0])
+    with pytest.raises(NoConvergenceError) as exc:
+        legendre_invert(SATURATING, ph, ZERO_JET)
+    e = exc.value
+    assert str(e) == "Legendre inversion stalled at residual 1.000e+00"
+    assert e.residual == 1.0
+    assert e.residual == _momentum_residual(SATURATING, ph, e.last_iterate)
+    assert e.last_iterate.q.tolist() == [0.0]
+    assert e.last_iterate.qdot1[0] > 1e8
+    assert e.last_iterate.qdot2.tolist() == [0.0]
+
+
+def test_invert_stops_at_the_iteration_cap():
+    # The preimage of p1 = 0.5 is v1 = 1/sqrt(3); two steps do not reach it.
+    ph = Phase([0.0], [0.5], [0.0])
+    with pytest.raises(NoConvergenceError) as exc:
+        legendre_invert(SATURATING, ph, ZERO_JET, max_iter=2)
+    e = exc.value
+    assert str(e) == ("Legendre inversion did not reach tolerance 1.0e-10 "
+                      "in 2 iterations (residual 2.330e-03)")
+    assert e.residual == _momentum_residual(SATURATING, ph, e.last_iterate)
+    assert abs(e.last_iterate.qdot1[0] - 1.0 / np.sqrt(3.0)) < 1e-2
+    assert e.last_iterate.qdot2.tolist() == [0.0]
+
+
+def test_invert_converges_on_the_last_allowed_step():
+    # The harmonic momenta are the velocities, so one Newton step is exact.
+    ph = Phase([0.3], [0.7], [-1.1])
+    j = legendre_invert(HARM_L, ph, Jet([0.3], [0.0], [0.0]), max_iter=1)
+    assert j.q.tolist() == [0.3]
+    assert _momentum_residual(HARM_L, ph, j) <= 1e-10
 
 
 def test_invert_rejects_inadmissible_guess():

@@ -272,13 +272,19 @@ def test_catalog_rejects_bad_requests():
         get_lagrangian("harmonic", m=0)
 
 
-def test_domain_indicator_agrees_with_admissible():
+def test_nambu_lagrangian_raises_exactly_outside_admissible():
     rng = np.random.default_rng(41)
-    assert NAMBU.domain_indicator is not None
+    outcomes = set()
     for _ in range(200):
         q = rng.standard_normal(4)
         v1 = rng.standard_normal(4) * 1.5
         v2 = rng.standard_normal(4) * 1.5
         j = Jet(q, v1, v2)
-        margin = float(NAMBU.domain_indicator(np.concatenate([q, v1, v2])))
-        assert (margin > 0.0) == NAMBU.admissible(j)
+        try:
+            NAMBU.L(list(np.concatenate([q, v1, v2])))
+            raised = False
+        except DomainError:
+            raised = True
+        assert raised != NAMBU.admissible(j)
+        outcomes.add(raised)
+    assert outcomes == {False, True}
