@@ -627,9 +627,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(cfg)
-    except (InvalidInputError, InvalidParameterError, ExprSyntaxError) as exc:
-        print(f"fieldtriple: error: {exc}", file=sys.stderr)
-        return 2
     except (DomainError, NoConvergenceError, SingularJacobianError) as exc:
         print(f"fieldtriple: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -46,8 +46,9 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
+
+# scipy is imported by the two functions that assemble and factor the Newton
+# matrix, so only a solve's first Newton step loads it; the rest needs numpy.
 
 from .autodiff import Taylor, seed
 from .errors import (
@@ -515,6 +516,8 @@ def _assemble_jacobian(model: LagrangianModel, grid: Grid, values: np.ndarray,
     slot Hessian and T the (4m x 3m) corner-coefficient matrix; blocks land
     in a COO triplet list and duplicate entries are summed on conversion.
     """
+    import scipy.sparse
+
     m = model.m
     k = 3 * m
     H = _cell_hessians(model, grid, values)
@@ -607,13 +610,14 @@ def _factor_jacobian(J, fallback):
     row pivots and step are bitwise those of a fresh ``MMD_ATA``
     factorization.  A ``RuntimeError`` from a fallback propagates.
     """
+    import scipy.sparse.linalg
+
     n = J.shape[0]
     identity = np.arange(n)
     if fallback is not None:
         lu = scipy.sparse.linalg.splu(J[:, fallback], permc_spec="NATURAL")
         return lu, identity, fallback, fallback
     if np.all(J.diagonal() > 0.0):
-        # Imported here: only a solve that runs the trial pays for it.
         from scipy.sparse.csgraph import connected_components
 
         trial = J.copy()

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +167,30 @@ def test_action_of_written_field(tmp_path, capsys):
     report = json.loads(stdout)
     assert report["action"] == 1.3330078125
     assert report["action"] == discrete_action(get_lagrangian("harmonic"), f)
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["legendre", "--model", "sigma", "--m", "3", "--points", "20"], 0),
+    (["phase-check", "--model", "nambu", "--points", "20"], 0),
+    (["phase-check", "--model", "nambu", "--points", "20",
+      "--tol", "1e-300"], 3),
+    (["check-maps", "--points", "20", "--seed", "5"], 0),
+    (["action", "--model", "harmonic", "--grid", "33x33"], 0),
+])
+def test_non_solve_out_holds_the_stdout_report(tmp_path, capsys, argv,
+                                               exit_code):
+    """``--out`` on a verb other than solve writes the report it prints,
+    byte for byte, also when the report does not pass."""
+    if argv[0] == "action":
+        field = tmp_path / "field.csv"
+        write_field_csv(str(field), GridField.from_function(
+            Grid.square(33, 33), lambda x, y: np.array([x * x - y * y]), 1))
+        argv = argv + ["--field", str(field)]
+    out = tmp_path / "report.json"
+    code, stdout, _ = run(capsys, *argv, "--out", str(out))
+    assert code == exit_code
+    assert json.loads(stdout)["pass"] is (exit_code == 0)
+    assert out.read_bytes() == stdout.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +457,53 @@ def test_repeated_calls_share_one_parser_and_print_the_same(capsys):
     assert "invalid choice: 'no-such-model'" in first[2][2]
     assert second == first
     assert cli_module._build_parser() is cli_module._build_parser()
+
+
+# ---------------------------------------------------------------------------
+# what a fresh process imports
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from fieldtriple.cli import main, write_field_csv
+from fieldtriple.grid import Grid, GridField
+
+tmp = sys.argv[1]
+write_field_csv(tmp + "/field.csv", GridField.from_function(
+    Grid.square(9, 9), lambda x, y: [x * y], 1))
+pointwise = [
+    ["legendre", "--model", "nambu", "--points", "5"],
+    ["legendre", "--model", "sigma", "--m", "3", "--points", "5"],
+    ["phase-check", "--model", "nambu", "--points", "5"],
+    ["phase-check", "--model", "harmonic", "--points", "5"],
+    ["check-maps", "--points", "5"],
+    ["action", "--model", "harmonic", "--grid", "9x9",
+     "--field", tmp + "/field.csv"],
+    ["--help"],
+    ["legendre", "--model", "no-such-model"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in pointwise]
+    before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    solve = main(["solve", "--model", "harmonic", "--grid", "9x9",
+                  "--bc", "x^2*y", "--out", tmp + "/solved.csv"])
+print(json.dumps({"codes": codes, "before": before, "solve": solve,
+                  "after": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_pointwise_verbs_never_import_scipy(tmp_path):
+    """scipy is loaded by the first Newton step, not by importing the CLI
+    or by the verbs that never factor a matrix.  The check needs a fresh
+    interpreter: this test process has imported scipy already."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 0, 2]
+    assert result["before"] == []
+    assert result["solve"] == 0
+    assert result["after"] is True
