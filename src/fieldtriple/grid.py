@@ -47,8 +47,8 @@ from typing import Callable
 
 import numpy as np
 
-# scipy is imported by the two functions that assemble and factor the Newton
-# matrix, so only a solve's first Newton step loads it; the rest needs numpy.
+# scipy is imported by the functions that build and factor the Newton matrix,
+# so only a solve's first Newton step loads it; the rest needs numpy.
 
 from .autodiff import Taylor, seed
 from .errors import (
@@ -348,9 +348,12 @@ def _cell_gradients(model: LagrangianModel, grid: Grid,
 
 
 # Hessian entries per second-order pass.  Each (3m, 3m, cells) temporary then
-# stays at 64 KiB and the pass reuses small heap blocks; one pass over all
-# cells makes megabyte temporaries that raise the process's peak memory.
-_HESSIAN_BLOCK = 8192
+# holds 256 KiB; one pass over all cells makes megabyte temporaries that raise
+# the process's peak memory.  Blocks of 32768 entries took the string 33x33
+# Hessians from 15.6 to 9.5 ms and the harmonic 257x257 ones from 20.0 to
+# 14.8 ms against 8192 (fastest of 20 and 6, 2-vCPU host), bit for bit the
+# same, with the same peak memory; 65536 was slower on the string.
+_HESSIAN_BLOCK = 32768
 
 
 def _cell_hessians(model: LagrangianModel, grid: Grid,
@@ -411,7 +414,7 @@ def discrete_action_gradient(model: LagrangianModel, f: GridField) -> np.ndarray
     G = _cell_gradients(model, grid, f.values)
     grad = np.zeros((grid.nx, grid.ny, model.m))
     for ni, nj, contrib in _corner_coefficients(grid, G, model.m):
-        np.add.at(grad, (ni, nj), contrib)
+        grad[ni, nj] += contrib
     return grad
 
 
@@ -508,39 +511,120 @@ def momentum_divergence(mom: GridMomentum) -> tuple[np.ndarray, np.ndarray]:
     return d1 + d2, nodes
 
 
-def _assemble_jacobian(model: LagrangianModel, grid: Grid, values: np.ndarray,
-                       free_dof: np.ndarray, nfree: int):
-    """Sparse Hessian of the discrete action restricted to interior dofs.
-
-    Per cell, the nodal Hessian block is T H T^t * hx*hy with H the 3m x 3m
-    slot Hessian and T the (4m x 3m) corner-coefficient matrix; blocks land
-    in a COO triplet list and duplicate entries are summed on conversion.
-    """
-    import scipy.sparse
-
+def _element_blocks(model: LagrangianModel, grid: Grid,
+                    values: np.ndarray) -> np.ndarray:
+    """Per-cell nodal Hessian blocks of the discrete action, shape
+    (ncells, 4m, 4m): T H T^t * hx*hy, with H the 3m x 3m slot Hessian and T
+    the (4m x 3m) corner-coefficient matrix."""
     m = model.m
-    k = 3 * m
     H = _cell_hessians(model, grid, values)
     coeff = np.array([(0.25, sx / (2.0 * grid.hx), sy / (2.0 * grid.hy))
                       for _, _, sx, sy in _CORNERS])
-    T = np.zeros((4 * m, k))
+    T = np.zeros((4 * m, 3 * m))
     for c in range(4):
         for blk in range(3):
             T[c * m:(c + 1) * m, blk * m:(blk + 1) * m] = (
                 coeff[c, blk] * np.eye(m))
-    blocks = grid.hx * grid.hy * (T @ H @ T.T)
+    return grid.hx * grid.hy * (T @ H @ T.T)
+
+
+def _cell_unknowns(grid: Grid, free_dof: np.ndarray, m: int) -> np.ndarray:
+    """The unknown of each active cell's 4m corner dofs, in element-block
+    order, shape (ncells, 4m); -1 marks a fixed dof."""
     cells = grid.active_cells
     ci, cj = cells[:, 0], cells[:, 1]
     corner_flat = np.stack([(ci + di) * grid.ny + (cj + dj)
                             for di, dj, _, _ in _CORNERS], axis=1)
     dofs = (corner_flat[:, :, None] * m + np.arange(m)).reshape(len(cells), 4 * m)
-    free = free_dof[dofs]
+    return free_dof[dofs]
+
+
+def _assemble_jacobian(grid: Grid, blocks: np.ndarray, free_dof: np.ndarray,
+                       nfree: int):
+    """Sparse Hessian of the discrete action restricted to the free dofs,
+    from the element blocks of ``_element_blocks``.
+
+    The blocks land in a COO triplet list, and duplicate entries are summed
+    on conversion to CSC.  Each solve builds its first Newton matrix here;
+    ``_fill_plan`` reproduces this sum bit for bit for the later ones.
+    """
+    import scipy.sparse
+
+    free = _cell_unknowns(grid, free_dof, blocks.shape[1] // 4)
     rows = np.broadcast_to(free[:, :, None], blocks.shape)
     cols = np.broadcast_to(free[:, None, :], blocks.shape)
     valid = (rows >= 0) & (cols >= 0)
     J = scipy.sparse.coo_matrix(
         (blocks[valid], (rows[valid], cols[valid])), shape=(nfree, nfree))
     return J.tocsc()
+
+
+def _fill_plan(grid: Grid, free_dof: np.ndarray, nfree: int, m: int):
+    """How ``_assemble_jacobian`` sums the element blocks into CSC form.
+
+    Returns ``(indptr, indices, first, later)``: the CSC structure, stored
+    zeros included, and where each stored entry's summands sit in the
+    flattened (ncells, 4m, 4m) block array.  ``first`` holds every entry's
+    first summand; the k-th pair ``(entries, positions)`` of ``later`` holds
+    the (k+1)-th summand of the entries that have one.  ``tocsc`` groups the
+    triplets by column, stably, sorts each column by row with an unstable
+    sort, and adds each run of equal rows left to right.  That sort compares
+    rows only, so running it once on triplet positions in place of values
+    gives the order in which the values are summed at every step.  The plan
+    depends only on the grid and the free dofs; its arrays are int32.
+    """
+    import scipy.sparse
+
+    free = _cell_unknowns(grid, free_dof, m)
+    n = free.shape[1]
+    # Column k of cell c's block holds the triplets of unknown free[c, k], one
+    # per free row.  Ordering the (c, k) pairs by that unknown, stably, lists
+    # every column's triplets by cell and row, as tocsc's grouping does.
+    pairs = np.flatnonzero(free >= 0)
+    pairs = pairs[np.argsort(free.reshape(-1)[pairs], kind="stable")]
+    cell, k = np.divmod(pairs, n)
+    rows = free[cell]
+    valid = rows >= 0
+    pos = ((cell * n * n + k)[:, None] + n * np.arange(n))[valid].astype(np.int32)
+    cols = np.repeat(free.reshape(-1)[pairs], np.count_nonzero(valid, axis=1))
+    rows = rows[valid]
+    # Each temporary is freed once spent: the build then peaks at 7.6 MB
+    # (traced) on the string 33x33, against 7.0 MB for one COO assembly.
+    del pairs, cell, k, valid
+    indptr = np.zeros(nfree + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=nfree), out=indptr[1:])
+    grouped = scipy.sparse.csc_matrix((pos, rows, indptr), shape=(nfree, nfree))
+    grouped.sort_indices()
+    rows, pos = grouped.indices, grouped.data
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    del cols
+    # counts[t] is the number of stored entries before triplet t.
+    counts = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(starts, out=counts[1:])
+    heads = np.flatnonzero(starts).astype(np.int32)
+    del starts
+    entry = counts[1:] - 1
+    rank = np.arange(len(rows), dtype=np.int32) - heads[entry]
+    later = []
+    for summand in range(1, int(rank.max(initial=0)) + 1):
+        sel = rank == summand
+        later.append((entry[sel], pos[sel]))
+    return counts[indptr], rows[heads], pos[heads], later
+
+
+def _fill_jacobian(plan, blocks: np.ndarray):
+    """The Newton matrix summed from the element blocks by a ``_fill_plan``
+    plan: bit for bit the matrix ``_assemble_jacobian`` builds from them."""
+    import scipy.sparse
+
+    indptr, indices, first, later = plan
+    flat = blocks.reshape(-1)
+    data = flat[first]
+    for entries, positions in later:
+        data[entries] += flat[positions]
+    n = len(indptr) - 1
+    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
 # Boxes of at most this many nodes are numbered as they lie, not split.
@@ -643,6 +727,18 @@ def _factor_jacobian(J, fallback):
     return lu, identity, identity, np.argsort(lu.perm_c)
 
 
+def _free_dofs(grid: Grid, m: int):
+    """Numbering of the unknowns: ``(inodes, free_dof)`` with ``inodes`` the
+    interior nodes in nested-dissection order and ``free_dof`` mapping the
+    flat dof (i*ny + j)*m + c to its unknown, -1 where the dof is fixed."""
+    inodes = grid.interior_nodes[_dissection_order(grid.interior_nodes)]
+    free_dof = np.full(grid.nx * grid.ny * m, -1, dtype=np.int32)
+    node_flat = inodes[:, 0] * grid.ny + inodes[:, 1]
+    for c in range(m):
+        free_dof[node_flat * m + c] = np.arange(len(inodes)) * m + c
+    return inodes, free_dof
+
+
 def _max_norm(r: np.ndarray) -> float:
     return float(np.max(np.abs(r), initial=0.0))
 
@@ -688,6 +784,18 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     against 1.20 M, and reusing the order takes a step's splu from 0.101 to
     0.075 s (first Newton matrix, 3,844 unknowns).
 
+    Each Newton matrix sums the per-cell element blocks.  The solve's first
+    matrix is summed as a COO triplet list on conversion to CSC.  When the
+    solve needs a second matrix it builds a fill plan, once: the CSC
+    structure and, per stored entry, where its summands sit in the block
+    array, in the order the conversion adds them.  Every later matrix is
+    filled from the plan, bit for bit the COO sum.  The first matrix keeps
+    the COO path because a plan pays off only over later steps, and a solve
+    may take one step: harmonic 257x257 solves do, and a plan would cost
+    them 0.11 s and 34 MB (traced) on top of the 0.05 s and 31 MB of the COO
+    sum.  On the string 33x33 the plan takes 16 ms, and each later sum 2.4 ms
+    against 7.7 ms.
+
     Returns ``(field, report)``.  Non-convergence (stalled line search or
     iteration cap) is reported through ``report.converged`` with the best
     iterate returned; a step that cannot restore admissibility at any
@@ -712,12 +820,8 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     if not np.array_equal(initial.values[bnodes[:, 0], bnodes[:, 1]], bvals):
         raise InvalidInputError("initial field does not satisfy the boundary values")
 
-    inodes = grid.interior_nodes[_dissection_order(grid.interior_nodes)]
+    inodes, free_dof = _free_dofs(grid, m)
     nfree = len(inodes) * m
-    free_dof = np.full(grid.nx * grid.ny * m, -1, dtype=np.int64)
-    node_flat = inodes[:, 0] * grid.ny + inodes[:, 1]
-    for c in range(m):
-        free_dof[node_flat * m + c] = np.arange(len(inodes)) * m + c
 
     u = initial.values.copy()
     grad = discrete_action_gradient(model, GridField(grid=grid, values=u))
@@ -725,9 +829,15 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     res_norm = _max_norm(res)
     iterations = 0
     message = ""
-    fallback = None
+    fallback = plan = None
     while res_norm > tol and iterations < max_iter:
-        J = _assemble_jacobian(model, grid, u, free_dof, nfree)
+        if iterations == 0:
+            J = _assemble_jacobian(grid, _element_blocks(model, grid, u),
+                                   free_dof, nfree)
+        else:
+            if plan is None:
+                plan = _fill_plan(grid, free_dof, nfree, m)
+            J = _fill_jacobian(plan, _element_blocks(model, grid, u))
         try:
             lu, rows, cols, fallback = _factor_jacobian(J, fallback)
         except RuntimeError as e:

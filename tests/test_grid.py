@@ -28,7 +28,11 @@ from fieldtriple.grid import (
     _cell_hessians,
     _cell_slots,
     _dissection_order,
+    _element_blocks,
     _factor_jacobian,
+    _fill_jacobian,
+    _fill_plan,
+    _free_dofs,
     boundary_momentum,
     discrete_action,
     discrete_action_gradient,
@@ -187,7 +191,8 @@ def test_newton_jacobian_matches_residual_differences(name, m, fn):
     node_flat = inodes[:, 0] * g.ny + inodes[:, 1]
     for c in range(m):
         free_dof[node_flat * m + c] = np.arange(len(inodes)) * m + c
-    J = _assemble_jacobian(model, g, f.values, free_dof, len(inodes) * m)
+    J = _assemble_jacobian(g, _element_blocks(model, g, f.values), free_dof,
+                           len(inodes) * m)
     delta = np.random.default_rng(5).standard_normal((len(inodes), m))
 
     def residual(t):
@@ -199,6 +204,22 @@ def test_newton_jacobian_matches_residual_differences(name, m, fn):
     fd = (residual(h) - residual(-h)) / (2 * h)
     jd = (J @ delta.ravel()).reshape(fd.shape)
     assert np.max(np.abs(jd - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("name,m", [("harmonic", 1), ("nambu", 4)])
+def test_gradient_matches_add_at_accumulation_bitwise(name, m):
+    """Each corner pass touches a node through at most one cell, so plain
+    fancy-index addition accumulates exactly what ``np.add.at`` does."""
+    model = get_lagrangian(name, m)
+    g = Grid.disc_mask(19, 23)
+    f = GridField.from_function(g, near_flat_sheet(0.1) if m == 4 else
+                                lambda x, y: np.array([np.sin(3 * x) * y]), m)
+    ref = np.zeros((g.nx, g.ny, m))
+    G = grid_module._cell_gradients(model, g, f.values)
+    for ni, nj, contrib in grid_module._corner_coefficients(g, G, m):
+        np.add.at(ref, (ni, nj), contrib)
+    grad = discrete_action_gradient(model, f)
+    assert np.array_equal(grad.view(np.int64), ref.view(np.int64))
 
 
 def test_el_residual_is_interior_gradient_block():
@@ -528,14 +549,26 @@ def test_definite_newton_systems_keep_the_diagonal_pivot_trial(
 
 
 def _record_newton_matrices(monkeypatch):
-    """Wrap the Newton matrix assembly and factorization; returns the lists
-    of assembled matrices and of ``_factor_jacobian`` results."""
-    assembled, factored = [], []
-    assemble, factor = grid_module._assemble_jacobian, grid_module._factor_jacobian
+    """Wrap the Newton matrix builds and the factorization; returns the list
+    of Newton matrices, the list of COO assemblies of the same element
+    blocks (the first matrix itself for the first step) and the list of
+    ``_factor_jacobian`` results."""
+    assembled, coo, factored, layout = [], [], [], []
+    assemble, fill = grid_module._assemble_jacobian, grid_module._fill_jacobian
+    factor = grid_module._factor_jacobian
 
-    def recording_assemble(*args):
-        J = assemble(*args)
+    def recording_assemble(grid, blocks, free_dof, nfree):
+        J = assemble(grid, blocks, free_dof, nfree)
+        layout[:] = grid, free_dof, nfree
         assembled.append(J)
+        coo.append(J)
+        return J
+
+    def recording_fill(plan, blocks):
+        J = fill(plan, blocks)
+        grid, free_dof, nfree = layout
+        assembled.append(J)
+        coo.append(assemble(grid, blocks, free_dof, nfree))
         return J
 
     def recording_factor(J, fallback):
@@ -544,8 +577,9 @@ def _record_newton_matrices(monkeypatch):
         return out
 
     monkeypatch.setattr(grid_module, "_assemble_jacobian", recording_assemble)
+    monkeypatch.setattr(grid_module, "_fill_jacobian", recording_fill)
     monkeypatch.setattr(grid_module, "_factor_jacobian", recording_factor)
-    return assembled, factored
+    return assembled, coo, factored
 
 
 def _same_bits(A, B):
@@ -556,12 +590,17 @@ def _same_bits(A, B):
             and np.array_equal(A.data.view(np.int64), B.data.view(np.int64)))
 
 
-def _check_fallback_reuse(calls, assembled, factored, first):
-    """Step ``first`` of the solve is its first fallback and every later
-    step reuses that fallback's column order: it factors ``J_asm[:, cols]``
-    (stored zeros included) in its natural order, and its factors, row
-    pivots and step are bitwise those of a fresh ``MMD_ATA`` factorization
-    of the assembled matrix."""
+def _check_fallback_reuse(calls, assembled, coo, factored, first):
+    """Every Newton matrix after the first is filled from the solve's plan,
+    bit for bit the COO assembly of its element blocks, stored zeros
+    included.  Step ``first`` of the solve is its first fallback and every
+    later step reuses that fallback's column order: it factors
+    ``J_asm[:, cols]`` (stored zeros included) in its natural order, and its
+    factors, row pivots and step are bitwise those of a fresh ``MMD_ATA``
+    factorization of the assembled matrix."""
+    assert coo[0] is assembled[0]
+    for J_asm, ref in zip(assembled[1:], coo[1:], strict=True):
+        assert J_asm is not ref and _same_bits(J_asm, ref)
     fallbacks = calls[len(calls) - len(assembled) + first:]
     assert [spec for _, spec, _ in fallbacks] == (
         ["MMD_ATA"] + ["NATURAL"] * (len(assembled) - first - 1))
@@ -591,13 +630,41 @@ def _check_fallback_reuse(calls, assembled, factored, first):
         assert np.array_equal(step.view(np.int64), ref.view(np.int64))
 
 
+@pytest.mark.parametrize("name,m,grid,fn", [
+    ("harmonic", 1, Grid.disc_mask(19, 23),
+     lambda x, y: np.array([x * x - y * y + np.sqrt(x + 1)])),
+    ("sigma", 2, Grid.disc_mask(21, 21),
+     lambda x, y: np.array([x * y, np.exp(-x)])),
+    ("sigma", 3, Grid.square(14, 19),
+     lambda x, y: np.array([x, y ** 1.5, np.cosh(x * y)])),
+    ("nambu", 4, Grid.square(17, 17), near_flat_sheet(0.1)),
+], ids=["harmonic-disc-19x23", "sigma-m2-disc-21", "sigma-m3-14x19", "nambu-17"])
+def test_fill_plan_sums_the_blocks_as_the_coo_assembly(name, m, grid, fn):
+    """At a perturbed state (at the bilinear start the summation orders can
+    agree by accident) the plan-filled Newton matrix stores the same
+    structure, stored zeros included, and the same bits as the COO
+    assembly of the same element blocks."""
+    model = get_lagrangian(name, m)
+    inodes, free_dof = _free_dofs(grid, m)
+    nfree = len(inodes) * m
+    values = GridField.from_function(grid, fn, m).values
+    bump = np.random.default_rng(11).standard_normal((len(inodes), m))
+    values[inodes[:, 0], inodes[:, 1]] += 0.01 * bump
+    blocks = _element_blocks(model, grid, values)
+    ref = _assemble_jacobian(grid, blocks, free_dof, nfree)
+    J = _fill_jacobian(_fill_plan(grid, free_dof, nfree, m), blocks)
+    assert J.indptr.dtype == ref.indptr.dtype == np.int32
+    assert J.indices.dtype == ref.indices.dtype == np.int32
+    assert _same_bits(J, ref)
+
+
 def test_string_newton_skips_the_trial_and_factors_with_mmd_ata(monkeypatch):
     """The string's Newton matrix has a negative diagonal, so no diagonal
     pivot trial runs.  The first step factors the matrix as assembled, its
     stored zeros included, with partial pivoting in the MMD(J^T J) order;
     every later step factors the assembled matrix in that column order."""
     calls = _record_factorizations(monkeypatch)
-    assembled, factored = _record_newton_matrices(monkeypatch)
+    assembled, coo, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
                             m=4, tol=1e-10, max_iter=4)
     assert rep.iterations == 4
@@ -606,7 +673,7 @@ def test_string_newton_skips_the_trial_and_factors_with_mmd_ata(monkeypatch):
     assert [len(lu.solves) for _, _, lu in calls] == [1] * rep.iterations
     assert np.all(assembled[0].diagonal() < 0.0)
     assert np.any(assembled[0].data == 0.0)
-    _check_fallback_reuse(calls, assembled, factored, 0)
+    _check_fallback_reuse(calls, assembled, coo, factored, 0)
 
 
 def _double_hump_model():
@@ -627,7 +694,7 @@ def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
     rejected and falls back to MMD_ATA, and every later step reuses that
     fallback's column order without running the trial again."""
     calls = _record_factorizations(monkeypatch)
-    assembled, factored = _record_newton_matrices(monkeypatch)
+    assembled, coo, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(_double_hump_model(), Grid.square(9, 9),
                             lambda x, y: np.array([2.5 + 0.0 * x]), m=1,
                             interior=lambda x, y: np.array([1.0]), max_iter=4)
@@ -638,7 +705,7 @@ def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
     (_, order, cols, fallback) = factored[0]
     assert fallback is None and np.array_equal(order, cols)
     assert len(calls[0][2].solves) == 1 and len(calls[1][2].solves) == 0
-    _check_fallback_reuse(calls, assembled, factored, 1)
+    _check_fallback_reuse(calls, assembled, coo, factored, 1)
 
 
 @pytest.mark.parametrize("name,m,grid,fn,components", [
@@ -663,7 +730,7 @@ def test_definite_newton_step_matches_partial_pivoting(monkeypatch, name, m,
     on the matrix as assembled."""
     splu = scipy.sparse.linalg.splu
     calls = _record_factorizations(monkeypatch)
-    assembled, factored = _record_newton_matrices(monkeypatch)
+    assembled, _, factored = _record_newton_matrices(monkeypatch)
     _solve_with_bc(get_lagrangian(name, m), grid, fn, m)
     (J_asm,), ((_, order, cols, fallback),) = assembled, factored
     (J, spec, lu), = calls
@@ -788,7 +855,8 @@ def test_singular_newton_system_raises():
     model = LagrangianModel(
         m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0 * xs[0]),
         admissible=lambda j: True, name="linear")
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError,
+                       match="Newton system is singular at iteration 0: "):
         _solve_with_bc(model, Grid.square(7, 7), lambda x, y: np.array([x]), m=1)
 
 
@@ -826,8 +894,22 @@ def test_solver_rejects_boundary_mismatch():
     g = Grid.square(9, 9)
     f = GridField.from_function(g, lambda x, y: np.array([x]), m=1)
     bvals = boundary_rows(f) + 0.5
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^initial field does not "
+                       "satisfy the boundary values$"):
         solve_dirichlet(HARM1, g, bvals, f)
+    with pytest.raises(InvalidInputError, match=r"^boundary values have shape "
+                       r"\(32, 2\), expected \(32, 1\)$"):
+        solve_dirichlet(HARM1, g, np.zeros((32, 2)), f)
+    with pytest.raises(InvalidInputError, match="^initial must be a GridField$"):
+        solve_dirichlet(HARM1, g, boundary_rows(f), f.values)
+
+
+def test_solver_rejects_a_lagrangian_that_drops_taylor_numbers():
+    constant = LagrangianModel(m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0),
+                               admissible=lambda j: True, name="constant")
+    with pytest.raises(InvalidInputError,
+                       match="^Lagrangian did not propagate Taylor numbers$"):
+        _solve_with_bc(constant, Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
 
 
 def test_solver_rejects_inadmissible_initial_cell():
@@ -865,15 +947,16 @@ def test_line_search_that_never_regains_admissibility_raises():
 
 
 def test_hessian_pass_names_the_inadmissible_cell():
-    # Collapsing the corner node (8, 8) onto (7, 7) makes the two tangents of
-    # cell (7, 7), the last of 64 and outside the first block of cells,
+    # Collapsing the corner node (16, 16) onto (15, 15) makes the two tangents
+    # of cell (15, 15), the last of 256 and outside the first block of cells,
     # parallel.
-    g = Grid.square(9, 9)
+    assert grid_module._HESSIAN_BLOCK // 12 ** 2 < 255
+    g = Grid.square(17, 17)
     values = GridField.from_function(g, near_flat_sheet(0.1), 4).values
-    values[8, 8] = values[7, 7]
+    values[16, 16] = values[15, 15]
     with pytest.raises(GridDomainError) as exc:
         _cell_hessians(NAMBU, g, values)
-    assert exc.value.cell == (7, 7)
+    assert exc.value.cell == (15, 15)
 
 
 def test_solver_rejects_bad_parameters():
