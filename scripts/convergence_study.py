@@ -58,7 +58,7 @@ def residual_consistency(levels):
             x, y = X[i, j], Y[i, j]
             u = np.exp(x) * np.cos(2 * y)
             uy = -2 * np.exp(x) * np.sin(2 * y)
-            s = SecondJet(Jet([u], [u], [uy]), [u], [uy], [-4 * u])
+            s = SecondJet(Jet([u], [[u], [uy]]), [[[u], [uy]], [[uy], [-4 * u]]])
             want = el_residual_pointwise(model, s)
             worst = max(worst, float(np.max(np.abs(r / area - want))))
         rows.append((n, grid.hx, worst))

@@ -76,9 +76,9 @@ def pointwise_structure(points, seed):
     j = sample_admissible_string_jet(draws=draws)
     ad = legendre(model, j)
     cf = nambu_legendre_closed_form(j)
-    momenta_gap = max_abs(ad.p1 - cf.p1, ad.p2 - cf.p2)
+    momenta_gap = max_abs(ad.p - cf.p)
     rec = nambu_legendre_inverse_closed_form(cf)
-    round_trip = max_abs(rec.qdot1 - j.qdot1, rec.qdot2 - j.qdot2)
+    round_trip = max_abs(rec.qdot - j.qdot)
     w = phase_dynamics_member(model, j, free=np.stack(free, axis=-1))
     dynamics_gap = max_abs(ham_phase_residual(ham, w))
     print("pointwise structure "
@@ -90,10 +90,13 @@ def pointwise_structure(points, seed):
 
 def map_identities(points, seed):
     rng = np.random.default_rng(seed + 1)
-    # per point, a random phase jet's nine blocks and a jet tangent's three
+    # per point 12 draws of 4 normals: a random phase jet's q and p, then
+    # (qdot[j], pdot[j, 0], pdot[j, 1]) for each direction j, and a jet
+    # tangent's dq and dqdot
     x = rng.standard_normal((points, 12, 4)).transpose(1, 2, 0)
-    w = PhaseJet(Phase(*x[0:3]), *x[3:9])
-    v = JetTangent(project_to_jet(w), *x[9:12])
+    d = x[3:9].reshape((2, 3) + x.shape[1:])
+    w = PhaseJet(Phase(x[0], x[1:3]), d[:, 0], d[:, 1:])
+    v = JetTangent(project_to_jet(w), x[9], x[10:12])
     pairing_gap = max_abs(pair_covector(alpha(w), v) - pair_jet(w, kappa(v)))
     both_equal = beta(w) == beta_tilde(w)
     print("\ncanonical maps on the iterated bundles (m = 4):")

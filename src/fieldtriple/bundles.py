@@ -2,21 +2,24 @@
 their prolongations.
 
 A first-order configuration ("jet") of a field u: R^2 -> R^m at a point is
-(q, qdot1, qdot2): the value together with both partial derivatives.  The
-phase space replaces the two velocities by two momentum covectors (q, p1, p2),
-representing the covector-valued density p1.dq (x) dx^2 - p2.dq (x) dx^1;
-that pairing convention is fixed here, and every boundary-term sign in the
-grid solver derives from it.  A phase jet additionally records the x^1- and
-x^2-derivatives of all phase coordinates; it is the pointwise object that
-phase-space field equations constrain.
+(q, qdot): the value together with its partial derivatives, qdot[i] = d_i u
+along x^(i+1).  The phase space replaces the velocities by momentum
+covectors (q, p), p[i] paired with the interior product of d_i with
+dx^1 ^ dx^2, so p represents p[0].dq (x) dx^2 - p[1].dq (x) dx^1; that
+pairing convention is fixed here, and every boundary-term sign in the grid
+solver derives from it.  A phase jet additionally records the derivatives
+of all phase coordinates, qdot and pdot[j, i] = d_j p[i]; it is the
+pointwise object that phase-space field equations constrain.
 
-Two bundles share the same nine blocks but order them differently:
+Two bundles hold the same blocks, a jet and its variation (dq, dqdot), but
+order them differently:
 
 * ``JetTangent``  -- a tangent vector to jet space, flat order
-  (q, qdot1, qdot2, dq, dqdot1, dqdot2): point first, then the variation.
+  (q, qdot[0], qdot[1], dq, dqdot[0], dqdot[1]): point first, then the
+  variation.
 * ``JetVariation`` -- the first-order data of a varied field together with
-  the variation of that data, flat order (q, dq, qdot1, dqdot1, qdot2,
-  dqdot2): each block interleaved with its variation.
+  the variation of that data, flat order (q, dq, qdot[0], dqdot[0],
+  qdot[1], dqdot[1]): each block interleaved with its variation.
 
 ``kappa`` identifies the two.  It is a pure block permutation; no arithmetic
 happens, which is why its round-trip is required to be exact to the bit.
@@ -35,15 +38,18 @@ dq(v).dp(w) - dp(v).dq(w), i.e. omega = dq ^ dp.  The induced isomorphism
 (q, p, -dp, dq).  With this choice ``beta_tilde`` (the composite glued from
 the two factors) reproduces ``beta`` exactly, component for component.
 
-Batches
--------
-Every block has shape (m,) + batch: the m components first, then trailing
-axes that hold many points side by side, as the channels of ``autodiff`` do.
-All blocks of one object, its anchor's included, share one batch shape, and
-a single point has batch shape ().  Every map acts on batches.  The
-pairings reduce over the component axis only: a float for one point, an
-array of the batch shape for a batch, each entry rounded as that point's
-own pairing.  Paired arguments must hold the same batch over one anchor.
+Shapes and batches
+------------------
+The anchor block q has shape (m,) + batch: the m components first, then
+trailing axes that hold many points side by side, as the channels of
+``autodiff`` do.  A block along the direction axis (qdot, p, dqdot, b, psi,
+dp) has shape (2, m) + batch, and pdot has (2, 2, m) + batch; the other
+blocks share q's shape.  All blocks of one object, its anchor's included,
+share one batch shape, and a single point has batch shape ().  Every map
+acts on batches.  The pairings reduce over the direction and component
+axes: a float for one point, an array of the batch shape for a batch, each
+entry rounded as that point's own pairing.  Paired arguments must hold the
+same batch over one anchor.
 """
 
 from __future__ import annotations
@@ -82,12 +88,18 @@ __all__ = [
     "random_phase_tangent",
 ]
 
+# The length of the direction axis: the dimension of the base.
+_N = 2
+
 
 def _as_block(x, shape: tuple | None, name: str) -> np.ndarray:
-    """``x`` as a float block of shape (m,) + batch, m >= 1; ``shape``, when
-    given, is the shape the other blocks of the object already have."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim < 1 or arr.shape[0] < 1:
+    """``x`` as a float block of shape ``shape``; None means an anchor
+    block, of shape (m,) + batch with m >= 1."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except ValueError:  # rows of different lengths
+        raise InvalidInputError(f"block {name} is not a rectangular array") from None
+    if shape is None and (arr.ndim < 1 or arr.shape[0] < 1):
         raise InvalidInputError(
             f"block {name} must have shape (m,) + batch, got shape {arr.shape}")
     if shape is not None and arr.shape != shape:
@@ -96,11 +108,21 @@ def _as_block(x, shape: tuple | None, name: str) -> np.ndarray:
     return arr
 
 
-def _set_blocks(obj, names, shape: tuple | None = None) -> None:
-    for name in names:
-        arr = _as_block(getattr(obj, name), shape, name)
-        shape = arr.shape
+def _set_blocks(obj, shape: tuple | None, **axes: int) -> None:
+    """Check and store the named blocks of ``obj``, each with ``axes[name]``
+    direction axes in front of ``shape``, the anchor's (m,) + batch; None
+    makes the first block the anchor."""
+    for name, k in axes.items():
+        arr = _as_block(getattr(obj, name),
+                        None if shape is None else (_N,) * k + shape, name)
+        shape = arr.shape[k:]
         object.__setattr__(obj, name, arr)
+
+
+def _anchor_shape(anchor, cls, name: str) -> tuple:
+    if not isinstance(anchor, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}")
+    return anchor.q.shape
 
 
 def _same_anchor(a, b, what: str) -> None:
@@ -114,19 +136,31 @@ def _same_anchor(a, b, what: str) -> None:
 
 
 def _pairing(*pairs):
-    """Sum of a.b over the block pairs, reduced over the component axis: a
-    float for one point, an array of the batch shape for a batch.  Each
-    point's components are made contiguous (``.T`` moves them last), so it
-    rounds as ``np.dot`` of its two vectors; a strided axis would not."""
+    """Sum of a.b over the block pairs, in order, reduced over the component
+    axis: a float for one point, an array of the batch shape for a batch.
+    Each point's components are made contiguous (``.T`` moves them last), so
+    it rounds as ``np.dot`` of its two vectors; a strided axis would not."""
     total = sum(np.vecdot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
                 for a, b in pairs).T
     return float(total) if total.ndim == 0 else total
 
 
+def _divergence(w: PhaseJet) -> np.ndarray:
+    """d_1 p[0] + d_2 p[1], the divergence of the momenta of ``w``."""
+    return w.pdot[0, 0] + w.pdot[1, 1]
+
+
 class _BlockValue:
     """Value semantics for the bundle types: two objects are equal exactly
     when they are the same type and every block (and base point) agrees
-    elementwise, with no tolerance."""
+    elementwise, with no tolerance.  The first field of each type is its
+    anchor: q, or the Jet or Phase the other blocks sit over."""
+
+    @property
+    def m(self) -> int:
+        """The number of field components, read off the anchor."""
+        anchor = getattr(self, dataclass_fields(self)[0].name)
+        return anchor.m if isinstance(anchor, _BlockValue) else anchor.shape[0]
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -145,239 +179,177 @@ class _BlockValue:
 
 @dataclass(frozen=True, eq=False)
 class Jet(_BlockValue):
-    """First-order data (value, both partial derivatives) of a field at a point."""
+    """First-order data of a field at a point: the value q and the partial
+    derivatives qdot[i] along x^(i+1)."""
 
     q: np.ndarray
-    qdot1: np.ndarray
-    qdot2: np.ndarray
+    qdot: np.ndarray
 
     def __post_init__(self):
-        _set_blocks(self, ("q", "qdot1", "qdot2"))
-
-    @property
-    def m(self) -> int:
-        return self.q.shape[0]
+        _set_blocks(self, None, q=0, qdot=1)
 
 
 @dataclass(frozen=True, eq=False)
 class Phase(_BlockValue):
-    """Phase-space point: value plus the two momentum covectors.
+    """Phase-space point: value plus the momentum covectors.
 
-    p1 is the momentum density paired with dx^2, p2 the one paired with
-    -dx^1; together they represent p1.dq (x) dx^2 - p2.dq (x) dx^1.
+    p[0] is the momentum density paired with dx^2, p[1] the one paired with
+    -dx^1; together they represent p[0].dq (x) dx^2 - p[1].dq (x) dx^1.
     """
 
     q: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self):
-        _set_blocks(self, ("q", "p1", "p2"))
-
-    @property
-    def m(self) -> int:
-        return self.q.shape[0]
+        _set_blocks(self, None, q=0, p=1)
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseJet(_BlockValue):
-    """Phase-space point with x^1- and x^2-derivatives of all its coordinates.
-
-    ``p1dot2`` reads "derivative of p1 along x^2", and so on.
-    """
+    """Phase-space point with the derivatives of all its coordinates:
+    qdot[j] = d_j q and pdot[j, i] = d_j p[i]."""
 
     base: Phase
-    qdot1: np.ndarray
-    p1dot1: np.ndarray
-    p2dot1: np.ndarray
-    qdot2: np.ndarray
-    p1dot2: np.ndarray
-    p2dot2: np.ndarray
+    qdot: np.ndarray
+    pdot: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.base, Phase):
-            raise InvalidInputError("base must be a Phase")
-        _set_blocks(self, ("qdot1", "p1dot1", "p2dot1", "qdot2", "p1dot2", "p2dot2"),
-                    self.base.q.shape)
-
-    @property
-    def m(self) -> int:
-        return self.base.m
+        _set_blocks(self, _anchor_shape(self.base, Phase, "base"), qdot=1, pdot=2)
 
 
 @dataclass(frozen=True, eq=False)
 class JetTangent(_BlockValue):
     """Tangent vector to jet space at ``jet``: a variation of the first-order
-    data.  Flat coordinate order: (q, qdot1, qdot2, dq, dqdot1, dqdot2)."""
+    data.  Flat coordinate order: (q, qdot[0], qdot[1], dq, dqdot[0],
+    dqdot[1])."""
 
     jet: Jet
     dq: np.ndarray
-    dqdot1: np.ndarray
-    dqdot2: np.ndarray
+    dqdot: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.jet, Jet):
-            raise InvalidInputError("jet must be a Jet")
-        _set_blocks(self, ("dq", "dqdot1", "dqdot2"), self.jet.q.shape)
-
-    @property
-    def m(self) -> int:
-        return self.jet.m
+        _set_blocks(self, _anchor_shape(self.jet, Jet, "jet"), dq=0, dqdot=1)
 
     def flat(self) -> np.ndarray:
-        j = self.jet
-        return np.concatenate([j.q, j.qdot1, j.qdot2, self.dq, self.dqdot1, self.dqdot2])
+        return np.concatenate([self.jet.q, *self.jet.qdot, self.dq, *self.dqdot])
 
 
 @dataclass(frozen=True, eq=False)
 class JetVariation(_BlockValue):
     """First-order data of a field variation: the jet of the varied field
     interleaved with the variation of each block.  Flat coordinate order:
-    (q, dq, qdot1, dqdot1, qdot2, dqdot2).  Same stored blocks as
+    (q, dq, qdot[0], dqdot[0], qdot[1], dqdot[1]).  Same stored blocks as
     JetTangent; only the flat order differs."""
 
     jet: Jet
     dq: np.ndarray
-    dqdot1: np.ndarray
-    dqdot2: np.ndarray
+    dqdot: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.jet, Jet):
-            raise InvalidInputError("jet must be a Jet")
-        _set_blocks(self, ("dq", "dqdot1", "dqdot2"), self.jet.q.shape)
-
-    @property
-    def m(self) -> int:
-        return self.jet.m
+        _set_blocks(self, _anchor_shape(self.jet, Jet, "jet"), dq=0, dqdot=1)
 
     def flat(self) -> np.ndarray:
-        j = self.jet
-        return np.concatenate([j.q, self.dq, j.qdot1, self.dqdot1, j.qdot2, self.dqdot2])
+        pairs = zip(self.jet.qdot, self.dqdot)
+        return np.concatenate([self.jet.q, self.dq, *(x for p in pairs for x in p)])
 
 
 @dataclass(frozen=True, eq=False)
 class JetCovector(_BlockValue):
     """Covector on jet space at ``jet``; pairs with the variation blocks as
-    a.dq + b1.dqdot1 + b2.dqdot2."""
+    a.dq + b[0].dqdot[0] + b[1].dqdot[1]."""
 
     jet: Jet
     a: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.jet, Jet):
-            raise InvalidInputError("jet must be a Jet")
-        _set_blocks(self, ("a", "b1", "b2"), self.jet.q.shape)
-
-    @property
-    def m(self) -> int:
-        return self.jet.m
+        _set_blocks(self, _anchor_shape(self.jet, Jet, "jet"), a=0, b=1)
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseCovector(_BlockValue):
     """Covector on phase space at ``phase``; pairs with a PhaseTangent as
-    phi.dq + psi1.dp1 + psi2.dp2."""
+    phi.dq + psi[0].dp[0] + psi[1].dp[1]."""
 
     phase: Phase
     phi: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
+    psi: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.phase, Phase):
-            raise InvalidInputError("phase must be a Phase")
-        _set_blocks(self, ("phi", "psi1", "psi2"), self.phase.q.shape)
-
-    @property
-    def m(self) -> int:
-        return self.phase.m
+        _set_blocks(self, _anchor_shape(self.phase, Phase, "phase"), phi=0, psi=1)
 
 
 @dataclass(frozen=True, eq=False)
 class PhaseTangent(_BlockValue):
-    """Tangent vector to phase space at ``phase``."""
+    """Tangent vector (dq, dp) to phase space at ``phase``."""
 
     phase: Phase
     dq: np.ndarray
-    dp1: np.ndarray
-    dp2: np.ndarray
+    dp: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.phase, Phase):
-            raise InvalidInputError("phase must be a Phase")
-        _set_blocks(self, ("dq", "dp1", "dp2"), self.phase.q.shape)
-
-    @property
-    def m(self) -> int:
-        return self.phase.m
+        _set_blocks(self, _anchor_shape(self.phase, Phase, "phase"), dq=0, dp=1)
 
 
 def kappa(v: JetTangent) -> JetVariation:
     """Exchange "variation of first-order data" for "first-order data of a
     variation".
 
-    Flat coordinates map (q, qdot1, qdot2, dq, dqdot1, dqdot2) to
-    (q, dq, qdot1, dqdot1, qdot2, dqdot2): a pure block permutation.  The
-    stored arrays pass through untouched, so the round-trip with
+    Flat coordinates map (q, qdot[0], qdot[1], dq, dqdot[0], dqdot[1]) to
+    (q, dq, qdot[0], dqdot[0], qdot[1], dqdot[1]): a pure block permutation.
+    The stored arrays pass through untouched, so the round-trip with
     ``kappa_inv`` is exact to the bit.
     """
-    return JetVariation(jet=v.jet, dq=v.dq, dqdot1=v.dqdot1, dqdot2=v.dqdot2)
+    return JetVariation(jet=v.jet, dq=v.dq, dqdot=v.dqdot)
 
 
 def kappa_inv(w: JetVariation) -> JetTangent:
     """Inverse of ``kappa``; also a pure block relabelling."""
-    return JetTangent(jet=w.jet, dq=w.dq, dqdot1=w.dqdot1, dqdot2=w.dqdot2)
+    return JetTangent(jet=w.jet, dq=w.dq, dqdot=w.dqdot)
 
 
 def pair_jet(w: PhaseJet, dv: JetVariation):
     """Evaluation pairing of a phase jet against the jet of a variation.
 
-    pair_jet(w, dv) = (p1dot1 + p2dot2).dq + p1.dqdot1 + p2.dqdot2.
+    pair_jet(w, dv) = (d_1 p[0] + d_2 p[1]).dq + sum_i p[i].dqdot[i].
 
     Both arguments must sit over the same Jet (exact block equality).
     """
     _same_anchor(project_to_jet(w), dv.jet, "phase jet and variation")
-    return _pairing((w.p1dot1 + w.p2dot2, dv.dq), (w.base.p1, dv.dqdot1),
-                    (w.base.p2, dv.dqdot2))
+    return _pairing((_divergence(w), dv.dq), *zip(w.base.p, dv.dqdot))
 
 
 def pair_covector(c: JetCovector, v: JetTangent):
-    """Canonical pairing <c, v> = a.dq + b1.dqdot1 + b2.dqdot2 (same jet required)."""
+    """Canonical pairing <c, v> = a.dq + sum_i b[i].dqdot[i] (same jet
+    required)."""
     _same_anchor(c.jet, v.jet, "covector and tangent")
-    return _pairing((c.a, v.dq), (c.b1, v.dqdot1), (c.b2, v.dqdot2))
+    return _pairing((c.a, v.dq), *zip(c.b, v.dqdot))
 
 
 def pair_phase_covector(c: PhaseCovector, u: PhaseTangent):
-    """Canonical pairing <c, u> = phi.dq + psi1.dp1 + psi2.dp2 (same phase required)."""
+    """Canonical pairing <c, u> = phi.dq + sum_i psi[i].dp[i] (same phase
+    required)."""
     _same_anchor(c.phase, u.phase, "covector and tangent")
-    return _pairing((c.phi, u.dq), (c.psi1, u.dp1), (c.psi2, u.dp2))
+    return _pairing((c.phi, u.dq), *zip(c.psi, u.dp))
 
 
 def alpha(w: PhaseJet) -> JetCovector:
     """Covector on jet space induced by a phase jet.
 
     Defined by <alpha(w), v> = pair_jet(w, kappa(v)) for every jet tangent v
-    over the same jet; in coordinates a = p1dot1 + p2dot2, b1 = p1, b2 = p2.
+    over the same jet; in coordinates a = d_1 p[0] + d_2 p[1], b = p.
     """
-    return JetCovector(jet=project_to_jet(w),
-                       a=w.p1dot1 + w.p2dot2,
-                       b1=w.base.p1,
-                       b2=w.base.p2)
+    return JetCovector(jet=project_to_jet(w), a=_divergence(w), b=w.base.p)
 
 
 def beta(w: PhaseJet) -> PhaseCovector:
     """Covector on phase space induced by a phase jet.
 
-    In coordinates phi = -(p1dot1 + p2dot2), psi1 = qdot1, psi2 = qdot2.
+    In coordinates phi = -(d_1 p[0] + d_2 p[1]), psi = qdot.
     Satisfies <beta(w), u> = omega2_pair(w, u) for every phase tangent u,
     and coincides exactly with the factor-glued construction ``beta_tilde``.
     """
-    return PhaseCovector(phase=w.base,
-                         phi=-(w.p1dot1 + w.p2dot2),
-                         psi1=w.qdot1,
-                         psi2=w.qdot2)
+    return PhaseCovector(phase=w.base, phi=-_divergence(w), psi=w.qdot)
 
 
 def beta_m(q, p, dq, dp):
@@ -397,41 +369,38 @@ def beta_m(q, p, dq, dp):
 def beta_tilde(w: PhaseJet) -> PhaseCovector:
     """``beta`` rebuilt from the single-factor isomorphism ``beta_m``.
 
-    The phase jet is split into the two factor tangents (q, p1, qdot1,
-    p1dot1) and (q, p2, qdot2, p2dot2), discarding the cross derivatives,
-    which the factor maps never see.  Each factor passes through ``beta_m``;
-    the factor covectors are then glued back over the product: the dq-blocks
-    add, the dp-blocks stay separate.  Agrees with ``beta`` exactly.
+    The phase jet is split into the factor tangents (q, p[i], qdot[i],
+    pdot[i, i]), discarding the cross derivatives, which the factor maps
+    never see.  Each factor passes through ``beta_m``; the factor covectors
+    are then glued back over the product: the dq-blocks add, the dp-blocks
+    stay separate.  Agrees with ``beta`` exactly.
     """
-    q1, p1, a1, b1 = beta_m(w.base.q, w.base.p1, w.qdot1, w.p1dot1)
-    q2, p2, a2, b2 = beta_m(w.base.q, w.base.p2, w.qdot2, w.p2dot2)
-    return PhaseCovector(phase=Phase(q=q1, p1=p1, p2=p2),
-                         phi=a1 + a2,
-                         psi1=b1,
-                         psi2=b2)
+    q, p, a, b = zip(*(beta_m(w.base.q, w.base.p[i], w.qdot[i], w.pdot[i, i])
+                       for i in range(_N)))
+    return PhaseCovector(phase=Phase(q=q[0], p=np.stack(p)),
+                         phi=a[0] + a[1], psi=np.stack(b))
 
 
 def omega2_pair(w: PhaseJet, u: PhaseTangent):
     """Pairing of a phase jet with a phase tangent through the bi-form
-    structure: qdot1.dp1 + qdot2.dp2 - (p1dot1 + p2dot2).dq.
+    structure: sum_i qdot[i].dp[i] - (d_1 p[0] + d_2 p[1]).dq.
     Both arguments must sit over the same phase point."""
     _same_anchor(w.base, u.phase, "phase jet and tangent")
-    return (_pairing((w.qdot1, u.dp1), (w.qdot2, u.dp2))
-            - _pairing((w.p1dot1 + w.p2dot2, u.dq)))
+    return _pairing(*zip(w.qdot, u.dp)) - _pairing((_divergence(w), u.dq))
 
 
 def project_to_jet(x) -> Jet:
     """Project onto jet space.
 
-    JetCovector -> its anchor jet; PhaseJet -> (q, qdot1, qdot2);
-    PhaseCovector -> (q, psi1, psi2), the jet-space leg of phase covectors.
+    JetCovector -> its anchor jet; PhaseJet -> (q, qdot);
+    PhaseCovector -> (q, psi), the jet-space leg of phase covectors.
     """
     if isinstance(x, JetCovector):
         return x.jet
     if isinstance(x, PhaseJet):
-        return Jet(q=x.base.q, qdot1=x.qdot1, qdot2=x.qdot2)
+        return Jet(q=x.base.q, qdot=x.qdot)
     if isinstance(x, PhaseCovector):
-        return Jet(q=x.phase.q, qdot1=x.psi1, qdot2=x.psi2)
+        return Jet(q=x.phase.q, qdot=x.psi)
     raise InvalidInputError(f"cannot project {type(x).__name__} to a Jet")
 
 
@@ -439,38 +408,33 @@ def project_to_phase(x) -> Phase:
     """Project onto phase space.
 
     PhaseCovector -> its anchor phase; PhaseJet -> its base;
-    JetCovector -> (q, b1, b2), the phase-space leg of jet covectors.
+    JetCovector -> (q, b), the phase-space leg of jet covectors.
     """
     if isinstance(x, PhaseCovector):
         return x.phase
     if isinstance(x, PhaseJet):
         return x.base
     if isinstance(x, JetCovector):
-        return Phase(q=x.jet.q, p1=x.b1, p2=x.b2)
+        return Phase(q=x.jet.q, p=x.b)
     raise InvalidInputError(f"cannot project {type(x).__name__} to a Phase")
 
 
 def random_jet(rng: np.random.Generator, m: int) -> Jet:
-    return Jet(q=rng.standard_normal(m), qdot1=rng.standard_normal(m),
-               qdot2=rng.standard_normal(m))
+    return Jet(q=rng.standard_normal(m), qdot=rng.standard_normal((_N, m)))
 
 
 def random_phase(rng: np.random.Generator, m: int) -> Phase:
-    return Phase(q=rng.standard_normal(m), p1=rng.standard_normal(m),
-                 p2=rng.standard_normal(m))
+    return Phase(q=rng.standard_normal(m), p=rng.standard_normal((_N, m)))
 
 
 def random_phase_jet(rng: np.random.Generator, m: int,
                      base: Phase | None = None) -> PhaseJet:
+    """Direction-major draws after the base: (qdot[j], pdot[j, 0],
+    pdot[j, 1]) for each direction j."""
     if base is None:
         base = random_phase(rng, m)
-    return PhaseJet(base=base,
-                    qdot1=rng.standard_normal(m),
-                    p1dot1=rng.standard_normal(m),
-                    p2dot1=rng.standard_normal(m),
-                    qdot2=rng.standard_normal(m),
-                    p1dot2=rng.standard_normal(m),
-                    p2dot2=rng.standard_normal(m))
+    x = rng.standard_normal((_N, 1 + _N, m))
+    return PhaseJet(base=base, qdot=x[:, 0], pdot=x[:, 1:])
 
 
 def random_jet_tangent(rng: np.random.Generator, m: int,
@@ -478,11 +442,11 @@ def random_jet_tangent(rng: np.random.Generator, m: int,
     if jet is None:
         jet = random_jet(rng, m)
     return JetTangent(jet=jet, dq=rng.standard_normal(m),
-                      dqdot1=rng.standard_normal(m), dqdot2=rng.standard_normal(m))
+                      dqdot=rng.standard_normal((_N, m)))
 
 
 def random_phase_tangent(rng: np.random.Generator,
                          phase: Phase) -> PhaseTangent:
     m = phase.m
     return PhaseTangent(phase=phase, dq=rng.standard_normal(m),
-                        dp1=rng.standard_normal(m), dp2=rng.standard_normal(m))
+                        dp=rng.standard_normal((_N, m)))

@@ -257,7 +257,7 @@ def _parse_rows(rows: list[str], m: int) -> np.ndarray:
 def write_momentum_csv(path: str, grid: Grid, mom: GridMomentum) -> None:
     """Momentum CSV: cell_i,cell_j,p1_*,p2_* rows over active cells; each
     cell index is formatted once."""
-    m = mom.p1.shape[2]
+    m = mom.m
     cells = grid.active_cells
     ci, cj = cells[:, 0], cells[:, 1]
     label = [f"{k}," for k in range(max(grid.nx, grid.ny))]
@@ -336,12 +336,14 @@ def _run_check_maps(cfg: RunConfig) -> dict:
     omega_max = 0.0
     beta_equal = True
     for m in dims:
-        # Per point, a phase jet's nine blocks of m normals, a jet tangent's
-        # three and a phase tangent's three: the stream of 15 m-normal calls.
+        # Per point 15 draws of m normals: a phase jet's q and p, then
+        # (qdot[j], pdot[j, 0], pdot[j, 1]) for each direction j, a jet
+        # tangent's dq and dqdot, and a phase tangent's dq and dp.
         x = rng.standard_normal((cfg.points, 15, m)).transpose(1, 2, 0)
-        w = PhaseJet(Phase(*x[0:3]), *x[3:9])
-        v = JetTangent(project_to_jet(w), *x[9:12])
-        u = PhaseTangent(project_to_phase(w), *x[12:15])
+        d = x[3:9].reshape((2, 3) + x.shape[1:])
+        w = PhaseJet(Phase(x[0], x[1:3]), d[:, 0], d[:, 1:])
+        v = JetTangent(project_to_jet(w), x[9], x[10:12])
+        u = PhaseTangent(project_to_phase(w), x[12], x[13:15])
         gap = pair_covector(alpha(w), v) - pair_jet(w, kappa(v))
         alpha_max = max(alpha_max, _max_abs(gap))
         gap2 = pair_phase_covector(beta(w), u) - omega2_pair(w, u)
@@ -363,7 +365,7 @@ def _run_check_maps(cfg: RunConfig) -> dict:
 
 def _draw(model, rng: np.random.Generator):
     """One point's draws for ``_build``: the string samplers' per-point
-    draw, or the three blocks of m normals of a random point."""
+    draw, or 3m normals, the q and the two direction blocks of a point."""
     if model.name == "nambu":
         return draw_string_jet(rng)
     return rng.standard_normal((3, model.m))
@@ -372,7 +374,8 @@ def _draw(model, rng: np.random.Generator):
 def _build(model, draws, cls):
     """One ``cls``, Jet or Phase, holding a point per ``_draw`` result."""
     if model.name != "nambu":
-        return cls(*np.stack(draws, axis=-1))
+        x = np.stack(draws, axis=-1)
+        return cls(x[0], x[1:])
     if cls is Jet:
         return sample_admissible_string_jet(draws=draws)
     return sample_admissible_string_phase(draws=draws)
@@ -391,10 +394,10 @@ def _run_legendre(cfg: RunConfig) -> dict:
                                    for _ in range(cfg.points)])
     j, ph0 = _build(lag, jet_draws, Jet), _build(ham, phase_draws, Phase)
     cov = dH(ham, legendre(lag, j))
-    fwd_max = _max_abs(cov.psi1 - j.qdot1, cov.psi2 - j.qdot2)
+    fwd_max = _max_abs(cov.psi - j.qdot)
     cov0 = dH(ham, ph0)
-    ph1 = legendre(lag, Jet(ph0.q, cov0.psi1, cov0.psi2))
-    inv_max = _max_abs(ph1.p1 - ph0.p1, ph1.p2 - ph0.p2)
+    ph1 = legendre(lag, Jet(ph0.q, cov0.psi))
+    inv_max = _max_abs(ph1.p - ph0.p)
     passed = fwd_max <= tol and inv_max <= tol
     return {
         "command": cfg.command,

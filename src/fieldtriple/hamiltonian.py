@@ -1,19 +1,19 @@
 """Hamiltonian side of the phase dynamics.
 
-A Hamiltonian H(q, p1, p2) generates the phase equations through beta: a
-phase jet w belongs to the Hamiltonian dynamics when beta(w) = dH at the
-base of w, i.e. in coordinates
+A Hamiltonian H(q, p) generates the phase equations through beta: a phase
+jet w belongs to the Hamiltonian dynamics when beta(w) = dH at the base of
+w, i.e. in coordinates
 
-    -(p1dot1 + p2dot2) = dH/dq,   qdot1 = dH/dp1,   qdot2 = dH/dp2.
+    -(d_1 p[0] + d_2 p[1]) = dH/dq,   qdot[i] = dH/dp[i].
 
 Like the Lagrangian relation, this is membership in a subset, represented by
 the residual functional ``ham_phase_residual``.
 
 ``hamiltonian_from_lagrangian`` builds H as the pointwise Legendre transform
-H(q, p1, p2) = p1.v1 + p2.v2 - L(q, v1, v2), with the velocities recovered
-by Newton inversion of the Legendre map.  Since p = dL/dv at the recovered
+H(q, p) = sum_i p[i].v[i] - L(q, v), with the velocities v recovered by
+Newton inversion of the Legendre map.  Since p = dL/dv at the recovered
 velocities, first derivatives of H do not see dv/dp (the envelope property):
-dH/dp_i = v_i and dH/dq = -dL/dq.  The transformed H therefore supports
+dH/dp[i] = v[i] and dH/dq = -dL/dq.  The transformed H therefore supports
 plain and first-order Taylor evaluation exactly, one point at a time;
 second-order evaluation is refused rather than done wrong -- differentiate
 the Lagrangian side instead -- and so is a batch of points.
@@ -31,8 +31,7 @@ from .autodiff import ScalarField, Taylor
 from .bundles import Jet, Phase, PhaseCovector, PhaseJet, beta
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      SingularJacobianError)
-from .lagrangian import (LagrangianModel, _max_norm_per_point, _member_free, dL,
-                         legendre)
+from .lagrangian import LagrangianModel, _max_norm_per_point, _member_pdot
 
 __all__ = [
     "HamiltonianModel",
@@ -48,9 +47,10 @@ __all__ = [
 class HamiltonianModel:
     """A Hamiltonian with its admissible domain.
 
-    ``H`` has arity 3m over the flattened phase point (q, p1, p2) and must
-    be finite on every admissible Phase.  ``admissible`` takes a Phase, one
-    point or a batch, and says whether every point of it is admissible.
+    ``H`` has arity 3m over the flattened phase point (q, p[0], p[1]), each
+    slot of m entries, and must be finite on every admissible Phase.
+    ``admissible`` takes a Phase, one point or a batch, and says whether
+    every point of it is admissible.
     """
 
     m: int
@@ -67,7 +67,7 @@ class HamiltonianModel:
 
 
 def _flat_phase(ph: Phase) -> np.ndarray:
-    return np.concatenate([ph.q, ph.p1, ph.p2])
+    return np.concatenate([ph.q, *ph.p])
 
 
 def _require_admissible(model: HamiltonianModel, ph: Phase) -> None:
@@ -83,7 +83,7 @@ def dH(model: HamiltonianModel, ph: Phase) -> PhaseCovector:
     _require_admissible(model, ph)
     g = autodiff.grad(model.H, _flat_phase(ph))
     m = model.m
-    return PhaseCovector(phase=ph, phi=g[:m], psi1=g[m:2 * m], psi2=g[2 * m:])
+    return PhaseCovector(phase=ph, phi=g[:m], psi=g[m:].reshape(ph.p.shape))
 
 
 def ham_phase_residual(model: HamiltonianModel, w: PhaseJet):
@@ -93,32 +93,26 @@ def ham_phase_residual(model: HamiltonianModel, w: PhaseJet):
     holding each point's max-norm."""
     c = dH(model, w.base)
     b = beta(w)
-    return _max_norm_per_point(b.phi - c.phi, b.psi1 - c.psi1, b.psi2 - c.psi2)
+    return _max_norm_per_point(b.phi - c.phi, *(b.psi - c.psi))
 
 
 def ham_dynamics_member(model: HamiltonianModel, ph: Phase,
                         free=None) -> PhaseJet:
     """One member of the Hamiltonian dynamics over the phase point ``ph``.
 
-    The relation fixes qdot1, qdot2 and the combination p1dot1 + p2dot2 =
+    The relation fixes qdot and the divergence pdot[0, 0] + pdot[1, 1] =
     -dH/dq; the split and the cross derivatives are free.  ``free`` holds
-    them as one array of shape (3, m) + batch, rows (split, cross1, cross2),
-    giving p2dot2 = split, p1dot1 = -dH/dq - split, p2dot1 = cross1,
-    p1dot2 = cross2; the default of zeros is the canonical member.
+    them as one array of shape (3, m) + batch, rows (split, cross0, cross1),
+    giving pdot[1, 1] = split, pdot[0, 0] = -dH/dq - split,
+    pdot[0, 1] = cross0, pdot[1, 0] = cross1; the default of zeros is the
+    canonical member.
     """
     c = dH(model, ph)
-    split, cross1, cross2 = _member_free(free, ph.q.shape)
-    return PhaseJet(base=ph,
-                    qdot1=c.psi1,
-                    p1dot1=-c.phi - split,
-                    p2dot1=cross1,
-                    qdot2=c.psi2,
-                    p1dot2=cross2,
-                    p2dot2=split)
+    return PhaseJet(base=ph, qdot=c.psi, pdot=_member_pdot(-c.phi, free, ph.q.shape))
 
 
 def _momenta(model: LagrangianModel, z: np.ndarray) -> np.ndarray:
-    """(dL/dqdot1, dL/dqdot2) at the flattened jet z, as one 2m vector."""
+    """(dL/dqdot[0], dL/dqdot[1]) at the flattened jet z, as one 2m vector."""
     g = autodiff.grad(model.L, z)
     return g[model.m:]
 
@@ -127,8 +121,8 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
                     tol: float = 1e-10, max_iter: int = 50) -> Jet:
     """Invert the Legendre map of ``model`` at the phase point ``ph``.
 
-    Damped Newton iteration on F(v) = momenta(q, v) - (p1, p2) in the 2m
-    velocity unknowns, starting from the admissible ``guess``; the step is
+    Damped Newton iteration on F(v) = momenta(q, v) - p in the 2m velocity
+    unknowns, starting from the admissible ``guess``; the step is
     halved (up to 20 times) whenever the residual fails to decrease or the
     iterate leaves the admissible domain.
     """
@@ -137,11 +131,11 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
     if not model.admissible(guess):
         raise DomainError("inversion guess outside the admissible domain")
     m = model.m
-    target = np.concatenate([ph.p1, ph.p2])
-    v = np.concatenate([guess.qdot1, guess.qdot2])
+    target = np.concatenate(ph.p)
+    v = np.concatenate(guess.qdot)
 
     def jet_of(vv: np.ndarray) -> Jet:
-        return Jet(q=ph.q, qdot1=vv[:m], qdot2=vv[m:])
+        return Jet(q=ph.q, qdot=vv.reshape(ph.p.shape))
 
     z = np.concatenate([ph.q, v])
     F = _momenta(model, z) - target
@@ -179,8 +173,7 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
 
 
 def _default_invert(model: LagrangianModel, ph: Phase) -> Jet:
-    zero = np.zeros(model.m)
-    return legendre_invert(model, ph, Jet(q=ph.q, qdot1=zero, qdot2=zero))
+    return legendre_invert(model, ph, Jet(q=ph.q, qdot=np.zeros(ph.p.shape)))
 
 
 def hamiltonian_from_lagrangian(model: LagrangianModel,
@@ -189,7 +182,7 @@ def hamiltonian_from_lagrangian(model: LagrangianModel,
                                 ) -> HamiltonianModel:
     """Legendre transform of a Lagrangian model.
 
-    H(q, p1, p2) = p1.v1 + p2.v2 - L(q, v1, v2) with the velocities obtained
+    H(q, p) = sum_i p[i].v[i] - L(q, v) with the velocities v obtained
     from ``invert(model, ph) -> Jet``.  H is a pure function of its point.
     The default strategy runs ``legendre_invert`` from zero velocities;
     models whose admissible region excludes zero velocities need a custom
@@ -211,14 +204,15 @@ def hamiltonian_from_lagrangian(model: LagrangianModel,
             raise InvalidInputError(
                 "a transformed Hamiltonian inverts the Legendre map one point "
                 "at a time; evaluate it point by point")
-        j = invert(model, Phase(q=plain[:m], p1=plain[m:2 * m], p2=plain[2 * m:]))
+        j = invert(model, Phase(q=plain[:m], p=plain[m:].reshape(2, m)))
         # The recovered velocities enter as constants: p = dL/dv there, so
-        # their dependence on (q, p) drops out of first derivatives.
+        # their dependence on (q, p) drops out of first derivatives.  The
+        # products add component by component, directions within each.
         acc = 0.0
         for a in range(m):
-            acc = acc + xs[m + a] * j.qdot1[a] + xs[2 * m + a] * j.qdot2[a]
-        largs = list(xs[:m]) + [float(c) for c in j.qdot1] + [float(c) for c in j.qdot2]
-        return acc - model.L(largs)
+            for i, v in enumerate(j.qdot, start=1):
+                acc = acc + xs[i * m + a] * v[a]
+        return acc - model.L(list(xs[:m]) + j.qdot.ravel().tolist())
 
     return HamiltonianModel(m=m, H=ScalarField(arity=3 * m, eval=eval_H),
                             admissible=admissible if admissible is not None

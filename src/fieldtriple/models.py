@@ -8,13 +8,14 @@ metric, so cross-component coupling gets exercised.
 
 The string model ("nambu") lives in 4-dimensional Minkowski space with
 signature (+,-,-,-).  Writing g for the 2x2 Gram matrix of the worldsheet
-tangent vectors v1, v2 under the metric eta,
+tangent vectors v1, v2 (a jet's qdot[0], qdot[1]) under the metric eta,
 
     L(q, v1, v2) = sqrt(-det g),
 
 admissible exactly where det g < 0 (a timelike/spacelike pair).  The
-Legendre map and its inverse have closed forms, implemented here and
-cross-checked against AD in the tests:
+Legendre map and its inverse have closed forms for the momenta p1, p2 (a
+phase point's p[0], p[1]), implemented here and cross-checked against AD in
+the tests:
 
     p1 = [eta(v1,v2) low(v2) - eta(v2,v2) low(v1)] / sqrt(-det g)
     p2 = [eta(v1,v2) low(v1) - eta(v1,v1) low(v2)] / sqrt(-det g)
@@ -127,30 +128,32 @@ MINKOWSKI = MinkowskiMetric()
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric 2x2 Gram matrix; the worldsheet is admissible iff det < 0."""
+    """Symmetric 2x2 Gram matrix, held as its diagonal (g[0][0], g[1][1])
+    and its off-diagonal entry; the worldsheet is admissible iff det < 0."""
 
-    g11: object
-    g12: object
-    g22: object
+    diag: tuple
+    off: object
 
     @property
     def det(self):
-        return self.g11 * self.g22 - self.g12 * self.g12
+        return self.diag[0] * self.diag[1] - self.off * self.off
 
     @property
     def admissible(self) -> bool:
         return bool(np.all(np.asarray(_value(self.det)) < 0.0))
 
     @classmethod
-    def from_velocities(cls, metric: MinkowskiMetric, v1, v2) -> "GramMatrix":
-        return cls(g11=metric.inner(v1, v1), g12=metric.inner(v1, v2),
-                   g22=metric.inner(v2, v2))
+    def from_velocities(cls, metric: MinkowskiMetric, v) -> "GramMatrix":
+        """g[i][j] = eta(v[i], v[j]) for the two tangent vectors v[0], v[1]."""
+        return cls(diag=(metric.inner(v[0], v[0]), metric.inner(v[1], v[1])),
+                   off=metric.inner(v[0], v[1]))
 
     @classmethod
-    def from_momenta(cls, metric: MinkowskiMetric, p1, p2) -> "GramMatrix":
-        return cls(g11=-metric.inner_dual(p2, p2),
-                   g12=metric.inner_dual(p1, p2),
-                   g22=-metric.inner_dual(p1, p1))
+    def from_momenta(cls, metric: MinkowskiMetric, p) -> "GramMatrix":
+        """The dual-side gd of the two momenta p[0], p[1]."""
+        return cls(diag=(-metric.inner_dual(p[1], p[1]),
+                         -metric.inner_dual(p[0], p[0])),
+                   off=metric.inner_dual(p[0], p[1]))
 
 
 def _check_metric(m: int, target_metric) -> np.ndarray:
@@ -214,9 +217,7 @@ def sigma_metric(m: int) -> np.ndarray:
 
 
 def _string_gram_from_slots(xs) -> GramMatrix:
-    v1 = xs[4:8]
-    v2 = xs[8:12]
-    return GramMatrix.from_velocities(MINKOWSKI, v1, v2)
+    return GramMatrix.from_velocities(MINKOWSKI, (xs[4:8], xs[8:12]))
 
 
 def nambu_lagrangian() -> LagrangianModel:
@@ -229,7 +230,7 @@ def nambu_lagrangian() -> LagrangianModel:
         return autodiff.sqrt(-det)
 
     def admissible(j: Jet) -> bool:
-        return GramMatrix.from_velocities(MINKOWSKI, j.qdot1, j.qdot2).admissible
+        return GramMatrix.from_velocities(MINKOWSKI, j.qdot).admissible
 
     return LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L),
                            admissible=admissible, name="nambu")
@@ -240,7 +241,7 @@ def nambu_legendre_closed_form(j: Jet) -> Phase:
     per point of a batch: each point rounds as it would alone."""
     if j.m != 4:
         raise InvalidParameterError(f"string model needs m=4, got m={j.m}")
-    v1, v2 = j.qdot1, j.qdot2
+    v1, v2 = j.qdot
     A = MINKOWSKI.inner(v1, v1)
     B = MINKOWSKI.inner(v1, v2)
     C = MINKOWSKI.inner(v2, v2)
@@ -249,7 +250,7 @@ def nambu_legendre_closed_form(j: Jet) -> Phase:
     s = np.sqrt(-det)
     w1 = MINKOWSKI.lower(v1)
     w2 = MINKOWSKI.lower(v2)
-    return Phase(q=j.q, p1=(B * w2 - C * w1) / s, p2=(B * w1 - A * w2) / s)
+    return Phase(q=j.q, p=np.array([(B * w2 - C * w1) / s, (B * w1 - A * w2) / s]))
 
 
 def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
@@ -262,7 +263,7 @@ def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
     """
     if ph.m != 4:
         raise InvalidParameterError(f"string model needs m=4, got m={ph.m}")
-    p1, p2 = ph.p1, ph.p2
+    p1, p2 = ph.p
     P11 = MINKOWSKI.inner_dual(p1, p1)
     P12 = MINKOWSKI.inner_dual(p1, p2)
     P22 = MINKOWSKI.inner_dual(p2, p2)
@@ -271,8 +272,8 @@ def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
     s = np.sqrt(-det_d)
     r1 = MINKOWSKI.raise_(p1)
     r2 = MINKOWSKI.raise_(p2)
-    return Jet(q=ph.q, qdot1=(P12 * r2 - P22 * r1) / s,
-               qdot2=(P12 * r1 - P11 * r2) / s)
+    return Jet(q=ph.q, qdot=np.array([(P12 * r2 - P22 * r1) / s,
+                                      (P12 * r1 - P11 * r2) / s]))
 
 
 _DUAL_DET_MARGIN = 1e-8
@@ -288,15 +289,12 @@ def nambu_hamiltonian() -> HamiltonianModel:
     """
 
     def eval_H(xs):
-        p1 = xs[4:8]
-        p2 = xs[8:12]
-        g = GramMatrix.from_momenta(MINKOWSKI, p1, p2)
-        det = g.det
+        det = GramMatrix.from_momenta(MINKOWSKI, (xs[4:8], xs[8:12])).det
         _require_negative(det, "dual-side Gram determinant")
         return autodiff.sqrt(-det)
 
     def admissible(ph: Phase) -> bool:
-        g = GramMatrix.from_momenta(MINKOWSKI, ph.p1, ph.p2)
+        g = GramMatrix.from_momenta(MINKOWSKI, ph.p)
         return bool(np.all(_value(g.det) < -_DUAL_DET_MARGIN))
 
     return HamiltonianModel(m=4, H=ScalarField(arity=12, eval=eval_H),
@@ -335,9 +333,9 @@ def sample_admissible_string_jet(rng: np.random.Generator | None = None, *,
     u, d, r, q = (np.array(x) for x in zip(*draws))
     u /= np.sqrt(np.vecdot(u, u))[:, None]
     d /= np.sqrt(np.vecdot(d, d))[:, None]
-    blocks = (q.T, np.concatenate([np.ones((1, len(r))), 0.5 * u.T]),
-              np.concatenate([np.zeros((1, len(r))), r * d.T]))
-    return Jet(*(b[:, 0] if single else b for b in blocks))
+    qdot = np.array([np.concatenate([np.ones((1, len(r))), 0.5 * u.T]),
+                     np.concatenate([np.zeros((1, len(r))), r * d.T])])
+    return Jet(q[0], qdot[..., 0]) if single else Jet(q.T, qdot)
 
 
 def sample_admissible_string_phase(rng: np.random.Generator | None = None, *,

@@ -90,12 +90,14 @@ def test_criterion_1_canonical_map_identities():
     omega_max = 0.0
     gaps = []
     for m in (1, 2, 4):
-        # Per point, a phase jet's nine blocks of m normals, a jet tangent's
-        # three and a phase tangent's three: the stream of 15 m-normal calls.
+        # Per point 15 draws of m normals: a phase jet's q and p, then
+        # (qdot[j], pdot[j, 0], pdot[j, 1]) for each direction j, a jet
+        # tangent's dq and dqdot, and a phase tangent's dq and dp.
         x = rng.standard_normal((1000, 15, m)).transpose(1, 2, 0)
-        w = PhaseJet(Phase(*x[0:3]), *x[3:9])
-        v = JetTangent(project_to_jet(w), *x[9:12])
-        u = PhaseTangent(project_to_phase(w), *x[12:15])
+        d = x[3:9].reshape((2, 3) + x.shape[1:])
+        w = PhaseJet(Phase(x[0], x[1:3]), d[:, 0], d[:, 1:])
+        v = JetTangent(project_to_jet(w), x[9], x[10:12])
+        u = PhaseTangent(project_to_phase(w), x[12], x[13:15])
         alpha_gap = pair_covector(alpha(w), v) - pair_jet(w, kappa(v))
         omega_gap = pair_phase_covector(beta(w), u) - omega2_pair(w, u)
         assert beta(w) == beta_tilde(w)
@@ -129,7 +131,7 @@ def test_criterion_2_derivatives_match_finite_differences():
         for _ in range(100):
             if name == "nambu":
                 j = sample_admissible_string_jet(rng)
-                flat = np.concatenate([j.q, j.qdot1, j.qdot2])
+                flat = np.concatenate([j.q, *j.qdot])
             else:
                 flat = rng.standard_normal(3 * model.m)
             g = autodiff.grad(model.L, flat)
@@ -156,12 +158,12 @@ def test_criterion_3_string_legendre_structure():
         ad = legendre(model, j)
         cf = nambu_legendre_closed_form(j)
         momenta_gap = max(momenta_gap,
-                          float(np.max(np.abs(ad.p1 - cf.p1))),
-                          float(np.max(np.abs(ad.p2 - cf.p2))))
+                          float(np.max(np.abs(ad.p[0] - cf.p[0]))),
+                          float(np.max(np.abs(ad.p[1] - cf.p[1]))))
         rec = nambu_legendre_inverse_closed_form(cf)
         round_trip = max(round_trip,
-                         float(np.max(np.abs(rec.qdot1 - j.qdot1))),
-                         float(np.max(np.abs(rec.qdot2 - j.qdot2))))
+                         float(np.max(np.abs(rec.qdot[0] - j.qdot[0]))),
+                         float(np.max(np.abs(rec.qdot[1] - j.qdot[1]))))
     assert momenta_gap <= 1e-10
     assert round_trip <= 1e-9
 
@@ -178,11 +180,11 @@ def test_criterion_3_string_legendre_structure():
     residual_gap = 0.0
     for _ in range(200):
         ph = sample_admissible_string_phase(rng)
-        flat = np.concatenate([ph.q, ph.p1, ph.p2])
+        flat = np.concatenate([ph.q, *ph.p])
         h_lt = lt.H.eval(flat)
         h_cf = ham.H.eval(flat)
         lt_gap = max(lt_gap, abs(h_lt - h_cf))
-        det = GramMatrix.from_momenta(MINKOWSKI, ph.p1, ph.p2).det
+        det = GramMatrix.from_momenta(MINKOWSKI, ph.p).det
         square_gap = max(square_gap, abs(h_cf * h_cf + det))
         assert h_cf > 0.0
 

@@ -174,7 +174,7 @@ def test_hessian_mixed_symmetry():
     model = nambu_lagrangian()
     for _ in range(10):
         j = sample_admissible_string_jet(rng)
-        x = np.concatenate([j.q, j.qdot1, j.qdot2])
+        x = np.concatenate([j.q, *j.qdot])
         i, k = rng.integers(0, 12, size=2)
         a = hessian_mixed(model.L, x, int(i), int(k))
         b = hessian_mixed(model.L, x, int(k), int(i))
@@ -185,7 +185,7 @@ def test_hessian_mixed_matches_fd_on_nambu():
     rng = np.random.default_rng(8)
     model = nambu_lagrangian()
     j = sample_admissible_string_jet(rng)
-    x = np.concatenate([j.q, j.qdot1, j.qdot2])
+    x = np.concatenate([j.q, *j.qdot])
 
     def fd_column(k, h=1e-4):
         xp, xm = x.copy(), x.copy()
@@ -205,7 +205,7 @@ def test_full_hessian_is_symmetric_matrix():
     model = nambu_lagrangian()
     rng = np.random.default_rng(4)
     j = sample_admissible_string_jet(rng)
-    x = np.concatenate([j.q, j.qdot1, j.qdot2])
+    x = np.concatenate([j.q, *j.qdot])
     H = hessian(model.L, x)
     assert H.shape == (12, 12)
     assert np.max(np.abs(H - H.T)) <= 1e-12
@@ -243,7 +243,7 @@ def test_grad_vs_fd_on_catalog_models(name, m):
     for _ in range(25):
         if name == "nambu":
             j = sample_admissible_string_jet(rng)
-            x = np.concatenate([j.q, j.qdot1, j.qdot2])
+            x = np.concatenate([j.q, *j.qdot])
         else:
             x = rng.standard_normal(3 * m)
         g = grad(model.L, x)

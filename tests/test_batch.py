@@ -77,18 +77,18 @@ def _string_jet(rng):
     d = rng.standard_normal(3)
     d /= np.linalg.norm(d)
     v2 = np.concatenate([[0.0], rng.uniform(0.5, 2.0) * d])
-    return Jet(q=rng.standard_normal(4), qdot1=v1, qdot2=v2)
+    return Jet(q=rng.standard_normal(4), qdot=[v1, v2])
 
 
 def _string_closed_form(j):
-    v1, v2 = j.qdot1, j.qdot2
+    v1, v2 = j.qdot
     A = float(MINKOWSKI.inner(v1, v1))
     B = float(MINKOWSKI.inner(v1, v2))
     C = float(MINKOWSKI.inner(v2, v2))
     s = np.sqrt(-(A * C - B * B))
     w1 = MINKOWSKI.signs * v1
     w2 = MINKOWSKI.signs * v2
-    return Phase(q=j.q, p1=(B * w2 - C * w1) / s, p2=(B * w1 - A * w2) / s)
+    return Phase(q=j.q, p=[(B * w2 - C * w1) / s, (B * w1 - A * w2) / s])
 
 
 def _sample_jet(model, rng):
@@ -115,8 +115,7 @@ def _stack(objs):
 
 def point(x, k):
     """Point k of a batched Jet or Phase."""
-    names = ("q", "qdot1", "qdot2") if isinstance(x, Jet) else ("q", "p1", "p2")
-    return type(x)(*(getattr(x, n)[:, k] for n in names))
+    return type(x)(*(getattr(x, f.name)[..., k] for f in fields(x)))
 
 
 def draws(name, m, seed=11):
@@ -139,8 +138,8 @@ def same_blocks(batched, singles, names):
 @pytest.mark.parametrize("name,m", MODELS)
 def test_batched_grad_matches_per_point_bitwise(name, m):
     lag, ham, j, ph, _, _ = draws(name, m)
-    for f, x in ((lag.L, np.concatenate([j.q, j.qdot1, j.qdot2])),
-                 (ham.H, np.concatenate([ph.q, ph.p1, ph.p2]))):
+    for f, x in ((lag.L, np.concatenate([j.q, *j.qdot])),
+                 (ham.H, np.concatenate([ph.q, *ph.p]))):
         g = autodiff.grad(f, x)
         assert g.shape == x.shape
         ref = np.stack([autodiff.grad(f, x[:, k]) for k in range(N)], axis=-1)
@@ -158,11 +157,11 @@ def test_batched_grad_keeps_every_batch_axis():
 @pytest.mark.parametrize("name,m", MODELS)
 def test_batched_differentials_match_per_point_bitwise(name, m):
     lag, ham, j, ph, _, _ = draws(name, m)
-    same_blocks(dL(lag, j), [dL(lag, point(j, k)) for k in range(N)], ("a", "b1", "b2"))
+    same_blocks(dL(lag, j), [dL(lag, point(j, k)) for k in range(N)], ("a", "b"))
     same_blocks(legendre(lag, j), [legendre(lag, point(j, k)) for k in range(N)],
-                ("q", "p1", "p2"))
+                ("q", "p"))
     same_blocks(dH(ham, ph), [dH(ham, point(ph, k)) for k in range(N)],
-                ("phi", "psi1", "psi2"))
+                ("phi", "psi"))
 
 
 @pytest.mark.parametrize("name,m", MODELS)
@@ -172,10 +171,10 @@ def test_batched_members_and_residuals_match_per_point_bitwise(name, m):
     w_h = ham_dynamics_member(ham, ph, free_h)
     singles_l = [phase_dynamics_member(lag, point(j, k), free_l[..., k]) for k in range(N)]
     singles_h = [ham_dynamics_member(ham, point(ph, k), free_h[..., k]) for k in range(N)]
-    blocks = ("qdot1", "p1dot1", "p2dot1", "qdot2", "p1dot2", "p2dot2")
+    blocks = ("qdot", "pdot")
     same_blocks(w_l, singles_l, blocks)
     same_blocks(w_h, singles_h, blocks)
-    same_blocks(w_l.base, [w.base for w in singles_l], ("q", "p1", "p2"))
+    same_blocks(w_l.base, [w.base for w in singles_l], ("q", "p"))
     for w, singles in ((w_l, singles_l), (w_h, singles_h)):
         for residual, model in ((phase_relation_residual, lag), (ham_phase_residual, ham)):
             r = residual(model, w)
@@ -188,10 +187,10 @@ def test_batched_members_and_residuals_match_per_point_bitwise(name, m):
 def test_default_member_is_canonical_for_a_batch():
     lag, ham, j, ph, _, _ = draws("nambu", None)
     w = phase_dynamics_member(lag, j)
-    assert np.array_equal(w.p1dot1, dL(lag, j).a)
-    assert not np.any(w.p2dot2) and not np.any(w.p2dot1) and not np.any(w.p1dot2)
+    assert np.array_equal(w.pdot[0, 0], dL(lag, j).a)
+    assert not np.any(w.pdot[1, 1]) and not np.any(w.pdot[0, 1]) and not np.any(w.pdot[1, 0])
     w = ham_dynamics_member(ham, ph)
-    assert np.array_equal(w.p1dot1, -dH(ham, ph).phi)
+    assert np.array_equal(w.pdot[0, 0], -dH(ham, ph).phi)
 
 
 def test_member_free_parameters_must_match_the_points():
@@ -204,16 +203,16 @@ def test_member_free_parameters_must_match_the_points():
 
 def test_one_inadmissible_point_fails_the_batch():
     lag, ham, j, ph, _, _ = draws("nambu", None)
-    qdot2 = j.qdot2.copy()
-    qdot2[:, 7] = j.qdot1[:, 7]  # parallel tangents: det g = 0
+    qdot = j.qdot.copy()
+    qdot[1, :, 7] = j.qdot[0, :, 7]  # parallel tangents: det g = 0
     with pytest.raises(DomainError):
-        dL(lag, Jet(j.q, j.qdot1, qdot2))
-    p2 = ph.p2.copy()
-    p2[:, 5] = 2.0 * ph.p1[:, 5]
-    assert ham.admissible(ph) and not ham.admissible(Phase(ph.q, ph.p1, p2))
-    assert lag.admissible(j) and not lag.admissible(Jet(j.q, j.qdot1, qdot2))
+        dL(lag, Jet(j.q, qdot))
+    p = ph.p.copy()
+    p[1, :, 5] = 2.0 * ph.p[0, :, 5]
+    assert ham.admissible(ph) and not ham.admissible(Phase(ph.q, p))
+    assert lag.admissible(j) and not lag.admissible(Jet(j.q, qdot))
     with pytest.raises(DomainError):
-        dH(ham, Phase(ph.q, ph.p1, p2))
+        dH(ham, Phase(ph.q, p))
 
 
 # ---------------------------------------------------------------------------
@@ -222,26 +221,28 @@ def test_one_inadmissible_point_fails_the_batch():
 
 def test_mismatched_batch_shapes_raise():
     a, b = np.zeros((2, 3)), np.zeros((2, 4))
-    with pytest.raises(InvalidInputError):
-        Jet(a, a, b)
-    with pytest.raises(InvalidInputError):
-        Phase(a, a, np.zeros(2))
-    base = Phase(a, a, a)
-    with pytest.raises(InvalidInputError):
-        PhaseJet(base, *([np.zeros(2)] * 6))
-    with pytest.raises(InvalidInputError):
-        JetCovector(Jet(a, a, a), b, b, b)
-    with pytest.raises(InvalidInputError):
-        Jet(np.float64(1.0), np.float64(1.0), np.float64(1.0))
+    aa, bb = np.stack([a, a]), np.stack([b, b])
+    with pytest.raises(InvalidInputError, match="block qdot "):
+        Jet(a, bb)
+    with pytest.raises(InvalidInputError, match="block p "):
+        Phase(a, np.zeros((2, 2)))
+    base = Phase(a, aa)
+    with pytest.raises(InvalidInputError, match="block qdot "):
+        PhaseJet(base, np.zeros((2, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(InvalidInputError, match="block a "):
+        JetCovector(Jet(a, aa), b, bb)
+    with pytest.raises(InvalidInputError, match="block q "):
+        Jet(np.float64(1.0), np.zeros(2))
 
 
 def _frozen_pairings(w, v, u):
     """The four single-point pairings of w with v and u, as the bundles
     computed them: one np.dot per block pair, summed left to right."""
-    a = w.p1dot1 + w.p2dot2
-    jet = float(np.dot(a, v.dq) + np.dot(w.base.p1, v.dqdot1) + np.dot(w.base.p2, v.dqdot2))
-    phase = float(np.dot(-a, u.dq) + np.dot(w.qdot1, u.dp1) + np.dot(w.qdot2, u.dp2))
-    omega = float(np.dot(w.qdot1, u.dp1) + np.dot(w.qdot2, u.dp2) - np.dot(a, u.dq))
+    a = w.pdot[0, 0] + w.pdot[1, 1]
+    p, qdot, dqdot, dp = w.base.p, w.qdot, v.dqdot, u.dp
+    jet = float(np.dot(a, v.dq) + np.dot(p[0], dqdot[0]) + np.dot(p[1], dqdot[1]))
+    phase = float(np.dot(-a, u.dq) + np.dot(qdot[0], dp[0]) + np.dot(qdot[1], dp[1]))
+    omega = float(np.dot(qdot[0], dp[0]) + np.dot(qdot[1], dp[1]) - np.dot(a, u.dq))
     return {pair_jet: jet, pair_covector: jet, pair_phase_covector: phase,
             omega2_pair: omega}
 
@@ -265,9 +266,9 @@ def test_batched_pairings_match_per_point_bitwise():
             assert all(type(x) is float for x in singles)
             assert np.array_equal(batched, singles), pairing.__name__
             assert singles == [f[pairing] for f in frozen], pairing.__name__
-        for p, dp in (("p1", "p1dot1"), ("p2", "p2dot2")):
-            batched = beta_m(w.base.q, getattr(w.base, p), w.qdot1, getattr(w, dp))
-            singles = [beta_m(x.base.q, getattr(x.base, p), x.qdot1, getattr(x, dp))
+        for i in (0, 1):
+            batched = beta_m(w.base.q, w.base.p[i], w.qdot[0], w.pdot[i, i])
+            singles = [beta_m(x.base.q, x.base.p[i], x.qdot[0], x.pdot[i, i])
                        for x in ws]
             for b, block in zip(batched, zip(*singles)):
                 assert np.array_equal(b, np.stack(block, axis=-1))
@@ -276,39 +277,37 @@ def test_batched_pairings_match_per_point_bitwise():
 
 def test_batched_pairings_check_every_anchor_and_the_batch_shape():
     rng = np.random.default_rng(21)
-    batch = lambda: rng.standard_normal((3, 5))  # noqa: E731
-    w = PhaseJet(Phase(batch(), batch(), batch()), *(batch() for _ in range(6)))
-    v = JetTangent(project_to_jet(w), batch(), batch(), batch())
-    u = PhaseTangent(w.base, batch(), batch(), batch())
+    batch = lambda *lead: rng.standard_normal(lead + (3, 5))  # noqa: E731
+    w = PhaseJet(Phase(batch(), batch(2)), batch(2), batch(2, 2))
+    v = JetTangent(project_to_jet(w), batch(), batch(2))
+    u = PhaseTangent(w.base, batch(), batch(2))
     # one point of the anchor moved by one ulp
     q = w.base.q.copy()
     q[1, 3] = np.nextafter(q[1, 3], np.inf)
-    moved_jet = Jet(q, w.qdot1, w.qdot2)
-    moved_phase = Phase(q, w.base.p1, w.base.p2)
+    moved_jet = Jet(q, w.qdot)
+    moved_phase = Phase(q, w.base.p)
     with pytest.raises(IncompatiblePointsError):
-        pair_jet(w, JetVariation(moved_jet, v.dq, v.dqdot1, v.dqdot2))
+        pair_jet(w, JetVariation(moved_jet, v.dq, v.dqdot))
     with pytest.raises(IncompatiblePointsError):
-        pair_covector(alpha(w), JetTangent(moved_jet, v.dq, v.dqdot1, v.dqdot2))
+        pair_covector(alpha(w), JetTangent(moved_jet, v.dq, v.dqdot))
     with pytest.raises(IncompatiblePointsError):
-        pair_phase_covector(beta(w), PhaseTangent(moved_phase, u.dq, u.dp1, u.dp2))
+        pair_phase_covector(beta(w), PhaseTangent(moved_phase, u.dq, u.dp))
     with pytest.raises(IncompatiblePointsError):
-        omega2_pair(w, PhaseTangent(moved_phase, u.dq, u.dp1, u.dp2))
+        omega2_pair(w, PhaseTangent(moved_phase, u.dq, u.dp))
     # the first four points of the same batch
-    head = lambda x: x[:, :4]  # noqa: E731
-    jet4 = Jet(head(w.base.q), head(w.qdot1), head(w.qdot2))
-    phase4 = Phase(head(w.base.q), head(w.base.p1), head(w.base.p2))
+    head = lambda x: x[..., :4]  # noqa: E731
+    jet4 = Jet(head(w.base.q), head(w.qdot))
+    phase4 = Phase(head(w.base.q), head(w.base.p))
     with pytest.raises(InvalidInputError):
-        pair_jet(w, JetVariation(jet4, head(v.dq), head(v.dqdot1), head(v.dqdot2)))
+        pair_jet(w, JetVariation(jet4, head(v.dq), head(v.dqdot)))
     with pytest.raises(InvalidInputError):
-        pair_covector(alpha(w), JetTangent(jet4, head(v.dq), head(v.dqdot1),
-                                           head(v.dqdot2)))
+        pair_covector(alpha(w), JetTangent(jet4, head(v.dq), head(v.dqdot)))
     with pytest.raises(InvalidInputError):
-        pair_phase_covector(beta(w), PhaseTangent(phase4, head(u.dq), head(u.dp1),
-                                                  head(u.dp2)))
+        pair_phase_covector(beta(w), PhaseTangent(phase4, head(u.dq), head(u.dp)))
     with pytest.raises(InvalidInputError):
-        omega2_pair(w, PhaseTangent(phase4, head(u.dq), head(u.dp1), head(u.dp2)))
+        omega2_pair(w, PhaseTangent(phase4, head(u.dq), head(u.dp)))
     with pytest.raises(InvalidInputError):
-        beta_m(w.base.q, w.base.p1, head(w.qdot1), head(w.p1dot1))
+        beta_m(w.base.q, w.base.p[0], head(w.qdot[0]), head(w.pdot[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +340,13 @@ def test_string_build_matches_frozen_per_point_samples_bitwise(seed):
 def test_transformed_hamiltonian_rejects_batches():
     # With the identity metric the velocities equal the momenta; that
     # strategy would take a batch, the Newton default would not.
-    ph = Phase(np.zeros((2, 3)), np.ones((2, 3)), np.ones((2, 3)))
-    for invert in (None, lambda model, ph: Jet(ph.q, ph.p1, ph.p2)):
+    ph = Phase(np.zeros((2, 3)), np.ones((2, 2, 3)))
+    for invert in (None, lambda model, ph: Jet(ph.q, ph.p)):
         ham = hamiltonian_from_lagrangian(harmonic_lagrangian(2), invert)
         with pytest.raises(InvalidInputError):
             dH(ham, ph)
-        single = dH(ham, Phase(np.zeros(2), np.ones(2), np.ones(2)))
-        assert np.allclose(single.psi1, 1.0)
+        single = dH(ham, Phase(np.zeros(2), np.ones((2, 2))))
+        assert np.allclose(single.psi[0], 1.0)
 
 
 def test_hessian_stays_single_point():
@@ -369,14 +368,14 @@ def per_point_legendre(model, m, points, seed):
         ph = legendre(lag, j)
         cov = dH(ham, ph)
         fwd_max = max(fwd_max,
-                      float(np.max(np.abs(cov.psi1 - j.qdot1))),
-                      float(np.max(np.abs(cov.psi2 - j.qdot2))))
+                      float(np.max(np.abs(cov.psi[0] - j.qdot[0]))),
+                      float(np.max(np.abs(cov.psi[1] - j.qdot[1]))))
         ph0 = _sample_phase(ham, rng)
         cov0 = dH(ham, ph0)
-        ph1 = legendre(lag, Jet(ph0.q, cov0.psi1, cov0.psi2))
+        ph1 = legendre(lag, Jet(ph0.q, cov0.psi))
         inv_max = max(inv_max,
-                      float(np.max(np.abs(ph1.p1 - ph0.p1))),
-                      float(np.max(np.abs(ph1.p2 - ph0.p2))))
+                      float(np.max(np.abs(ph1.p[0] - ph0.p[0]))),
+                      float(np.max(np.abs(ph1.p[1] - ph0.p[1]))))
     return {"command": "legendre", "model": lag.name, "points": points,
             "seed": seed, "forward_roundtrip_max": fwd_max,
             "inverse_roundtrip_max": inv_max, "tol": 1e-9,
@@ -422,10 +421,10 @@ def per_point_check_maps(m, points, seed):
             f = _frozen_pairings(w, v, u)
             alpha_max = max(alpha_max, abs(f[pair_covector] - f[pair_jet]))
             omega_max = max(omega_max, abs(f[pair_phase_covector] - f[omega2_pair]))
-            # beta against beta_tilde: -(p1dot1 + p2dot2) against the glued
-            # -p1dot1 + -p2dot2; the other blocks are the same arrays
-            beta_equal = beta_equal and np.array_equal(-(w.p1dot1 + w.p2dot2),
-                                                       -w.p1dot1 + -w.p2dot2)
+            # beta against beta_tilde: -(d_1 p_1 + d_2 p_2) against the
+            # glued -d_1 p_1 + -d_2 p_2; the other blocks are the same arrays
+            beta_equal = beta_equal and np.array_equal(-(w.pdot[0, 0] + w.pdot[1, 1]),
+                                                       -w.pdot[0, 0] + -w.pdot[1, 1])
     return {"command": "check-maps", "dims": list(dims), "points": points,
             "seed": seed, "alpha_pairing_max": alpha_max,
             "beta_tilde_equal": beta_equal, "omega2_pairing_max": omega_max,

@@ -288,8 +288,8 @@ def test_cubic_residual_equals_pointwise_operator_times_area():
     X, _ = g.node_coords()
     for (i, j), r in zip(g.interior_nodes, res):
         x = X[i, j]
-        s = SecondJet(Jet([x ** 3], [3 * x * x], [0.0]),
-                      [6 * x], [0.0], [0.0])
+        s = SecondJet(Jet([x ** 3], [[3 * x * x], [0.0]]),
+                      [[[6 * x], [0.0]], [[0.0], [0.0]]])
         want = el_residual_pointwise(HARM1, s) * area
         assert np.max(np.abs(r - want)) <= 1e-14
 
@@ -309,8 +309,8 @@ def test_residual_converges_to_pointwise_operator():
         for (i, j), r in zip(g.interior_nodes, res):
             x, y = X[i, j], Y[i, j]
             u = np.exp(x) * np.cos(2 * y)
-            s = SecondJet(Jet([u], [u], [-2 * np.exp(x) * np.sin(2 * y)]),
-                          [u], [-2 * np.exp(x) * np.sin(2 * y)], [-4 * u])
+            uy = -2 * np.exp(x) * np.sin(2 * y)
+            s = SecondJet(Jet([u], [[u], [uy]]), [[[u], [uy]], [[uy], [-4 * u]]])
             want = el_residual_pointwise(HARM1, s)
             worst = max(worst, float(np.max(np.abs(r / area - want))))
         errs.append(worst)

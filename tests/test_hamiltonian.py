@@ -35,13 +35,14 @@ from fieldtriple.models import (
     nambu_legendre_inverse_closed_form,
     sample_admissible_string_jet,
     sample_admissible_string_phase,
+    sigma_metric,
 )
 
 HARM_L = harmonic_lagrangian(1)
 HARM_H = harmonic_hamiltonian(1)
 NAMBU_L = nambu_lagrangian()
 NAMBU_H = nambu_hamiltonian()
-STANDARD_PHASE = Phase([0.0] * 4, [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0])
+STANDARD_PHASE = Phase([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
 def _string_invert(model, ph):
@@ -55,41 +56,40 @@ def _string_invert(model, ph):
 
 
 def test_dh_quadratic_hand_case():
-    c = dH(HARM_H, Phase([0.0], [2.0], [-3.0]))
+    c = dH(HARM_H, Phase([0.0], [[2.0], [-3.0]]))
     assert c.phi.tolist() == [0.0]
-    assert c.psi1.tolist() == [2.0]
-    assert c.psi2.tolist() == [-3.0]
+    assert c.psi[0].tolist() == [2.0]
+    assert c.psi[1].tolist() == [-3.0]
 
 
 def test_dh_nambu_standard_point():
     c = dH(NAMBU_H, STANDARD_PHASE)
     assert np.max(np.abs(c.phi)) <= 1e-14
-    assert np.max(np.abs(c.psi1 - [1.0, 0.0, 0.0, 0.0])) <= 1e-14
-    assert np.max(np.abs(c.psi2 - [0.0, 1.0, 0.0, 0.0])) <= 1e-14
+    assert np.max(np.abs(c.psi[0] - [1.0, 0.0, 0.0, 0.0])) <= 1e-14
+    assert np.max(np.abs(c.psi[1] - [0.0, 1.0, 0.0, 0.0])) <= 1e-14
 
 
 def test_nambu_h_value_is_positive_root():
-    flat = np.concatenate([STANDARD_PHASE.q, STANDARD_PHASE.p1,
-                           STANDARD_PHASE.p2])
+    flat = np.concatenate([STANDARD_PHASE.q, *STANDARD_PHASE.p])
     assert NAMBU_H.H.eval(flat) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dh_inadmissible_point_is_domain_error():
-    parallel = Phase([0.0] * 4, [1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0])
+    parallel = Phase([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
     with pytest.raises(DomainError):
         dH(NAMBU_H, parallel)
 
 
 def test_dh_wrong_dimension_rejected():
     with pytest.raises(InvalidInputError):
-        dH(HARM_H, Phase([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]))
+        dH(HARM_H, Phase([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_dh_matches_finite_differences_on_string():
     rng = np.random.default_rng(41)
     for _ in range(50):
         ph = sample_admissible_string_phase(rng)
-        flat = np.concatenate([ph.q, ph.p1, ph.p2])
+        flat = np.concatenate([ph.q, *ph.p])
         g = autodiff.grad(NAMBU_H.H, flat)
         fg = autodiff.fd_grad(NAMBU_H.H, flat)
         assert np.max(np.abs(g - fg)) <= 1e-6
@@ -111,11 +111,10 @@ def test_ham_member_canonical_and_randomized():
 
 
 def test_perturbing_velocity_moves_ham_residual_by_epsilon():
-    ph = Phase([0.2], [1.5], [-0.3])
+    ph = Phase([0.2], [[1.5], [-0.3]])
     w = ham_dynamics_member(HARM_H, ph)
     eps = 1e-3
-    w_bad = PhaseJet(w.base, w.qdot1 + eps, w.p1dot1, w.p2dot1,
-                     w.qdot2, w.p1dot2, w.p2dot2)
+    w_bad = PhaseJet(w.base, w.qdot + [[eps], [0.0]], w.pdot)
     assert ham_phase_residual(HARM_H, w_bad) == pytest.approx(eps, rel=1e-12)
 
 
@@ -138,10 +137,10 @@ def test_dynamics_agree_between_both_descriptions():
 
 
 def test_invert_harmonic_recovers_velocities():
-    ph = Phase([0.7], [2.0], [-3.0])
-    j = legendre_invert(HARM_L, ph, Jet([0.7], [0.0], [0.0]))
-    assert np.max(np.abs(j.qdot1 - [2.0])) <= 1e-12
-    assert np.max(np.abs(j.qdot2 - [-3.0])) <= 1e-12
+    ph = Phase([0.7], [[2.0], [-3.0]])
+    j = legendre_invert(HARM_L, ph, Jet([0.7], [[0.0], [0.0]]))
+    assert np.max(np.abs(j.qdot[0] - [2.0])) <= 1e-12
+    assert np.max(np.abs(j.qdot[1] - [-3.0])) <= 1e-12
 
 
 def test_invert_nambu_from_perturbed_guess():
@@ -150,13 +149,13 @@ def test_invert_nambu_from_perturbed_guess():
     while count < 200:
         j = sample_admissible_string_jet(rng)
         ph = nambu_legendre_closed_form(j)
-        guess = Jet(j.q, 1.1 * j.qdot1, 0.9 * j.qdot2)
+        guess = Jet(j.q, [1.1 * j.qdot[0], 0.9 * j.qdot[1]])
         if not NAMBU_L.admissible(guess):
             continue
         count += 1
         rec = legendre_invert(NAMBU_L, ph, guess)
-        assert np.max(np.abs(rec.qdot1 - j.qdot1)) <= 1e-9
-        assert np.max(np.abs(rec.qdot2 - j.qdot2)) <= 1e-9
+        assert np.max(np.abs(rec.qdot[0] - j.qdot[0])) <= 1e-9
+        assert np.max(np.abs(rec.qdot[1] - j.qdot[1])) <= 1e-9
 
 
 def test_invert_round_trip_through_forward_map():
@@ -164,10 +163,10 @@ def test_invert_round_trip_through_forward_map():
     for _ in range(100):
         j = sample_admissible_string_jet(rng)
         ph = legendre(NAMBU_L, j)
-        rec = legendre_invert(NAMBU_L, ph, Jet(j.q, 1.05 * j.qdot1, j.qdot2))
+        rec = legendre_invert(NAMBU_L, ph, Jet(j.q, [1.05 * j.qdot[0], j.qdot[1]]))
         ph2 = legendre(NAMBU_L, rec)
-        assert np.max(np.abs(ph2.p1 - ph.p1)) <= 1e-9
-        assert np.max(np.abs(ph2.p2 - ph.p2)) <= 1e-9
+        assert np.max(np.abs(ph2.p[0] - ph.p[0])) <= 1e-9
+        assert np.max(np.abs(ph2.p[1] - ph.p[1])) <= 1e-9
 
 
 def test_invert_affine_lagrangian_is_singular():
@@ -178,8 +177,8 @@ def test_invert_affine_lagrangian_is_singular():
         name="affine",
     )
     with pytest.raises(SingularJacobianError):
-        legendre_invert(affine, Phase([0.0], [2.0], [0.0]),
-                        Jet([0.0], [0.0], [0.0]))
+        legendre_invert(affine, Phase([0.0], [[2.0], [0.0]]),
+                        Jet([0.0], [[0.0], [0.0]]))
 
 
 # Momenta v/sqrt(1 + v^2) fill (-1, 1) only, so p1 = 2 has no preimage.
@@ -190,16 +189,16 @@ SATURATING = LagrangianModel(
     admissible=lambda j: True,
     name="saturating",
 )
-ZERO_JET = Jet([0.0], [0.0], [0.0])
+ZERO_JET = Jet([0.0], [[0.0], [0.0]])
 
 
 def _momentum_residual(model, ph, j):
     got = legendre(model, j)
-    return float(np.max(np.abs(np.concatenate([got.p1 - ph.p1, got.p2 - ph.p2]))))
+    return float(np.max(np.abs(np.concatenate([got.p[0] - ph.p[0], got.p[1] - ph.p[1]]))))
 
 
 def test_invert_outside_the_momentum_range_stalls():
-    ph = Phase([0.0], [2.0], [0.0])
+    ph = Phase([0.0], [[2.0], [0.0]])
     with pytest.raises(NoConvergenceError) as exc:
         legendre_invert(SATURATING, ph, ZERO_JET)
     e = exc.value
@@ -207,34 +206,34 @@ def test_invert_outside_the_momentum_range_stalls():
     assert e.residual == 1.0
     assert e.residual == _momentum_residual(SATURATING, ph, e.last_iterate)
     assert e.last_iterate.q.tolist() == [0.0]
-    assert e.last_iterate.qdot1[0] > 1e8
-    assert e.last_iterate.qdot2.tolist() == [0.0]
+    assert e.last_iterate.qdot[0][0] > 1e8
+    assert e.last_iterate.qdot[1].tolist() == [0.0]
 
 
 def test_invert_stops_at_the_iteration_cap():
     # The preimage of p1 = 0.5 is v1 = 1/sqrt(3); two steps do not reach it.
-    ph = Phase([0.0], [0.5], [0.0])
+    ph = Phase([0.0], [[0.5], [0.0]])
     with pytest.raises(NoConvergenceError) as exc:
         legendre_invert(SATURATING, ph, ZERO_JET, max_iter=2)
     e = exc.value
     assert str(e) == ("Legendre inversion did not reach tolerance 1.0e-10 "
                       "in 2 iterations (residual 2.330e-03)")
     assert e.residual == _momentum_residual(SATURATING, ph, e.last_iterate)
-    assert abs(e.last_iterate.qdot1[0] - 1.0 / np.sqrt(3.0)) < 1e-2
-    assert e.last_iterate.qdot2.tolist() == [0.0]
+    assert abs(e.last_iterate.qdot[0][0] - 1.0 / np.sqrt(3.0)) < 1e-2
+    assert e.last_iterate.qdot[1].tolist() == [0.0]
 
 
 def test_invert_converges_on_the_last_allowed_step():
     # The harmonic momenta are the velocities, so one Newton step is exact.
-    ph = Phase([0.3], [0.7], [-1.1])
-    j = legendre_invert(HARM_L, ph, Jet([0.3], [0.0], [0.0]), max_iter=1)
+    ph = Phase([0.3], [[0.7], [-1.1]])
+    j = legendre_invert(HARM_L, ph, Jet([0.3], [[0.0], [0.0]]), max_iter=1)
     assert j.q.tolist() == [0.3]
     assert _momentum_residual(HARM_L, ph, j) <= 1e-10
 
 
 def test_invert_rejects_inadmissible_guess():
     ph = STANDARD_PHASE
-    zero_guess = Jet(ph.q, [0.0] * 4, [0.0] * 4)
+    zero_guess = Jet(ph.q, [[0.0] * 4, [0.0] * 4])
     with pytest.raises(DomainError):
         legendre_invert(NAMBU_L, ph, zero_guess)
 
@@ -252,6 +251,26 @@ def test_transform_of_harmonic_is_half_p_squared():
         assert got == pytest.approx(0.5 * (p1 * p1 + p2 * p2), abs=1e-12)
 
 
+def test_transform_adds_the_products_component_by_component():
+    """The transformed H sums p[i][a] v[i][a] over components a, and over
+    the directions i within each component, bit for bit."""
+    g = sigma_metric(3)
+    lag = harmonic_lagrangian(3, g)
+
+    def invert(model, ph):
+        return Jet(ph.q, np.linalg.solve(g, ph.p.T).T)
+
+    model = hamiltonian_from_lagrangian(lag, invert)
+    rng = np.random.default_rng(73)
+    for _ in range(50):
+        x = rng.standard_normal(9)
+        v = invert(lag, Phase(x[:3], x[3:].reshape(2, 3))).qdot
+        acc = 0.0
+        for a in range(3):
+            acc = acc + x[3 + a] * v[0][a] + x[6 + a] * v[1][a]
+        assert model.H.eval(x) == acc - lag.L(list(x[:3]) + v.ravel().tolist())
+
+
 def test_transform_value_does_not_depend_on_call_history():
     here = np.array([1.8, -1.3, -1.6])
     fresh = hamiltonian_from_lagrangian(HARM_L).H.eval(here)
@@ -266,7 +285,7 @@ def test_transform_of_string_matches_closed_form():
     rng = np.random.default_rng(67)
     for _ in range(200):
         ph = sample_admissible_string_phase(rng)
-        flat = np.concatenate([ph.q, ph.p1, ph.p2])
+        flat = np.concatenate([ph.q, *ph.p])
         lt = model.H.eval(flat)
         cf = NAMBU_H.H.eval(flat)
         assert lt > 0.0
@@ -291,7 +310,7 @@ def test_string_h_squares_to_minus_dual_determinant():
     rng = np.random.default_rng(71)
     for _ in range(200):
         ph = sample_admissible_string_phase(rng)
-        flat = np.concatenate([ph.q, ph.p1, ph.p2])
+        flat = np.concatenate([ph.q, *ph.p])
         h = NAMBU_H.H.eval(flat)
-        det = GramMatrix.from_momenta(MINKOWSKI, ph.p1, ph.p2).det
+        det = GramMatrix.from_momenta(MINKOWSKI, ph.p).det
         assert h * h == pytest.approx(-det, rel=1e-12)

@@ -27,7 +27,7 @@ from fieldtriple.models import (
 NAMBU = nambu_lagrangian()
 V1 = np.array([1.0, 0.0, 0.0, 0.0])
 V2 = np.array([0.0, 1.0, 0.0, 0.0])
-STANDARD_JET = Jet([0.0] * 4, V1, V2)
+STANDARD_JET = Jet([0.0] * 4, [V1, V2])
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +55,8 @@ def test_inner_is_symmetric_and_matches_lowering():
 
 
 def test_gram_determinant_hand_case():
-    g = GramMatrix.from_velocities(MINKOWSKI, V1, V2)
-    assert g.g11 == 1.0 and g.g22 == -1.0 and g.g12 == 0.0
+    g = GramMatrix.from_velocities(MINKOWSKI, (V1, V2))
+    assert g.diag[0] == 1.0 and g.diag[1] == -1.0 and g.off == 0.0
     assert g.det == -1.0
     assert g.admissible
 
@@ -68,8 +68,8 @@ def test_dual_gram_equals_primal_gram_on_legendre_image():
     for _ in range(200):
         j = sample_admissible_string_jet(rng)
         ph = nambu_legendre_closed_form(j)
-        dp = GramMatrix.from_velocities(MINKOWSKI, j.qdot1, j.qdot2).det
-        dd = GramMatrix.from_momenta(MINKOWSKI, ph.p1, ph.p2).det
+        dp = GramMatrix.from_velocities(MINKOWSKI, j.qdot).det
+        dd = GramMatrix.from_momenta(MINKOWSKI, ph.p).det
         assert dd == pytest.approx(dp, rel=1e-12)
 
 
@@ -95,11 +95,10 @@ def test_sigma_legendre_is_metric_contraction():
     G = sigma_metric(m)
     rng = np.random.default_rng(11)
     for _ in range(50):
-        j = Jet(rng.standard_normal(m), rng.standard_normal(m),
-                rng.standard_normal(m))
+        j = Jet(rng.standard_normal(m), rng.standard_normal((2, m)))
         ph = legendre(model, j)
-        assert np.max(np.abs(ph.p1 - G @ j.qdot1)) <= 1e-12
-        assert np.max(np.abs(ph.p2 - G @ j.qdot2)) <= 1e-12
+        assert np.max(np.abs(ph.p[0] - G @ j.qdot[0])) <= 1e-12
+        assert np.max(np.abs(ph.p[1] - G @ j.qdot[1])) <= 1e-12
 
 
 def test_sigma_metric_is_symmetric_positive_definite():
@@ -129,15 +128,15 @@ def test_string_lagrangian_value_at_standard_point():
 
 def test_string_rejects_degenerate_sheet():
     with pytest.raises(DomainError):
-        dL(NAMBU, Jet([0.0] * 4, V1, V1))
+        dL(NAMBU, Jet([0.0] * 4, [V1, V1]))
 
 
 def test_string_lagrangian_symmetric_under_velocity_swap():
     rng = np.random.default_rng(13)
     for _ in range(100):
         j = sample_admissible_string_jet(rng)
-        a = NAMBU.L.eval(np.concatenate([j.q, j.qdot1, j.qdot2]))
-        b = NAMBU.L.eval(np.concatenate([j.q, j.qdot2, j.qdot1]))
+        a = NAMBU.L.eval(np.concatenate([j.q, *j.qdot]))
+        b = NAMBU.L.eval(np.concatenate([j.q, j.qdot[1], j.qdot[0]]))
         assert a == pytest.approx(b, rel=1e-15)
 
 
@@ -147,10 +146,10 @@ def test_closed_form_momenta_match_autodiff():
         j = sample_admissible_string_jet(rng)
         ad = legendre(NAMBU, j)
         cf = nambu_legendre_closed_form(j)
-        scale = max(1.0, float(np.max(np.abs(cf.p1))),
-                    float(np.max(np.abs(cf.p2))))
-        assert np.max(np.abs(ad.p1 - cf.p1)) / scale <= 1e-10
-        assert np.max(np.abs(ad.p2 - cf.p2)) / scale <= 1e-10
+        scale = max(1.0, float(np.max(np.abs(cf.p[0]))),
+                    float(np.max(np.abs(cf.p[1]))))
+        assert np.max(np.abs(ad.p[0] - cf.p[0])) / scale <= 1e-10
+        assert np.max(np.abs(ad.p[1] - cf.p[1])) / scale <= 1e-10
 
 
 def test_momentum_scaling_under_velocity_dilation():
@@ -161,12 +160,12 @@ def test_momentum_scaling_under_velocity_dilation():
     for _ in range(100):
         j = sample_admissible_string_jet(rng)
         ph = nambu_legendre_closed_form(j)
-        j2 = Jet(j.q, 2.0 * j.qdot1, j.qdot2)
+        j2 = Jet(j.q, [2.0 * j.qdot[0], j.qdot[1]])
         ph2 = nambu_legendre_closed_form(j2)
-        assert np.max(np.abs(ph2.p1 - ph.p1)) <= 1e-12 * max(
-            1.0, float(np.max(np.abs(ph.p1))))
-        assert np.max(np.abs(ph2.p2 - 2.0 * ph.p2)) <= 1e-12 * max(
-            1.0, float(np.max(np.abs(ph.p2))))
+        assert np.max(np.abs(ph2.p[0] - ph.p[0])) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(ph.p[0]))))
+        assert np.max(np.abs(ph2.p[1] - 2.0 * ph.p[1])) <= 1e-12 * max(
+            1.0, float(np.max(np.abs(ph.p[1]))))
 
 
 def test_closed_form_round_trips():
@@ -174,18 +173,18 @@ def test_closed_form_round_trips():
     for _ in range(1000):
         j = sample_admissible_string_jet(rng)
         rec = nambu_legendre_inverse_closed_form(nambu_legendre_closed_form(j))
-        assert np.max(np.abs(rec.qdot1 - j.qdot1)) <= 1e-9
-        assert np.max(np.abs(rec.qdot2 - j.qdot2)) <= 1e-9
+        assert np.max(np.abs(rec.qdot[0] - j.qdot[0])) <= 1e-9
+        assert np.max(np.abs(rec.qdot[1] - j.qdot[1])) <= 1e-9
         ph = sample_admissible_string_phase(rng)
         back = nambu_legendre_closed_form(nambu_legendre_inverse_closed_form(ph))
-        assert np.max(np.abs(back.p1 - ph.p1)) <= 1e-9
-        assert np.max(np.abs(back.p2 - ph.p2)) <= 1e-9
+        assert np.max(np.abs(back.p[0] - ph.p[0])) <= 1e-9
+        assert np.max(np.abs(back.p[1] - ph.p[1])) <= 1e-9
 
 
 def test_inverse_closed_form_rejects_inadmissible_momenta():
     with pytest.raises(DomainError):
         nambu_legendre_inverse_closed_form(
-            Phase([0.0] * 4, [1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]))
+            Phase([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]))
 
 
 def test_string_momentum_divergence_vanishes_on_members():
@@ -195,7 +194,7 @@ def test_string_momentum_divergence_vanishes_on_members():
     for _ in range(100):
         j = sample_admissible_string_jet(rng)
         w = phase_dynamics_member(NAMBU, j, free=rng.standard_normal((3, 4)))
-        assert np.max(np.abs(w.p1dot1 + w.p2dot2)) <= 1e-14
+        assert np.max(np.abs(w.pdot[0, 0] + w.pdot[1, 1])) <= 1e-14
 
 
 def test_string_hamiltonian_is_configuration_independent():
@@ -203,9 +202,9 @@ def test_string_hamiltonian_is_configuration_independent():
     ham = nambu_hamiltonian()
     for _ in range(50):
         ph = sample_admissible_string_phase(rng)
-        shifted = Phase(ph.q + rng.standard_normal(4), ph.p1, ph.p2)
-        a = ham.H.eval(np.concatenate([ph.q, ph.p1, ph.p2]))
-        b = ham.H.eval(np.concatenate([shifted.q, shifted.p1, shifted.p2]))
+        shifted = Phase(ph.q + rng.standard_normal(4), ph.p)
+        a = ham.H.eval(np.concatenate([ph.q, *ph.p]))
+        b = ham.H.eval(np.concatenate([shifted.q, *shifted.p]))
         assert a == b
 
 
@@ -217,9 +216,9 @@ def test_samplers_respect_admissibility_margin():
     rng = np.random.default_rng(37)
     for _ in range(500):
         j = sample_admissible_string_jet(rng)
-        assert GramMatrix.from_velocities(MINKOWSKI, j.qdot1, j.qdot2).det < -1e-3
+        assert GramMatrix.from_velocities(MINKOWSKI, j.qdot).det < -1e-3
         ph = sample_admissible_string_phase(rng)
-        assert GramMatrix.from_momenta(MINKOWSKI, ph.p1, ph.p2).det < -1e-3
+        assert GramMatrix.from_momenta(MINKOWSKI, ph.p).det < -1e-3
 
 
 def test_string_jet_sampler_gram_bound():
@@ -230,10 +229,10 @@ def test_string_jet_sampler_gram_bound():
     dets = np.empty(10_000)
     for k in range(len(dets)):
         j = sample_admissible_string_jet(rng)
-        u, v2 = 2.0 * j.qdot1[1:], j.qdot2[1:]
+        u, v2 = 2.0 * j.qdot[0][1:], j.qdot[1][1:]
         r = np.linalg.norm(v2)
         c = float(u @ v2) / r
-        dets[k] = GramMatrix.from_velocities(MINKOWSKI, j.qdot1, j.qdot2).det
+        dets[k] = GramMatrix.from_velocities(MINKOWSKI, j.qdot).det
         assert dets[k] == pytest.approx(-r * r * (0.75 + 0.25 * c * c), rel=1e-13)
     assert np.max(dets) <= -0.1875 * (1.0 - 1e-12)
     assert np.max(dets) >= -0.19  # the bound is nearly attained
@@ -247,8 +246,8 @@ def test_string_jet_sampler_draws_once():
         d = ref.standard_normal(3)
         r = ref.uniform(0.5, 2.0)
         q = ref.standard_normal(4)
-        assert np.array_equal(j.qdot1[1:], 0.5 * (u / np.linalg.norm(u)))
-        assert np.array_equal(j.qdot2[1:], r * (d / np.linalg.norm(d)))
+        assert np.array_equal(j.qdot[0][1:], 0.5 * (u / np.linalg.norm(u)))
+        assert np.array_equal(j.qdot[1][1:], r * (d / np.linalg.norm(d)))
         assert np.array_equal(j.q, q)
 
 
@@ -279,7 +278,7 @@ def test_nambu_lagrangian_raises_exactly_outside_admissible():
         q = rng.standard_normal(4)
         v1 = rng.standard_normal(4) * 1.5
         v2 = rng.standard_normal(4) * 1.5
-        j = Jet(q, v1, v2)
+        j = Jet(q, [v1, v2])
         try:
             NAMBU.L(list(np.concatenate([q, v1, v2])))
             raised = False
