@@ -53,11 +53,12 @@ from fieldtriple.grid import (
 from fieldtriple.hamiltonian import ham_phase_residual
 from fieldtriple.lagrangian import legendre, phase_dynamics_member
 from fieldtriple.models import (
+    STRING_JET,
+    draw_points,
     get_lagrangian,
     nambu_hamiltonian,
     nambu_legendre_closed_form,
     nambu_legendre_inverse_closed_form,
-    draw_string_jet,
     sample_admissible_string_jet,
 )
 
@@ -71,15 +72,14 @@ def pointwise_structure(points, seed):
     model = get_lagrangian("nambu")
     ham = nambu_hamiltonian()
     # per point, a jet's draws and then a dynamics member's free parameters
-    draws, free = zip(*[(draw_string_jet(rng), rng.standard_normal((3, 4)))
-                        for _ in range(points)])
+    *draws, free = draw_points(rng, points, STRING_JET + ((3, 4),))
     j = sample_admissible_string_jet(draws=draws)
     ad = legendre(model, j)
     cf = nambu_legendre_closed_form(j)
     momenta_gap = max_abs(ad.p - cf.p)
     rec = nambu_legendre_inverse_closed_form(cf)
     round_trip = max_abs(rec.qdot - j.qdot)
-    w = phase_dynamics_member(model, j, free=np.stack(free, axis=-1))
+    w = phase_dynamics_member(model, j, free=np.moveaxis(free, 0, -1))
     dynamics_gap = max_abs(ham_phase_residual(ham, w))
     print("pointwise structure "
           f"({points} random admissible worldsheet jets):")

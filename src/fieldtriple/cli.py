@@ -27,8 +27,9 @@ Momentum CSV: header ``cell_i,cell_j,p1_0..p1_{m-1},p2_0..p2_{m-1}``, one row
 per active cell in row-major order.  JSON reports are emitted with sorted
 keys.  All file I/O is UTF-8.
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-failure (non-convergence or a domain violation).
+Exit codes: 0 success, 2 configuration/validation failure (a path that
+cannot be read or written included), 3 numerical failure (non-convergence
+or a domain violation).
 
 The environment variable FIELD_TRIPLE_THREADS, when set, must be a positive
 integer and is accepted as an upper bound on worker threads; the current
@@ -91,9 +92,10 @@ from .lagrangian import (
 )
 from .models import (
     MODEL_NAMES,
+    STRING_JET,
+    draw_points,
     get_hamiltonian,
     get_lagrangian,
-    draw_string_jet,
     sample_admissible_string_jet,
     sample_admissible_string_phase,
 )
@@ -143,6 +145,8 @@ class RunConfig:
             raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.points < 1:
             raise InvalidParameterError(f"points must be >= 1, got {self.points}")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.m is not None and self.m < 1:
             raise InvalidParameterError(f"m must be >= 1, got {self.m}")
 
@@ -167,8 +171,20 @@ def _report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _open(path: str, mode: str):
+    """``path`` opened as UTF-8 text for reading ("r") or writing ("w"); an
+    ``OSError`` becomes an ``InvalidParameterError`` naming the path."""
+    try:
+        return open(path, mode, encoding="utf-8",
+                    newline="" if mode == "w" else None)
+    except OSError as exc:
+        what = "read" if mode == "r" else "write"
+        raise InvalidParameterError(
+            f"cannot {what} {path}: {exc.strerror or exc}") from None
+
+
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open(path, "w") as fh:
         fh.write(text)
 
 
@@ -183,7 +199,7 @@ def _write_table(path: str, header: str, lead: list[str],
     keeps peak memory flat; the leading columns are numbers, so they hold
     no ``%`` of their own."""
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _TABLE_CHUNK):
             stop = start + _TABLE_CHUNK
@@ -211,7 +227,7 @@ def read_field_csv(path: str, grid: Grid, m: int) -> GridField:
     comma count shows a row with extra columns, the rows are parsed one by
     one with ``float``, which names the first faulty row.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         text = fh.read()
     lines = text.splitlines()
     expect_header = "x,y," + ",".join(f"comp{k}" for k in range(m))
@@ -363,18 +379,17 @@ def _run_check_maps(cfg: RunConfig) -> dict:
     }
 
 
-def _draw(model, rng: np.random.Generator):
-    """One point's draws for ``_build``: the string samplers' per-point
-    draw, or 3m normals, the q and the two direction blocks of a point."""
-    if model.name == "nambu":
-        return draw_string_jet(rng)
-    return rng.standard_normal((3, model.m))
+def _layout(model) -> tuple:
+    """What one point of ``model`` draws: a string jet's draws, or the 3m
+    normals of q and the two direction blocks."""
+    return STRING_JET if model.name == "nambu" else ((3, model.m),)
 
 
-def _build(model, draws, cls):
-    """One ``cls``, Jet or Phase, holding a point per ``_draw`` result."""
+def _points(model, cls, draws):
+    """One ``cls``, Jet or Phase, holding the points that ``draws``, the
+    arrays ``draw_points`` gave for ``_layout(model)``, hold."""
     if model.name != "nambu":
-        x = np.stack(draws, axis=-1)
+        x = np.moveaxis(draws[0], 0, -1)
         return cls(x[0], x[1:])
     if cls is Jet:
         return sample_admissible_string_jet(draws=draws)
@@ -389,10 +404,10 @@ def _run_legendre(cfg: RunConfig) -> dict:
     lag = get_lagrangian(cfg.model, cfg.m)
     ham = get_hamiltonian(cfg.model, cfg.m)
     tol = 1e-9 if cfg.tol is None else cfg.tol
-    rng = np.random.default_rng(cfg.seed)
-    jet_draws, phase_draws = zip(*[(_draw(lag, rng), _draw(ham, rng))
-                                   for _ in range(cfg.points)])
-    j, ph0 = _build(lag, jet_draws, Jet), _build(ham, phase_draws, Phase)
+    k = len(_layout(lag))
+    draws = draw_points(np.random.default_rng(cfg.seed), cfg.points,
+                        _layout(lag) + _layout(ham))
+    j, ph0 = _points(lag, Jet, draws[:k]), _points(ham, Phase, draws[k:])
     cov = dH(ham, legendre(lag, j))
     fwd_max = _max_abs(cov.psi - j.qdot)
     cov0 = dH(ham, ph0)
@@ -415,15 +430,16 @@ def _run_phase_check(cfg: RunConfig) -> dict:
     lag = get_lagrangian(cfg.model, cfg.m)
     ham = get_hamiltonian(cfg.model, cfg.m)
     tol = 1e-8 if cfg.tol is None else cfg.tol
-    rng = np.random.default_rng(cfg.seed)
-    jet_draws, free_l, phase_draws, free_h = zip(*[
-        (_draw(lag, rng), rng.standard_normal((3, lag.m)),
-         _draw(ham, rng), rng.standard_normal((3, ham.m)))
-        for _ in range(cfg.points)])
-    w_l = phase_dynamics_member(lag, _build(lag, jet_draws, Jet),
-                                np.stack(free_l, axis=-1))
-    w_h = ham_dynamics_member(ham, _build(ham, phase_draws, Phase),
-                              np.stack(free_h, axis=-1))
+    # Per point a jet, a member's free parameters, a phase point and the
+    # other member's free parameters.
+    k = len(_layout(lag))
+    free = ((3, lag.m),)
+    draws = draw_points(np.random.default_rng(cfg.seed), cfg.points,
+                        _layout(lag) + free + _layout(ham) + free)
+    w_l = phase_dynamics_member(lag, _points(lag, Jet, draws[:k]),
+                                np.moveaxis(draws[k], 0, -1))
+    w_h = ham_dynamics_member(ham, _points(ham, Phase, draws[k + 1:-1]),
+                              np.moveaxis(draws[-1], 0, -1))
     rl = [phase_relation_residual(lag, w) for w in (w_l, w_h)]
     rh = [ham_phase_residual(ham, w) for w in (w_l, w_h)]
     lag_max = _max_abs(*rl)
@@ -472,8 +488,14 @@ def run(cfg: RunConfig) -> dict:
     """Dispatch a resolved config; returns the JSON report as a dict.
 
     Raises the package's typed errors on failure; exit-code mapping is the
-    caller's job (main maps validation to 2 and numerics to 3).
+    caller's job (main maps validation to 2 and numerics to 3).  An ``out``
+    in a missing directory is refused before the command runs.
     """
+    if cfg.out is not None:
+        folder = os.path.dirname(cfg.out) or "."
+        if not os.path.isdir(folder):
+            raise InvalidParameterError(
+                f"cannot write {cfg.out}: no directory {folder}")
     return _RUNNERS[cfg.command](cfg)
 
 
@@ -630,6 +652,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(cfg)
+        text = _report_json(report)
+        sys.stdout.write(text)
+        if cfg.out is not None and cfg.command != "solve":
+            _write_text(cfg.out, text)
     except (DomainError, NoConvergenceError, SingularJacobianError) as exc:
         print(f"fieldtriple: numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -637,10 +663,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fieldtriple: error: {exc}", file=sys.stderr)
         return 2
 
-    text = _report_json(report)
-    sys.stdout.write(text)
-    if cfg.out is not None and cfg.command != "solve":
-        _write_text(cfg.out, text)
     if not report["pass"]:
         why = report.get("stop_reason")
         print("fieldtriple: numerical failure: report did not pass"

@@ -64,7 +64,9 @@ __all__ = [
     "nambu_legendre_closed_form",
     "nambu_legendre_inverse_closed_form",
     "nambu_hamiltonian",
-    "draw_string_jet",
+    "Uniform",
+    "draw_points",
+    "STRING_JET",
     "sample_admissible_string_jet",
     "sample_admissible_string_phase",
     "MODEL_NAMES",
@@ -301,11 +303,51 @@ def nambu_hamiltonian() -> HamiltonianModel:
                             admissible=admissible, name="nambu")
 
 
-def draw_string_jet(rng: np.random.Generator) -> tuple:
-    """One string point's draws (u, d, r, q), in the samplers' stream order:
-    ``standard_normal(3)`` twice, ``uniform(0.5, 2)``, ``standard_normal(4)``."""
-    return (rng.standard_normal(3), rng.standard_normal(3),
-            rng.uniform(0.5, 2.0), rng.standard_normal(4))
+@dataclass(frozen=True)
+class Uniform:
+    """One ``rng.uniform(lo, hi)`` draw in a ``draw_points`` layout."""
+
+    lo: float
+    hi: float
+
+
+def draw_points(rng: np.random.Generator, n: int, layout) -> list:
+    """``n`` points' draws, in the stream order of one point after another
+    drawing ``layout`` item by item: a shape tuple is
+    ``rng.standard_normal(shape)`` and a ``Uniform`` is ``rng.uniform(lo, hi)``.
+
+    Consecutive normals are one stream however the calls split them, so each
+    run of normals between two uniforms, across point boundaries too, is one
+    ``standard_normal(out=...)`` call into a shared buffer; a layout without
+    uniforms takes one call.  Returns one array per item with a leading
+    point axis: shape (n,) + shape for normals, (n,) for a uniform.
+    """
+    sizes = [1 if isinstance(it, Uniform) else int(np.prod(it)) for it in layout]
+    stops = np.cumsum(sizes).tolist()
+    starts = [stop - size for stop, size in zip(stops, sizes)]
+    width = stops[-1]
+    buf = np.empty(n * width)
+    uniforms = [(start, it.lo, it.hi) for start, it in zip(starts, layout)
+                if isinstance(it, Uniform)]
+    pos = 0
+    for base in range(0, n * width, width):
+        for start, lo, hi in uniforms:
+            at = base + start
+            if at > pos:
+                rng.standard_normal(out=buf[pos:at])
+            buf[at] = rng.uniform(lo, hi)
+            pos = at + 1
+    if pos < len(buf):
+        rng.standard_normal(out=buf[pos:])
+    table = buf.reshape(n, width)
+    return [table[:, start] if isinstance(it, Uniform)
+            else table[:, start:stop].reshape((n,) + tuple(it))
+            for it, start, stop in zip(layout, starts, stops)]
+
+
+# One string point's draws for the samplers: the directions u and d, the
+# length r of v2, and q.
+STRING_JET = ((3,), (3,), Uniform(0.5, 2.0), (4,))
 
 
 def sample_admissible_string_jet(rng: np.random.Generator | None = None, *,
@@ -322,17 +364,18 @@ def sample_admissible_string_jet(rng: np.random.Generator | None = None, *,
     bounded away from the degenerate boundary det g = 0 by one draw, which
     keeps the sqrt derivatives bounded.
 
-    One jet of batch shape () is drawn from ``rng``; ``draws``, a sequence
-    of ``draw_string_jet`` results, gives a batch of one jet per draw.  All
-    after the draws runs once per batch, each point rounded as alone:
-    ``sqrt(vecdot)`` over a contiguous row rounds as ``np.linalg.norm``.
+    One jet of batch shape () is drawn from ``rng``; ``draws``, the arrays
+    (u, d, r, q) that ``draw_points`` gives for ``STRING_JET``, gives a
+    batch of one jet per row.  All after the draws runs once per batch,
+    each point rounded as alone: ``sqrt(vecdot)`` over a contiguous row
+    rounds as ``np.linalg.norm``.
     """
     single = draws is None
     if single:
-        draws = [draw_string_jet(rng)]
-    u, d, r, q = (np.array(x) for x in zip(*draws))
-    u /= np.sqrt(np.vecdot(u, u))[:, None]
-    d /= np.sqrt(np.vecdot(d, d))[:, None]
+        draws = draw_points(rng, 1, STRING_JET)
+    u, d, r, q = draws
+    u = u / np.sqrt(np.vecdot(u, u))[:, None]
+    d = d / np.sqrt(np.vecdot(d, d))[:, None]
     qdot = np.array([np.concatenate([np.ones((1, len(r))), 0.5 * u.T]),
                      np.concatenate([np.zeros((1, len(r))), r * d.T])])
     return Jet(q[0], qdot[..., 0]) if single else Jet(q.T, qdot)

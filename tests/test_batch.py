@@ -54,7 +54,9 @@ from fieldtriple.lagrangian import (
 )
 from fieldtriple.models import (
     MINKOWSKI,
-    draw_string_jet,
+    STRING_JET,
+    Uniform,
+    draw_points,
     get_hamiltonian,
     get_lagrangian,
     harmonic_lagrangian,
@@ -311,17 +313,74 @@ def test_batched_pairings_check_every_anchor_and_the_batch_shape():
 
 
 # ---------------------------------------------------------------------------
-# the string samplers: a per-point draw, one build per batch
+# the sample points: one draw per run of normals, one build per batch
+
+
+def _draw_per_point(rng, n, layout):
+    """``draw_points`` as one RNG call per item of each point."""
+    rows = [[rng.uniform(it.lo, it.hi) if isinstance(it, Uniform)
+             else rng.standard_normal(it) for it in layout] for _ in range(n)]
+    return [np.array(column) for column in zip(*rows)]
+
+
+class _CountingRng:
+    """The two generator methods ``draw_points`` uses, with call counts."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.normal_calls = self.uniform_calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self.uniform_calls += 1
+        return self.rng.uniform(*args, **kwargs)
+
+
+LAYOUTS = [
+    STRING_JET,
+    STRING_JET + ((3, 4),) + STRING_JET + ((3, 4),),   # phase-check, nambu
+    ((3, 2), (3, 2)),                                   # no uniform
+    (Uniform(0.5, 2.0), (4,)),                          # starts with one
+    ((2,), Uniform(-1.0, 1.0)),                         # ends with one
+    ((3,), Uniform(0.0, 1.0), Uniform(2.0, 5.0), (2, 2)),  # two adjacent
+    (Uniform(0.0, 1.0),),                               # only a uniform
+]
+
+
+@pytest.mark.parametrize("n", [1, N])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_draw_points_matches_per_point_loop_bitwise(layout, n):
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    counting = _CountingRng(rng)
+    got = draw_points(counting, n, layout)
+    ref = _draw_per_point(ref_rng, n, layout)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert len(got) == len(layout)
+    for a, b, it in zip(got, ref, layout):
+        shape = (n,) if isinstance(it, Uniform) else (n,) + it
+        assert a.shape == b.shape == shape
+        assert np.array_equal(a, b)
+    # one call per uniform, and one per run of normals between them
+    uniforms = sum(isinstance(it, Uniform) for it in layout)
+    flat = "".join("u" if isinstance(it, Uniform) else "n" for it in layout)
+    runs = len([run for run in (flat * n).split("u") if run])
+    assert counting.uniform_calls == n * uniforms
+    assert counting.normal_calls == runs
 
 
 @pytest.mark.parametrize("seed", [0, 3, 12345])
 def test_string_build_matches_frozen_per_point_samples_bitwise(seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    draws = [draw_string_jet(rng) for _ in range(N)]
+    draws = draw_points(rng, N, STRING_JET)
+    kept = [a.copy() for a in draws]
     state = rng.bit_generator.state
     jets = sample_admissible_string_jet(draws=draws)
     phases = sample_admissible_string_phase(draws=draws)
     assert rng.bit_generator.state == state  # the build draws nothing
+    assert all(np.array_equal(a, b) for a, b in zip(draws, kept))
     ref = [_string_jet(ref_rng) for _ in range(N)]
     assert ref_rng.bit_generator.state == state  # the draws make the old calls
     assert jets == _stack(ref)

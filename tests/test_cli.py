@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -191,6 +192,57 @@ def test_non_solve_out_holds_the_stdout_report(tmp_path, capsys, argv,
     assert code == exit_code
     assert json.loads(stdout)["pass"] is (exit_code == 0)
     assert out.read_bytes() == stdout.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# pointwise stdout pinned to bytes
+
+
+# sha256 of stdout, taken from the per-point draw loops that ``draw_points``
+# replaced (numpy 2.4, x86-64): the draws, the build of the points and every
+# reduction after them must keep each byte.
+STDOUT_SHA256 = [
+    (("legendre", "--model", "nambu"), 0,
+     "b35a80b08db1c97904fd5bb0f56e06e4551680627df32a6eac4f272027a2a8d7"),
+    (("legendre", "--model", "harmonic"), 0,
+     "e5207c35429a3400eeb4b39eb03d660e25d5ee670a9e842ebdb55408333f8103"),
+    (("legendre", "--model", "sigma", "--m", "3"), 0,
+     "f54ecdc02d70dbc3869906b1d24fe64d281bea37b8dcc5ce1de0713dd597a70b"),
+    (("phase-check", "--model", "nambu"), 0,
+     "a6afeeed2b07b014501557aef36afd898778f33fc60bc562a94577693358f448"),
+    (("phase-check", "--model", "harmonic"), 0,
+     "d40e101894e6413ea833afeef760c7f68256dacad89195dc8cc0d812551c89dc"),
+    (("phase-check", "--model", "sigma", "--m", "3"), 0,
+     "48e9d14bf75672a0b626a1eacfe82f313e81f394e02799cea22a78bae1aac107"),
+    (("check-maps",), 0,
+     "0d55f78e389bdd6907041aaeda0964ec5c7beb7e5015d7cd8172317b2fa5107e"),
+    (("check-maps", "--m", "3"), 0,
+     "4ad726ebc21e49e743afb99ff0963c848261b5ea2204f205374a54faa9d27038"),
+    (("legendre", "--model", "nambu"), 7,
+     "ade3284f12090cdd0f3270d4308c0f6c4b76e21d71eda96909a5afb46491038e"),
+    (("legendre", "--model", "harmonic"), 7,
+     "f1cccd61fa90747f4b512f1f70a5346c5e8492589319cdfa164d4703f7c39df2"),
+    (("legendre", "--model", "sigma", "--m", "3"), 7,
+     "0ac94fe5b14a95a9eca9168907859e6884bdf67786ab3b518bad21ca49e9edc3"),
+    (("phase-check", "--model", "nambu"), 7,
+     "84588021c4eb46d4e9bdc285934be4a3458edd9d6a0d4802ecc43f12faccf45c"),
+    (("phase-check", "--model", "harmonic"), 7,
+     "bf2b639cf95106d35e74f50861b3d048e49f54782552244cce8ce6b9d49ca20b"),
+    (("phase-check", "--model", "sigma", "--m", "3"), 7,
+     "fd3b966a797d17b07637d96dcf3d706d67f534f660ef2710c11cc73e62bda462"),
+    (("check-maps",), 7,
+     "5fc66e35bc6b131b49c19edd516a9eaaed63a84ca3acf67c93128b5fa8882766"),
+    (("check-maps", "--m", "3"), 7,
+     "58e04076b44c73a17b2e07f9cb074837a6dd03d893cdb56cb88aad325e51dfba"),
+]
+
+
+@pytest.mark.parametrize("argv,seed,digest", STDOUT_SHA256, ids=[
+    " ".join(argv) + f" --seed {seed}" for argv, seed, _ in STDOUT_SHA256])
+def test_pointwise_stdout_is_pinned(capsys, argv, seed, digest):
+    code, stdout, _ = run(capsys, *argv, "--seed", str(seed), "--points", "50")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +449,56 @@ def test_invalid_requests_exit_2(tmp_path, capsys, argv):
     code, _, stderr = run(capsys, *argv)
     assert code == 2
     assert stderr != ""
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["legendre", "--seed", "-1"], None),
+    (["check-maps", "--seed", "-5"], None),
+    (["phase-check"], {"seed": -3}),
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("fieldtriple: error: seed must be >= 0")
+
+
+def test_unreadable_field_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code, _, stderr = run(capsys, "action", "--model", "harmonic", "--grid",
+                          "9x9", "--field", str(missing))
+    assert code == 2
+    assert stderr == (f"fieldtriple: error: cannot read {missing}: "
+                      "No such file or directory\n")
+
+
+def test_out_in_missing_directory_exits_2_before_solving(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli_module, "solve_dirichlet", no_solve)
+    out = tmp_path / "no-such-dir" / "o.csv"
+    code, stdout, stderr = run(capsys, *solve_args(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (f"fieldtriple: error: cannot write {out}: "
+                      f"no directory {out.parent}\n")
+    assert not out.parent.exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    code, stdout, stderr = run(capsys, "legendre", "--points", "2",
+                               "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(stdout)["pass"] is True
+    assert stderr.startswith(f"fieldtriple: error: cannot write {tmp_path}: ")
+    assert "Traceback" not in stderr
 
 
 def test_malformed_config_file_exits_2(tmp_path, capsys):
