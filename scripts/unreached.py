@@ -7,15 +7,20 @@ executable line that no test reached, followed by one count per file.  A
 line is executable when the compiled code of its file holds an instruction
 on it; docstrings are not counted.  Only the standard library is used.
 
-Code that tests run in a subprocess (``python -m fieldtriple``, the example
-scripts) is not seen.  Tracing slows the suite down about threefold, so
-this script is not part of the suite itself.
+After the suite, ``python -m fieldtriple --help`` is run in the same
+traced process through ``runpy``, so ``__main__.py`` is seen; it must exit
+0.  Other code that tests run in a subprocess (the example scripts) is not
+seen.  Tracing slows the suite down about threefold, so this script is not
+part of the suite itself.
 
 Usage:
     python3 scripts/unreached.py [pytest args...]
 """
 
 import ast
+import contextlib
+import io
+import runpy
 import sys
 import types
 from collections import defaultdict
@@ -66,9 +71,27 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     sys.settrace(global_)
     try:
         code = pytest.main(args)
+        run_main_module()
     finally:
         sys.settrace(None)
     return int(code), reached
+
+
+def run_main_module() -> None:
+    """Run ``python -m fieldtriple --help`` in this process, its help text
+    discarded; raises unless it exits 0."""
+    argv = sys.argv
+    sys.argv = ["fieldtriple", "--help"]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_module("fieldtriple", run_name="__main__")
+    except SystemExit as exc:
+        if exc.code != 0:
+            raise RuntimeError(f"python -m fieldtriple --help exited {exc.code}") from None
+    else:
+        raise RuntimeError("python -m fieldtriple --help did not exit")
+    finally:
+        sys.argv = argv
 
 
 def main(argv=None) -> int:

@@ -111,9 +111,6 @@ class Taylor:
         self.grad = grad
         self.hess = hess
 
-    def __repr__(self):
-        return f"Taylor({self.value!r}, {self.grad!r}, {self.hess!r})"
-
     def __add__(self, other):
         o = _lift(other)
         return Taylor(self.value + o.value, self.grad + o.grad,

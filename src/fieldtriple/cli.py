@@ -555,13 +555,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str, command: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
+        try:
             data = json.load(fh)
-    except OSError as exc:
-        raise InvalidParameterError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InvalidParameterError(f"malformed config JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise InvalidParameterError(f"malformed config JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidParameterError("config JSON must be an object")
     allowed = {f.name for f in fields(RunConfig)}
@@ -599,10 +597,9 @@ def _coerce(name: str, value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidParameterError(f"tol must be a number, got {value!r}")
         return float(value)
-    if name in ("model", "domain", "out", "field"):
-        if not isinstance(value, str):
-            raise InvalidParameterError(f"{name} must be a string, got {value!r}")
-        return value
+    # the rest, model, domain, out and field, are strings
+    if not isinstance(value, str):
+        raise InvalidParameterError(f"{name} must be a string, got {value!r}")
     return value
 
 

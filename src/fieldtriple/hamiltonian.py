@@ -45,17 +45,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A Hamiltonian with its admissible domain.
-
-    ``H`` has arity 3m over the flattened phase point (q, p[0], p[1]), each
-    slot of m entries, and must be finite on every admissible Phase.
-    ``admissible`` takes a Phase, one point or a batch, and says whether
-    every point of it is admissible.
+    """A Hamiltonian: ``H`` has arity 3m over the flattened phase point
+    (q, p[0], p[1]), each slot of m entries.  Its admissible domain is where
+    it is defined: ``H`` is finite on every admissible Phase and raises
+    ``DomainError`` on any other, plain or Taylor.
     """
 
     m: int
     H: ScalarField
-    admissible: Callable[[Phase], bool]
     name: str = ""
 
     def __post_init__(self):
@@ -70,17 +67,16 @@ def _flat_phase(ph: Phase) -> np.ndarray:
     return np.concatenate([ph.q, *ph.p])
 
 
-def _require_admissible(model: HamiltonianModel, ph: Phase) -> None:
+def _require_m(model, ph: Phase) -> None:
     if ph.m != model.m:
         raise InvalidInputError(f"phase has m={ph.m}, model has m={model.m}")
-    if not model.admissible(ph):
-        raise DomainError("phase point outside the admissible domain of the Hamiltonian")
 
 
 def dH(model: HamiltonianModel, ph: Phase) -> PhaseCovector:
     """Differential of H at an admissible phase point, or at a batch of
-    them in one Taylor pass."""
-    _require_admissible(model, ph)
+    them in one Taylor pass; H's ``DomainError`` at any one inadmissible
+    point fails the whole batch."""
+    _require_m(model, ph)
     g = autodiff.grad(model.H, _flat_phase(ph))
     m = model.m
     return PhaseCovector(phase=ph, phi=g[:m], psi=g[m:].reshape(ph.p.shape))
@@ -122,14 +118,12 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
     """Invert the Legendre map of ``model`` at the phase point ``ph``.
 
     Damped Newton iteration on F(v) = momenta(q, v) - p in the 2m velocity
-    unknowns, starting from the admissible ``guess``; the step is
-    halved (up to 20 times) whenever the residual fails to decrease or the
-    iterate leaves the admissible domain.
+    unknowns, starting from ``guess``, where L must be defined: L's own
+    ``DomainError`` there propagates.  The step is halved (up to 20 times)
+    whenever the residual fails to decrease or L raises ``DomainError`` at
+    the trial iterate.
     """
-    if ph.m != model.m:
-        raise InvalidInputError(f"phase has m={ph.m}, model has m={model.m}")
-    if not model.admissible(guess):
-        raise DomainError("inversion guess outside the admissible domain")
+    _require_m(model, ph)
     m = model.m
     target = np.concatenate(ph.p)
     v = np.concatenate(guess.qdot)
@@ -152,13 +146,16 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
         t = 1.0
         for _ in range(20):
             cand = v + t * step
-            if model.admissible(jet_of(cand)):
-                zc = np.concatenate([ph.q, cand])
+            zc = np.concatenate([ph.q, cand])
+            try:
                 Fc = _momenta(model, zc) - target
-                rc = float(np.max(np.abs(Fc)))
-                if rc < res:
-                    v, z, F, res = cand, zc, Fc, rc
-                    break
+            except DomainError:
+                t *= 0.5
+                continue
+            rc = float(np.max(np.abs(Fc)))
+            if rc < res:
+                v, z, F, res = cand, zc, Fc, rc
+                break
             t *= 0.5
         else:
             raise NoConvergenceError(
@@ -177,17 +174,14 @@ def _default_invert(model: LagrangianModel, ph: Phase) -> Jet:
 
 
 def hamiltonian_from_lagrangian(model: LagrangianModel,
-                                invert: Callable | None = None,
-                                admissible: Callable[[Phase], bool] | None = None,
-                                ) -> HamiltonianModel:
+                                invert: Callable | None = None) -> HamiltonianModel:
     """Legendre transform of a Lagrangian model.
 
     H(q, p) = sum_i p[i].v[i] - L(q, v) with the velocities v obtained
-    from ``invert(model, ph) -> Jet``.  H is a pure function of its point.
-    The default strategy runs ``legendre_invert`` from zero velocities;
-    models whose admissible region excludes zero velocities need a custom
-    strategy.  The admissible predicate defaults to accepting every phase
-    point; pass one for models with a restricted dual domain.
+    from ``invert(model, ph) -> Jet``.  H is a pure function of its point,
+    defined wherever ``invert`` and L are: their errors propagate.  The
+    default strategy runs ``legendre_invert`` from zero velocities; models
+    whose admissible region excludes zero velocities need a custom strategy.
     """
     m = model.m
     if invert is None:
@@ -215,7 +209,5 @@ def hamiltonian_from_lagrangian(model: LagrangianModel,
         return acc - model.L(list(xs[:m]) + j.qdot.ravel().tolist())
 
     return HamiltonianModel(m=m, H=ScalarField(arity=3 * m, eval=eval_H),
-                            admissible=admissible if admissible is not None
-                            else (lambda ph: True),
                             name=f"legendre-transform({model.name})" if model.name
                             else "legendre-transform")

@@ -20,7 +20,6 @@ one second-order Taylor pass for the Hessian.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from . import autodiff
 from .autodiff import ScalarField
 from .bundles import (Jet, JetCovector, Phase, PhaseJet, _anchor_shape, _BlockValue,
                       _set_blocks, project_to_jet, project_to_phase)
-from .errors import DomainError, InvalidInputError
+from .errors import InvalidInputError
 
 __all__ = [
     "LagrangianModel",
@@ -43,18 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LagrangianModel:
-    """A Lagrangian with its admissible domain.
-
-    ``L`` has arity 3m over the flattened jet (q, qdot[0], qdot[1]), must be
-    finite on every admissible jet and raises ``DomainError`` on any other:
-    that error is the one admissibility test the grid solver makes.
-    ``admissible`` takes a Jet, one point or a batch, and says whether every
-    point of it is admissible.
+    """A Lagrangian: ``L`` has arity 3m over the flattened jet
+    (q, qdot[0], qdot[1]).  Its admissible domain is where it is defined:
+    ``L`` is finite on every admissible jet and raises ``DomainError`` on
+    any other, plain or Taylor, and that error is the one admissibility
+    test ``dL``, the Legendre inversion and the grid solver make.
     """
 
     m: int
     L: ScalarField
-    admissible: Callable[[Jet], bool]
     name: str = ""
 
     def __post_init__(self):
@@ -82,20 +78,19 @@ def _flat_jet(j: Jet) -> np.ndarray:
     return np.concatenate([j.q, *j.qdot])
 
 
-def _require_admissible(model: LagrangianModel, j: Jet) -> None:
+def _require_m(model: LagrangianModel, j: Jet) -> None:
     if j.m != model.m:
         raise InvalidInputError(f"jet has m={j.m}, model has m={model.m}")
-    if not model.admissible(j):
-        raise DomainError("jet outside the admissible domain of the Lagrangian")
 
 
 def dL(model: LagrangianModel, j: Jet) -> JetCovector:
     """Differential of L at an admissible jet, as a covector on jet space.
 
     A batch of jets (blocks of shape (m,) + batch) is differentiated in one
-    Taylor pass; the model's admissibility check then covers the whole batch.
+    Taylor pass; L's ``DomainError`` at any one inadmissible point fails the
+    whole batch.
     """
-    _require_admissible(model, j)
+    _require_m(model, j)
     g = autodiff.grad(model.L, _flat_jet(j))
     m = model.m
     return JetCovector(jet=j, a=g[:m], b=g[m:].reshape(j.qdot.shape))
@@ -175,10 +170,11 @@ def el_residual_pointwise(model: LagrangianModel, s: SecondJet) -> np.ndarray:
 
     where H is the Hessian of L at the jet, computed by one second-order
     Taylor pass; the terms of each D_i add in that order, and the D_i are
-    subtracted in direction order.
+    subtracted in direction order.  An inadmissible jet raises L's own
+    ``DomainError`` from the first pass.
     """
     j = s.jet
-    _require_admissible(model, j)
+    _require_m(model, j)
     m = model.m
     z = _flat_jet(j)
     g = autodiff.grad(model.L, z)

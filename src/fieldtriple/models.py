@@ -79,13 +79,16 @@ def _value(x):
     return x.value if isinstance(x, Taylor) else x
 
 
-def _require_negative(x, what: str) -> None:
+def _require_negative(x, what: str, below: float = 0.0) -> None:
+    """Raise ``DomainError`` unless the value of ``x``, at every point of a
+    batch, is less than ``below``."""
     val = np.asarray(_value(x))
-    ok = val < 0.0
+    ok = val < below
     if not bool(np.all(ok)):
         comp = None if val.ndim == 0 else int(np.argmax(~ok))
         at = "" if comp is None else f" at component {comp}"
-        raise DomainError(f"{what} must be negative{at}", component=comp)
+        bound = "negative" if below == 0.0 else f"below {below:g}"
+        raise DomainError(f"{what} must be {bound}{at}", component=comp)
 
 
 @dataclass(frozen=True)
@@ -140,10 +143,6 @@ class GramMatrix:
     def det(self):
         return self.diag[0] * self.diag[1] - self.off * self.off
 
-    @property
-    def admissible(self) -> bool:
-        return bool(np.all(np.asarray(_value(self.det)) < 0.0))
-
     @classmethod
     def from_velocities(cls, metric: MinkowskiMetric, v) -> "GramMatrix":
         """g[i][j] = eta(v[i], v[j]) for the two tangent vectors v[0], v[1]."""
@@ -197,8 +196,7 @@ def harmonic_lagrangian(m: int = 1, target_metric=None,
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
     g = _check_metric(m, target_metric)
-    return LagrangianModel(m=m, L=_half_quadratic_form(m, g),
-                           admissible=lambda j: True, name=name)
+    return LagrangianModel(m=m, L=_half_quadratic_form(m, g), name=name)
 
 
 def harmonic_hamiltonian(m: int = 1, target_metric=None,
@@ -208,8 +206,7 @@ def harmonic_hamiltonian(m: int = 1, target_metric=None,
     if m < 1:
         raise InvalidParameterError(f"m must be >= 1, got {m}")
     ginv = np.linalg.inv(_check_metric(m, target_metric))
-    return HamiltonianModel(m=m, H=_half_quadratic_form(m, ginv),
-                            admissible=lambda ph: True, name=name)
+    return HamiltonianModel(m=m, H=_half_quadratic_form(m, ginv), name=name)
 
 
 def sigma_metric(m: int) -> np.ndarray:
@@ -231,11 +228,7 @@ def nambu_lagrangian() -> LagrangianModel:
         _require_negative(det, "worldsheet Gram determinant")
         return autodiff.sqrt(-det)
 
-    def admissible(j: Jet) -> bool:
-        return GramMatrix.from_velocities(MINKOWSKI, j.qdot).admissible
-
-    return LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L),
-                           admissible=admissible, name="nambu")
+    return LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L), name="nambu")
 
 
 def nambu_legendre_closed_form(j: Jet) -> Phase:
@@ -286,21 +279,16 @@ def nambu_hamiltonian() -> HamiltonianModel:
 
     Positive root: H is the Legendre transform of L = sqrt(-det g) and
     p1.v1 + p2.v2 = 2L by homogeneity, so H = L > 0 (see module docstring).
-    Admissibility requires det gd < 0 with a small margin, keeping the
-    square-root derivatives bounded.
+    H is defined where det gd < -1e-8: the margin keeps the square-root
+    derivatives bounded, and H raises ``DomainError`` everywhere else.
     """
 
     def eval_H(xs):
         det = GramMatrix.from_momenta(MINKOWSKI, (xs[4:8], xs[8:12])).det
-        _require_negative(det, "dual-side Gram determinant")
+        _require_negative(det, "dual-side Gram determinant", -_DUAL_DET_MARGIN)
         return autodiff.sqrt(-det)
 
-    def admissible(ph: Phase) -> bool:
-        g = GramMatrix.from_momenta(MINKOWSKI, ph.p)
-        return bool(np.all(_value(g.det) < -_DUAL_DET_MARGIN))
-
-    return HamiltonianModel(m=4, H=ScalarField(arity=12, eval=eval_H),
-                            admissible=admissible, name="nambu")
+    return HamiltonianModel(m=4, H=ScalarField(arity=12, eval=eval_H), name="nambu")
 
 
 @dataclass(frozen=True)

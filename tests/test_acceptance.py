@@ -173,8 +173,7 @@ def test_criterion_3_string_legendre_structure():
     def invert(mdl, ph):
         return legendre_invert(mdl, ph, nambu_legendre_inverse_closed_form(ph))
 
-    lt = hamiltonian_from_lagrangian(model, invert=invert,
-                                     admissible=ham.admissible)
+    lt = hamiltonian_from_lagrangian(model, invert=invert)
     lt_gap = 0.0
     square_gap = 0.0
     residual_gap = 0.0

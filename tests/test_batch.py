@@ -55,6 +55,7 @@ from fieldtriple.lagrangian import (
 from fieldtriple.models import (
     MINKOWSKI,
     STRING_JET,
+    GramMatrix,
     Uniform,
     draw_points,
     get_hamiltonian,
@@ -186,6 +187,30 @@ def test_batched_members_and_residuals_match_per_point_bitwise(name, m):
             assert np.array_equal(r, ref)
 
 
+@pytest.mark.parametrize("name,m", MODELS)
+def test_free_parameters_move_only_pdot(name, m):
+    """Two members over the same points with different ``free`` agree in
+    every block but pdot, both lie on both relations, and each pdot is the
+    canonical member's moved by exactly its free parameters."""
+    lag, ham, j, ph, free_l, free_h = draws(name, m)
+    for member, model, x, free in ((phase_dynamics_member, lag, j, free_l),
+                                   (ham_dynamics_member, ham, ph, free_h)):
+        other = 2.5 * free[::-1] + 1.0
+        w0 = member(model, x)
+        pair = [member(model, x, f) for f in (free, other)]
+        a, b = pair
+        assert a.base == b.base == w0.base
+        assert np.array_equal(a.qdot, b.qdot) and np.array_equal(a.qdot, w0.qdot)
+        assert np.all(a.pdot != b.pdot)
+        for w, (split, cross0, cross1) in zip(pair, (free, other)):
+            assert np.array_equal(w.pdot[0, 0], w0.pdot[0, 0] - split)
+            assert np.array_equal(w.pdot[1, 1], split)
+            assert np.array_equal(w.pdot[0, 1], cross0)
+            assert np.array_equal(w.pdot[1, 0], cross1)
+            assert np.max(phase_relation_residual(lag, w)) <= 1e-12
+            assert np.max(ham_phase_residual(ham, w)) <= 1e-12
+
+
 def test_default_member_is_canonical_for_a_batch():
     lag, ham, j, ph, _, _ = draws("nambu", None)
     w = phase_dynamics_member(lag, j)
@@ -211,8 +236,10 @@ def test_one_inadmissible_point_fails_the_batch():
         dL(lag, Jet(j.q, qdot))
     p = ph.p.copy()
     p[1, :, 5] = 2.0 * ph.p[0, :, 5]
-    assert ham.admissible(ph) and not ham.admissible(Phase(ph.q, p))
-    assert lag.admissible(j) and not lag.admissible(Jet(j.q, qdot))
+    dual = GramMatrix.from_momenta(MINKOWSKI, p).det
+    assert np.all(np.delete(dual, 5) < -1e-8) and dual[5] == 0.0
+    primal = GramMatrix.from_velocities(MINKOWSKI, qdot).det
+    assert np.all(np.delete(primal, 7) < 0.0) and primal[7] == 0.0
     with pytest.raises(DomainError):
         dH(ham, Phase(ph.q, p))
 

@@ -12,7 +12,7 @@ import pytest
 
 from fieldtriple import cli as cli_module
 from fieldtriple.cli import main, read_field_csv, write_field_csv, write_momentum_csv
-from fieldtriple.errors import InvalidInputError
+from fieldtriple.errors import InvalidInputError, InvalidParameterError
 from fieldtriple.grid import Grid, GridField, GridMomentum, discrete_action
 from fieldtriple.models import get_lagrangian
 
@@ -449,6 +449,60 @@ def test_invalid_requests_exit_2(tmp_path, capsys, argv):
     code, _, stderr = run(capsys, *argv)
     assert code == 2
     assert stderr != ""
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    # the list grid and the string bc are accepted; the missing --out is not
+    (["solve", "--model", "harmonic"], {"grid": [9, 9], "bc": "x"},
+     "solve requires --out"),
+    (["solve", "--bc", "x", "--max-iter", "0"], None,
+     "max_iter must be >= 1, got 0"),
+    (["legendre", "--m", "0"], None, "m must be >= 1, got 0"),
+    (["action"], {"domain": "hexagon"},
+     "domain must be one of ('square', 'disc-mask'), got 'hexagon'"),
+    (["legendre"], [1, 2], "config JSON must be an object"),
+    (["solve"], {"grid": [9]}, "grid must be 'NXxNY' or [nx, ny], got [9]"),
+    (["solve"], {"bc": [1]}, "bc must be a list of expression strings"),
+    (["legendre"], {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    (["legendre"], {"tol": "small"}, "tol must be a number, got 'small'"),
+    (["legendre"], {"model": 5}, "model must be a string, got 5"),
+])
+def test_invalid_configs_exit_2_with_message(tmp_path, capsys, argv, config,
+                                             message):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"fieldtriple: error: {message}\n"
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, stderr = run(capsys, "legendre", "--config", str(missing))
+    assert code == 2
+    assert stderr == (f"fieldtriple: error: cannot read {missing}: "
+                      "No such file or directory\n")
+
+
+def test_zero_threads_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FIELD_TRIPLE_THREADS", "0")
+    code, _, stderr = run(capsys, "check-maps", "--points", "1")
+    assert code == 2
+    assert stderr == "fieldtriple: error: FIELD_TRIPLE_THREADS must be >= 1, got 0\n"
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["fieldtriple", "check-maps", "--points", "0"])
+    assert main() == 2
+    assert capsys.readouterr().err == "fieldtriple: error: points must be >= 1, got 0\n"
+
+
+def test_run_config_rejects_unknown_command():
+    with pytest.raises(InvalidParameterError, match="^unknown command 'bogus'$"):
+        cli_module.RunConfig(command="bogus")
 
 
 @pytest.mark.parametrize("argv,config", [

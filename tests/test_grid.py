@@ -53,8 +53,7 @@ def minimal_surface_model() -> LagrangianModel:
     def eval_L(xs):
         return autodiff.sqrt(1.0 + xs[1] * xs[1] + xs[2] * xs[2])
 
-    return LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L),
-                           admissible=lambda j: True, name="graph-area")
+    return LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="graph-area")
 
 
 def boundary_rows(field: GridField) -> np.ndarray:
@@ -685,8 +684,7 @@ def _double_hump_model():
         u = xs[0]
         return (xs[1] * xs[1] + xs[2] * xs[2]) / 2.0 + u * u / 2.0 - u * u * u * u / 4.0
 
-    return LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L),
-                           admissible=lambda j: True, name="double-hump")
+    return LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="double-hump")
 
 
 def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
@@ -842,8 +840,7 @@ def test_non_finite_newton_step_raises():
     def eval_L(xs):
         return 1e-300 * (xs[1] * xs[1] + xs[2] * xs[2]) / 2.0 + 1e10 * xs[0]
 
-    model = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L),
-                            admissible=lambda j: True, name="overflow")
+    model = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="overflow")
     with pytest.raises(SingularJacobianError,
                        match="Newton step is non-finite at iteration 0"):
         _solve_with_bc(model, Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
@@ -853,8 +850,7 @@ def test_singular_newton_system_raises():
     # L = qbar is linear in the nodal values: its Hessian, and so the Newton
     # matrix, is zero while the residual is not.
     model = LagrangianModel(
-        m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0 * xs[0]),
-        admissible=lambda j: True, name="linear")
+        m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0 * xs[0]), name="linear")
     with pytest.raises(SingularJacobianError,
                        match="Newton system is singular at iteration 0: "):
         _solve_with_bc(model, Grid.square(7, 7), lambda x, y: np.array([x]), m=1)
@@ -904,9 +900,23 @@ def test_solver_rejects_boundary_mismatch():
         solve_dirichlet(HARM1, g, boundary_rows(f), f.values)
 
 
+def test_solver_takes_an_initial_field_on_a_grid_of_the_same_layout():
+    g = Grid.square(9, 9)
+    f = GridField.from_function(Grid.square(9, 9), lambda x, y: np.array([x * y]), m=1)
+    assert f.grid is not g
+    _, rep = solve_dirichlet(HARM1, g, boundary_rows(f), f)
+    assert rep.converged
+    disc = GridField.from_function(Grid.disc_mask(9, 9),
+                                   lambda x, y: np.array([x * y]), m=1)
+    assert disc.values.shape == f.values.shape
+    with pytest.raises(InvalidInputError,
+                       match="^initial field lives on a different grid$"):
+        solve_dirichlet(HARM1, g, boundary_rows(f), disc)
+
+
 def test_solver_rejects_a_lagrangian_that_drops_taylor_numbers():
     constant = LagrangianModel(m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0),
-                               admissible=lambda j: True, name="constant")
+                               name="constant")
     with pytest.raises(InvalidInputError,
                        match="^Lagrangian did not propagate Taylor numbers$"):
         _solve_with_bc(constant, Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
@@ -937,8 +947,7 @@ def test_line_search_that_never_regains_admissibility_raises():
             raise DomainError("cell slope left the band")
         return HARM1.L(xs)
 
-    banded = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L),
-                             admissible=lambda j: True, name="banded")
+    banded = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="banded")
     discrete_action_gradient(banded, f)  # the start is inside the band
     with pytest.raises(GridDomainError) as exc:
         solve_dirichlet(banded, g, boundary_rows(f), f)

@@ -14,6 +14,7 @@ from fieldtriple.errors import (
     SingularJacobianError,
 )
 from fieldtriple.hamiltonian import (
+    HamiltonianModel,
     dH,
     ham_dynamics_member,
     ham_phase_residual,
@@ -27,6 +28,8 @@ from fieldtriple.lagrangian import (
     phase_relation_residual,
 )
 from fieldtriple.models import (
+    MINKOWSKI,
+    GramMatrix,
     harmonic_hamiltonian,
     harmonic_lagrangian,
     nambu_hamiltonian,
@@ -83,6 +86,32 @@ def test_dh_inadmissible_point_is_domain_error():
 def test_dh_wrong_dimension_rejected():
     with pytest.raises(InvalidInputError):
         dH(HARM_H, Phase([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]))
+
+
+def test_hamiltonian_model_shape_checks():
+    with pytest.raises(InvalidInputError, match="^m must be >= 1, got 0$"):
+        HamiltonianModel(m=0, H=HARM_H.H)
+    with pytest.raises(InvalidInputError, match="^H has arity 3, expected 3m = 6$"):
+        HamiltonianModel(m=2, H=HARM_H.H)
+
+
+@pytest.mark.parametrize("det_gd,defined", [(-5e-9, False), (-2e-8, True)])
+def test_string_h_is_defined_only_below_the_dual_margin(det_gd, defined):
+    """H = sqrt(-det gd) is refused for det gd in [-1e-8, 0), by its plain
+    value and by dH alike."""
+    ph = Phase([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [0.0, np.sqrt(-det_gd), 0.0, 0.0]])
+    assert GramMatrix.from_momenta(MINKOWSKI, ph.p).det == pytest.approx(det_gd, rel=1e-15)
+    flat = np.concatenate([ph.q, *ph.p])
+    if defined:
+        assert NAMBU_H.H.eval(flat) == pytest.approx(np.sqrt(-det_gd), rel=1e-15)
+        v = nambu_legendre_inverse_closed_form(ph).qdot
+        assert np.max(np.abs(dH(NAMBU_H, ph).psi - v)) <= 1e-12
+        return
+    message = "^dual-side Gram determinant must be below -1e-08$"
+    with pytest.raises(DomainError, match=message):
+        NAMBU_H.H.eval(flat)
+    with pytest.raises(DomainError, match=message):
+        dH(NAMBU_H, ph)
 
 
 def test_dh_matches_finite_differences_on_string():
@@ -150,7 +179,7 @@ def test_invert_nambu_from_perturbed_guess():
         j = sample_admissible_string_jet(rng)
         ph = nambu_legendre_closed_form(j)
         guess = Jet(j.q, [1.1 * j.qdot[0], 0.9 * j.qdot[1]])
-        if not NAMBU_L.admissible(guess):
+        if not GramMatrix.from_velocities(MINKOWSKI, guess.qdot).det < 0.0:
             continue
         count += 1
         rec = legendre_invert(NAMBU_L, ph, guess)
@@ -173,7 +202,6 @@ def test_invert_affine_lagrangian_is_singular():
     affine = LagrangianModel(
         m=1,
         L=ScalarField(arity=3, eval=lambda xs: xs[1]),
-        admissible=lambda j: True,
         name="affine",
     )
     with pytest.raises(SingularJacobianError):
@@ -186,7 +214,6 @@ SATURATING = LagrangianModel(
     m=1,
     L=ScalarField(arity=3, eval=lambda xs: autodiff.sqrt(1.0 + xs[1] * xs[1])
                   + autodiff.sqrt(1.0 + xs[2] * xs[2])),
-    admissible=lambda j: True,
     name="saturating",
 )
 ZERO_JET = Jet([0.0], [[0.0], [0.0]])
@@ -229,6 +256,41 @@ def test_invert_converges_on_the_last_allowed_step():
     j = legendre_invert(HARM_L, ph, Jet([0.3], [[0.0], [0.0]]), max_iter=1)
     assert j.q.tolist() == [0.3]
     assert _momentum_residual(HARM_L, ph, j) <= 1e-10
+
+
+def test_invert_retreats_when_the_full_step_leaves_the_domain():
+    """From this guess the undamped Newton step crosses det g >= 0; the line
+    search halves it on the Lagrangian's own DomainError and converges."""
+    rng = np.random.default_rng(4)
+    ph = sample_admissible_string_phase(rng)
+    exact = nambu_legendre_inverse_closed_form(ph)
+    guess = Jet(ph.q, exact.qdot + 0.3 * rng.standard_normal((2, 4)))
+    assert GramMatrix.from_velocities(MINKOWSKI, guess.qdot).det < 0.0
+    z = np.concatenate([ph.q, *guess.qdot])
+    F = autodiff.grad(NAMBU_L.L, z)[4:] - np.concatenate(ph.p)
+    step = np.linalg.solve(autodiff.hessian(NAMBU_L.L, z)[4:, 4:], -F)
+    full = z[4:] + step
+    assert GramMatrix.from_velocities(MINKOWSKI, full.reshape(2, 4)).det >= 0.0
+
+    refused = []
+
+    def eval_L(xs):
+        try:
+            return NAMBU_L.L.eval(xs)
+        except DomainError:
+            refused.append([x.value for x in xs])
+            raise
+
+    counting = LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L))
+    rec = legendre_invert(counting, ph, guess)
+    assert np.array_equal(refused[0], np.concatenate([ph.q, full]))
+    assert np.max(np.abs(rec.qdot - exact.qdot)) <= 1e-9
+
+
+def test_invert_wrong_dimension_rejected():
+    with pytest.raises(InvalidInputError, match="^phase has m=2, model has m=1$"):
+        legendre_invert(HARM_L, Phase([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+                        Jet([0.0], [[0.0], [0.0]]))
 
 
 def test_invert_rejects_inadmissible_guess():
@@ -280,8 +342,7 @@ def test_transform_value_does_not_depend_on_call_history():
 
 
 def test_transform_of_string_matches_closed_form():
-    model = hamiltonian_from_lagrangian(NAMBU_L, invert=_string_invert,
-                                        admissible=NAMBU_H.admissible)
+    model = hamiltonian_from_lagrangian(NAMBU_L, invert=_string_invert)
     rng = np.random.default_rng(67)
     for _ in range(200):
         ph = sample_admissible_string_phase(rng)
@@ -292,11 +353,16 @@ def test_transform_of_string_matches_closed_form():
         assert abs(lt - cf) <= 1e-9
 
 
+def test_transform_is_named_after_its_lagrangian():
+    assert hamiltonian_from_lagrangian(HARM_L).name == "legendre-transform(harmonic)"
+    nameless = LagrangianModel(m=1, L=HARM_L.L)
+    assert hamiltonian_from_lagrangian(nameless).name == "legendre-transform"
+
+
 def test_transform_of_affine_lagrangian_fails_at_evaluation():
     affine = LagrangianModel(
         m=1,
         L=ScalarField(arity=3, eval=lambda xs: xs[1]),
-        admissible=lambda j: True,
         name="affine",
     )
     model = hamiltonian_from_lagrangian(affine)
@@ -305,8 +371,6 @@ def test_transform_of_affine_lagrangian_fails_at_evaluation():
 
 
 def test_string_h_squares_to_minus_dual_determinant():
-    from fieldtriple.models import MINKOWSKI, GramMatrix
-
     rng = np.random.default_rng(71)
     for _ in range(200):
         ph = sample_admissible_string_phase(rng)

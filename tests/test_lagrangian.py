@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldtriple.bundles import Jet, Phase, PhaseJet, project_to_jet
-from fieldtriple.errors import DomainError
+from fieldtriple.errors import DomainError, InvalidInputError
 from fieldtriple.lagrangian import (
+    LagrangianModel,
     SecondJet,
     dL,
     el_residual_pointwise,
@@ -50,6 +51,28 @@ def test_dl_inadmissible_point_is_domain_error():
     degenerate = Jet([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(DomainError):
         dL(NAMBU, degenerate)
+
+
+def test_inadmissible_jet_raises_the_lagrangians_own_error():
+    """dL and the Euler-Lagrange residual test no domain of their own: an
+    inadmissible jet fails with the DomainError that L raises."""
+    degenerate = Jet([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    message = "^worldsheet Gram determinant must be negative$"
+    with pytest.raises(DomainError, match=message):
+        NAMBU.L.eval(np.concatenate([degenerate.q, *degenerate.qdot]))
+    with pytest.raises(DomainError, match=message):
+        dL(NAMBU, degenerate)
+    with pytest.raises(DomainError, match=message):
+        el_residual_pointwise(NAMBU, SecondJet(degenerate, np.zeros((2, 2, 4))))
+
+
+def test_model_and_jet_dimensions_must_agree():
+    with pytest.raises(InvalidInputError, match="^m must be >= 1, got 0$"):
+        LagrangianModel(m=0, L=HARM1.L)
+    with pytest.raises(InvalidInputError, match="^L has arity 3, expected 3m = 6$"):
+        LagrangianModel(m=2, L=HARM1.L)
+    with pytest.raises(InvalidInputError, match="^jet has m=2, model has m=1$"):
+        dL(HARM1, Jet([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_dl_jet_passthrough():
