@@ -12,12 +12,10 @@ Conventions
 * A plain number entering Taylor arithmetic is promoted with zero derivative
   parts, so evaluating on Taylor numbers reproduces the plain value bit for
   bit (the value channel performs exactly the same float operations).
-* ``grad`` and ``hessian`` are one seeded pass each; ``hessian_mixed`` is an
-  entry of ``hessian``.  A first-order pass leaves ``hess`` as None and does
-  no second-order work.
-* The finite-difference oracle ``fd_grad`` is kept deliberately independent
-  of the Taylor path (pure f-evaluations) so the two can cross-check each
-  other.
+* ``grad`` and ``hessian`` are one seeded pass each.  A first-order pass
+  leaves ``hess`` as None and does no second-order work.
+* A value outside a function's domain raises ``DomainError``, naming the
+  first failing point of a batch as its component.
 """
 
 from __future__ import annotations
@@ -27,34 +25,27 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, InvalidParameterError
+from .errors import DomainError, InvalidInputError
 
 __all__ = [
     "Taylor",
     "ScalarField",
     "seed",
     "grad",
-    "fd_grad",
-    "hessian_mixed",
     "hessian",
     "sqrt",
 ]
 
 
-def _first_bad_component(mask) -> int | None:
-    """Index of the first True entry of a boolean array, None for scalars."""
-    mask = np.asarray(mask)
-    if mask.ndim == 0:
-        return None
-    return int(np.argmax(mask))
-
-
-def _check_value_domain(value, ok_mask, what: str) -> None:
-    ok = np.asarray(ok_mask)
-    if not bool(np.all(ok)):
-        comp = _first_bad_component(~ok)
+def _require_domain(ok, message: str) -> None:
+    """Raise ``DomainError(message)`` unless ``ok`` holds at every point of a
+    batch; the first point where it fails is named as the error's component
+    (None for a scalar).  A passing check formats nothing."""
+    ok = np.asarray(ok)
+    if not ok.all():
+        comp = None if ok.ndim == 0 else int(np.argmax(~ok))
         at = "" if comp is None else f" at component {comp}"
-        raise DomainError(f"{what} left the admissible domain{at}", component=comp)
+        raise DomainError(message + at, component=comp)
 
 
 def _lift(x) -> "Taylor":
@@ -160,10 +151,13 @@ def _divide(a: Taylor, b: Taylor) -> Taylor:
     return Taylor(v, grad, None if hess is None else hess / b.value)
 
 
+_SQRT_DOMAIN = "sqrt left the admissible domain"
+
+
 def sqrt(x):
     """Square root with derivative propagation; negative values are a domain error."""
     if isinstance(x, Taylor):
-        _check_value_domain(x.value, np.asarray(x.value) > 0.0, "sqrt")
+        _require_domain(np.asarray(x.value) > 0.0, _SQRT_DOMAIN)
         r = np.sqrt(x.value)
         d1 = 0.5 / r
         hess = None
@@ -171,7 +165,7 @@ def sqrt(x):
             hess = (_scaled(x.hess, d1)
                     + (-0.25 / (r * x.value)) * _outer(x.grad, x.grad))
         return Taylor(r, d1 * x.grad, hess)
-    _check_value_domain(x, np.asarray(x) >= 0.0, "sqrt")
+    _require_domain(np.asarray(x) >= 0.0, _SQRT_DOMAIN)
     return np.sqrt(x)
 
 
@@ -237,31 +231,6 @@ def grad(f: ScalarField, x) -> np.ndarray:
     return out
 
 
-def fd_grad(f: ScalarField, x: Sequence[float], h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient oracle, independent of the Taylor path.
-
-    The step for coordinate i is h*max(1, |x[i]|) so the stencil stays
-    well-scaled for both small and large coordinates.
-    """
-    if h <= 0.0:
-        raise InvalidParameterError(f"finite-difference step must be positive, got {h}")
-    x = _point(f, x)
-    out = np.empty(f.arity)
-    for i in range(f.arity):
-        hi = h * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += hi
-        xm[i] -= hi
-        fp = f(list(xp))
-        fm = f(list(xm))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise DomainError(f"non-finite value on the stencil of coordinate {i}",
-                              component=i)
-        out[i] = (fp - fm) / (2.0 * hi)
-    return out
-
-
 def hessian(f: ScalarField, x: Sequence[float]) -> np.ndarray:
     """Full Hessian of f at x via one seeded second-order pass; the result
     is exactly symmetric."""
@@ -270,9 +239,3 @@ def hessian(f: ScalarField, x: Sequence[float]) -> np.ndarray:
     out[:] = _expand(f, _point(f, x), second=True).hess
     return out
 
-
-def hessian_mixed(f: ScalarField, x: Sequence[float], i: int, j: int) -> float:
-    """Second derivative d^2 f / dx_i dx_j, one entry of ``hessian`` (i == j ok)."""
-    if not (0 <= i < f.arity and 0 <= j < f.arity):
-        raise InvalidInputError(f"indices ({i}, {j}) out of range for arity {f.arity}")
-    return float(hessian(f, x)[i, j])

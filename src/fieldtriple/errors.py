@@ -60,3 +60,12 @@ class ExprSyntaxError(FieldTripleError, ValueError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+def _require_newton_options(tol, max_iter) -> None:
+    """The Newton solvers' shared test of their tolerance and iteration cap;
+    a nan tolerance fails it."""
+    if not tol > 0.0:
+        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")

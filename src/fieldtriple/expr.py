@@ -209,6 +209,14 @@ class _Parser:
             lhs = Binary(tok.text, lhs, rhs)
         return lhs
 
+    def parse_closed(self) -> Expr:
+        """An expression and the ')' after it."""
+        inner = self.parse_at(0)
+        closer = self.advance()
+        if closer.kind != ")":
+            raise ExprSyntaxError("expected ')'", closer.pos)
+        return inner
+
     def parse_prefix(self) -> Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
@@ -228,18 +236,10 @@ class _Parser:
                 if opener.kind != "(":
                     raise ExprSyntaxError(
                         f"function {tok.text!r} needs parentheses", opener.pos)
-                arg = self.parse_at(0)
-                closer = self.advance()
-                if closer.kind != ")":
-                    raise ExprSyntaxError("expected ')'", closer.pos)
-                return Call(tok.text, arg)
+                return Call(tok.text, self.parse_closed())
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.pos)
         if tok.kind == "(":
-            inner = self.parse_at(0)
-            closer = self.advance()
-            if closer.kind != ")":
-                raise ExprSyntaxError("expected ')'", closer.pos)
-            return inner
+            return self.parse_closed()
         if tok.kind == "end":
             raise ExprSyntaxError("unexpected end of input", tok.pos)
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)

@@ -57,6 +57,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     SingularJacobianError,
+    _require_newton_options,
 )
 from .lagrangian import LagrangianModel
 
@@ -81,6 +82,27 @@ _CORNERS = ((0, 0, -1.0, -1.0), (1, 0, 1.0, -1.0),
             (0, 1, -1.0, 1.0), (1, 1, 1.0, 1.0))
 
 
+def _require_size(nx: int, ny: int) -> None:
+    if nx < 3 or ny < 3:
+        raise InvalidParameterError(f"grid needs nx, ny >= 3, got {nx} x {ny}")
+
+
+def _surrounded(inside: np.ndarray) -> np.ndarray:
+    """Nodes whose four edge neighbors are all ``inside``; a neighbor past
+    the array edge is not."""
+    padded = np.pad(inside, 1, constant_values=False)
+    return (padded[2:, 1:-1] & padded[:-2, 1:-1]
+            & padded[1:-1, 2:] & padded[1:-1, :-2])
+
+
+def _active_cell_mask(mask: np.ndarray) -> np.ndarray:
+    """Cells whose four corners are non-outside, shape (nx-1, ny-1); cell
+    (i, j) spans nodes (i..i+1, j..j+1)."""
+    inside = mask > OUTSIDE
+    return (inside[:-1, :-1] & inside[1:, :-1]
+            & inside[:-1, 1:] & inside[1:, 1:])
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Rectangular node grid with an interior/boundary/outside mask.
@@ -99,9 +121,7 @@ class Grid:
     mask: np.ndarray
 
     def __post_init__(self):
-        if self.nx < 3 or self.ny < 3:
-            raise InvalidParameterError(
-                f"grid needs nx, ny >= 3, got {self.nx} x {self.ny}")
+        _require_size(self.nx, self.ny)
         if not (self.hx > 0.0 and self.hy > 0.0):
             raise InvalidParameterError(
                 f"grid spacings must be positive, got hx={self.hx}, hy={self.hy}")
@@ -112,10 +132,7 @@ class Grid:
         if not np.isin(mask, (OUTSIDE, BOUNDARY, INTERIOR)).all():
             raise InvalidInputError("mask entries must be 0, 1 or 2")
         mask = mask.astype(np.int8)
-        inside = np.pad(mask > OUTSIDE, 1, constant_values=False)
-        neighbors_ok = (inside[2:, 1:-1] & inside[:-2, 1:-1]
-                        & inside[1:-1, 2:] & inside[1:-1, :-2])
-        if np.any((mask == INTERIOR) & ~neighbors_ok):
+        if np.any((mask == INTERIOR) & ~_surrounded(mask > OUTSIDE)):
             raise InvalidInputError(
                 "interior node with an outside (or missing) edge neighbor")
         if not np.any(mask == BOUNDARY):
@@ -123,18 +140,14 @@ class Grid:
         object.__setattr__(self, "mask", mask)
 
     @classmethod
-    def square(cls, nx: int, ny: int, lx: float = 1.0, ly: float = 1.0) -> "Grid":
-        """Full rectangle [0, lx] x [0, ly]: border nodes boundary, rest interior."""
-        if nx < 3 or ny < 3:
-            raise InvalidParameterError(
-                f"grid needs nx, ny >= 3, got {nx} x {ny}")
-        if not (lx > 0.0 and ly > 0.0):
-            raise InvalidParameterError(
-                f"side lengths must be positive, got {lx}, {ly}")
+    def square(cls, nx: int, ny: int) -> "Grid":
+        """The unit square, spacings 1/(nx-1) and 1/(ny-1): border nodes
+        boundary, rest interior."""
+        _require_size(nx, ny)
         mask = np.full((nx, ny), INTERIOR, dtype=np.int8)
         mask[0, :] = mask[-1, :] = BOUNDARY
         mask[:, 0] = mask[:, -1] = BOUNDARY
-        return cls(nx=nx, ny=ny, hx=lx / (nx - 1), hy=ly / (ny - 1), mask=mask)
+        return cls(nx=nx, ny=ny, hx=1.0 / (nx - 1), hy=1.0 / (ny - 1), mask=mask)
 
     @classmethod
     def disc_mask(cls, nx: int, ny: int) -> "Grid":
@@ -144,17 +157,12 @@ class Grid:
         nodes touching the outside (or the array edge) form the boundary.
         First-order accurate at the curved boundary by construction.
         """
-        if nx < 3 or ny < 3:
-            raise InvalidParameterError(
-                f"grid needs nx, ny >= 3, got {nx} x {ny}")
+        _require_size(nx, ny)
         hx, hy = 1.0 / (nx - 1), 1.0 / (ny - 1)
         x = np.arange(nx) * hx
         y = np.arange(ny) * hy
         inside = ((x[:, None] - 0.5) ** 2 + (y[None, :] - 0.5) ** 2) <= 0.25
-        padded = np.pad(inside, 1, constant_values=False)
-        surrounded = (padded[2:, 1:-1] & padded[:-2, 1:-1]
-                      & padded[1:-1, 2:] & padded[1:-1, :-2])
-        mask = np.where(inside & surrounded, INTERIOR,
+        mask = np.where(inside & _surrounded(inside), INTERIOR,
                         np.where(inside, BOUNDARY, OUTSIDE)).astype(np.int8)
         return cls(nx=nx, ny=ny, hx=hx, hy=hy, mask=mask)
 
@@ -184,10 +192,7 @@ class Grid:
     def active_cells(self) -> np.ndarray:
         """(k, 2) int array of cells whose four corners are non-outside; cell
         (i, j) spans nodes (i..i+1, j..j+1)."""
-        inside = self.mask > OUTSIDE
-        active = (inside[:-1, :-1] & inside[1:, :-1]
-                  & inside[:-1, 1:] & inside[1:, 1:])
-        return np.argwhere(active)
+        return np.argwhere(_active_cell_mask(self.mask))
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,9 +498,7 @@ def momentum_divergence(mom: GridMomentum) -> tuple[np.ndarray, np.ndarray]:
     field equations reads div = 0 at a discrete stationary point.
     """
     grid = mom.grid
-    inside = grid.mask > OUTSIDE
-    cell_active = (inside[:-1, :-1] & inside[1:, :-1]
-                   & inside[:-1, 1:] & inside[1:, 1:])
+    cell_active = _active_cell_mask(grid.mask)
     # Node (i, j) touches cells (i-1..i, j-1..j).
     eligible = np.zeros((grid.nx, grid.ny), dtype=bool)
     eligible[1:-1, 1:-1] = ((grid.mask == INTERIOR)[1:-1, 1:-1]
@@ -743,10 +746,14 @@ def _max_norm(r: np.ndarray) -> float:
     return float(np.max(np.abs(r), initial=0.0))
 
 
+# Step halvings per line search before it gives up.
+_MAX_HALVINGS = 30
+
+
 def solve_dirichlet(model: LagrangianModel, grid: Grid,
                     boundary_values: np.ndarray, initial: GridField, *,
-                    tol: float = 1e-10, max_iter: int = 50,
-                    max_halvings: int = 30) -> tuple[GridField, SolveReport]:
+                    tol: float = 1e-10,
+                    max_iter: int = 50) -> tuple[GridField, SolveReport]:
     """Damped Newton solve of the discrete Euler-Lagrange equations with
     Dirichlet data.
 
@@ -754,8 +761,9 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     ``grid.boundary_nodes``; ``initial`` must carry exactly those values on
     the boundary and admissible cell jets.  Each Newton step solves the
     sparse interior Hessian system by direct factorization and backtracks
-    (halving the step) until the trial iterate is admissible and strictly
-    decreases the residual max-norm, so accepted steps never increase it.
+    (halving the step, at most 30 times) until the trial iterate is
+    admissible and strictly decreases the residual max-norm, so accepted
+    steps never increase it.
     L's own ``DomainError`` is the one admissibility test: each trial is
     first screened by a plain evaluation of L at every cell, which rejects an
     inadmissible string 33x33 trial in 0.3 ms where the gradient pass would
@@ -806,10 +814,7 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     if not (initial.grid is grid or initial.grid.same_layout(grid)):
         raise InvalidInputError("initial field lives on a different grid")
     _require_model_field(model, initial)
-    if tol <= 0.0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
+    _require_newton_options(tol, max_iter)
     m = model.m
     bnodes = grid.boundary_nodes
     bvals = np.asarray(boundary_values, dtype=float)
@@ -856,7 +861,7 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
         t = 1.0
         accepted = False
         saw_admissible = False
-        for _ in range(max_halvings):
+        for _ in range(_MAX_HALVINGS):
             u_try = u.copy()
             u_try[inodes[:, 0], inodes[:, 1]] += t * step
             try:

@@ -30,7 +30,7 @@ from . import autodiff
 from .autodiff import ScalarField, Taylor
 from .bundles import Jet, Phase, PhaseCovector, PhaseJet, beta
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
-                     SingularJacobianError)
+                     SingularJacobianError, _require_newton_options)
 from .lagrangian import LagrangianModel, _max_norm_per_point, _member_pdot
 
 __all__ = [
@@ -121,9 +121,13 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
     unknowns, starting from ``guess``, where L must be defined: L's own
     ``DomainError`` there propagates.  The step is halved (up to 20 times)
     whenever the residual fails to decrease or L raises ``DomainError`` at
-    the trial iterate.
+    the trial iterate.  ``guess`` must share the shape of ``ph``'s ``q``.
     """
     _require_m(model, ph)
+    if guess.q.shape != ph.q.shape:
+        raise InvalidInputError(
+            f"guess has q shape {guess.q.shape}, expected {ph.q.shape}")
+    _require_newton_options(tol, max_iter)
     m = model.m
     target = np.concatenate(ph.p)
     v = np.concatenate(guess.qdot)

@@ -48,9 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff
-from .autodiff import ScalarField, Taylor
+from .autodiff import ScalarField, Taylor, _require_domain
 from .bundles import Jet, Phase
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 from .hamiltonian import HamiltonianModel
 from .lagrangian import LagrangianModel
 
@@ -79,18 +79,6 @@ def _value(x):
     return x.value if isinstance(x, Taylor) else x
 
 
-def _require_negative(x, what: str, below: float = 0.0) -> None:
-    """Raise ``DomainError`` unless the value of ``x``, at every point of a
-    batch, is less than ``below``."""
-    val = np.asarray(_value(x))
-    ok = val < below
-    if not bool(np.all(ok)):
-        comp = None if val.ndim == 0 else int(np.argmax(~ok))
-        at = "" if comp is None else f" at component {comp}"
-        bound = "negative" if below == 0.0 else f"below {below:g}"
-        raise DomainError(f"{what} must be {bound}{at}", component=comp)
-
-
 @dataclass(frozen=True)
 class MinkowskiMetric:
     """Flat metric of signature (+,-,-,-) on R^4, in a fixed inertial chart.
@@ -100,7 +88,7 @@ class MinkowskiMetric:
     components as the primal one.
     """
 
-    dim: int = 4
+    dim = 4
 
     @property
     def signs(self) -> np.ndarray:
@@ -158,6 +146,8 @@ class GramMatrix:
 
 
 def _check_metric(m: int, target_metric) -> np.ndarray:
+    if m < 1:
+        raise InvalidParameterError(f"m must be >= 1, got {m}")
     if target_metric is None:
         return np.eye(m)
     g = np.asarray(target_metric, dtype=float)
@@ -193,8 +183,6 @@ def _half_quadratic_form(m: int, g: np.ndarray) -> ScalarField:
 def harmonic_lagrangian(m: int = 1, target_metric=None,
                         name: str = "harmonic") -> LagrangianModel:
     """L = (1/2) g_ab (v1^a v1^b + v2^a v2^b), admissible everywhere."""
-    if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
     g = _check_metric(m, target_metric)
     return LagrangianModel(m=m, L=_half_quadratic_form(m, g), name=name)
 
@@ -203,8 +191,6 @@ def harmonic_hamiltonian(m: int = 1, target_metric=None,
                          name: str = "harmonic") -> HamiltonianModel:
     """Closed-form Legendre transform of the harmonic model:
     H = (1/2) g^ab (p1_a p1_b + p2_a p2_b)."""
-    if m < 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
     ginv = np.linalg.inv(_check_metric(m, target_metric))
     return HamiltonianModel(m=m, H=_half_quadratic_form(m, ginv), name=name)
 
@@ -213,6 +199,9 @@ def sigma_metric(m: int) -> np.ndarray:
     """Constant SPD target metric for the "sigma" model: identity plus a
     rank-one bump, eigenvalues 1 (multiplicity m-1) and 3/2."""
     return np.eye(m) + 0.5 * np.ones((m, m)) / m
+
+
+_WORLDSHEET_DOMAIN = "worldsheet Gram determinant must be negative"
 
 
 def _string_gram_from_slots(xs) -> GramMatrix:
@@ -225,7 +214,7 @@ def nambu_lagrangian() -> LagrangianModel:
     def eval_L(xs):
         g = _string_gram_from_slots(xs)
         det = g.det
-        _require_negative(det, "worldsheet Gram determinant")
+        _require_domain(_value(det) < 0.0, _WORLDSHEET_DOMAIN)
         return autodiff.sqrt(-det)
 
     return LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L), name="nambu")
@@ -241,7 +230,7 @@ def nambu_legendre_closed_form(j: Jet) -> Phase:
     B = MINKOWSKI.inner(v1, v2)
     C = MINKOWSKI.inner(v2, v2)
     det = A * C - B * B
-    _require_negative(det, "worldsheet Gram determinant")
+    _require_domain(det < 0.0, _WORLDSHEET_DOMAIN)
     s = np.sqrt(-det)
     w1 = MINKOWSKI.lower(v1)
     w2 = MINKOWSKI.lower(v2)
@@ -263,7 +252,7 @@ def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
     P12 = MINKOWSKI.inner_dual(p1, p2)
     P22 = MINKOWSKI.inner_dual(p2, p2)
     det_d = P11 * P22 - P12 * P12  # equals det gd for gd built from momenta
-    _require_negative(det_d, "dual-side Gram determinant")
+    _require_domain(det_d < 0.0, "dual-side Gram determinant must be negative")
     s = np.sqrt(-det_d)
     r1 = MINKOWSKI.raise_(p1)
     r2 = MINKOWSKI.raise_(p2)
@@ -272,6 +261,7 @@ def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
 
 
 _DUAL_DET_MARGIN = 1e-8
+_DUAL_DET_DOMAIN = f"dual-side Gram determinant must be below {-_DUAL_DET_MARGIN:g}"
 
 
 def nambu_hamiltonian() -> HamiltonianModel:
@@ -285,7 +275,7 @@ def nambu_hamiltonian() -> HamiltonianModel:
 
     def eval_H(xs):
         det = GramMatrix.from_momenta(MINKOWSKI, (xs[4:8], xs[8:12])).det
-        _require_negative(det, "dual-side Gram determinant", -_DUAL_DET_MARGIN)
+        _require_domain(_value(det) < -_DUAL_DET_MARGIN, _DUAL_DET_DOMAIN)
         return autodiff.sqrt(-det)
 
     return HamiltonianModel(m=4, H=ScalarField(arity=12, eval=eval_H), name="nambu")
@@ -382,6 +372,9 @@ MODEL_NAMES = ("harmonic", "sigma", "nambu")
 
 
 def _validated_m(name: str, m: int | None) -> int:
+    if name not in MODEL_NAMES:
+        raise InvalidParameterError(
+            f"unknown model '{name}' (available: {', '.join(MODEL_NAMES)})")
     if name == "nambu":
         if m is not None and m != 4:
             raise InvalidParameterError(f"model 'nambu' requires m=4, got m={m}")
@@ -394,9 +387,6 @@ def _validated_m(name: str, m: int | None) -> int:
 
 def get_lagrangian(name: str, m: int | None = None) -> LagrangianModel:
     """Catalog lookup by CLI name: "harmonic", "sigma", or "nambu"."""
-    if name not in MODEL_NAMES:
-        raise InvalidParameterError(
-            f"unknown model '{name}' (available: {', '.join(MODEL_NAMES)})")
     mm = _validated_m(name, m)
     if name == "harmonic":
         return harmonic_lagrangian(mm)
@@ -407,9 +397,6 @@ def get_lagrangian(name: str, m: int | None = None) -> LagrangianModel:
 
 def get_hamiltonian(name: str, m: int | None = None) -> HamiltonianModel:
     """Closed-form Hamiltonian counterpart of each catalog model."""
-    if name not in MODEL_NAMES:
-        raise InvalidParameterError(
-            f"unknown model '{name}' (available: {', '.join(MODEL_NAMES)})")
     mm = _validated_m(name, m)
     if name == "harmonic":
         return harmonic_hamiltonian(mm)

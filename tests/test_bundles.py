@@ -402,6 +402,13 @@ def test_projection_zero():
     assert project_to_phase(w) == Phase([0.0], [[0.0], [0.0]])
 
 
+def test_projections_reject_other_types():
+    with pytest.raises(InvalidInputError, match="^cannot project Phase to a Jet$"):
+        project_to_jet(Phase([0.0], [[0.0], [0.0]]))
+    with pytest.raises(InvalidInputError, match="^cannot project Jet to a Phase$"):
+        project_to_phase(Jet([0.0], [[0.0], [0.0]]))
+
+
 def test_diagram_commutation_on_random_points():
     rng = np.random.default_rng(21)
     for _ in range(200):

@@ -112,11 +112,34 @@ def test_known_function_names():
     ("tan(x)", 0),         # unknown function name
     ("* x", 0),            # operator cannot start an expression
     ("sin x", 4),          # call needs parentheses
+    (".", 0),              # a point alone is no number
+    ("sin(x", 5),          # unclosed call
 ])
 def test_syntax_error_offsets(src, offset):
     with pytest.raises(ExprSyntaxError) as exc:
         parse_expr(src)
     assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("src,message", [
+    (".", "malformed number (at offset 0)"),
+    ("sin(x", "expected ')' (at offset 5)"),
+    ("(x + y", "expected ')' (at offset 6)"),
+])
+def test_syntax_error_messages(src, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(src)
+    assert str(exc.value) == message
+
+
+def test_non_expression_inputs_are_invalid_input():
+    with pytest.raises(InvalidInputError,
+                       match="^expression source must be str, got bytes$"):
+        parse_expr(b"x")
+    with pytest.raises(InvalidInputError, match="^not an expression node: str$"):
+        expr_to_text("x")
+    with pytest.raises(InvalidInputError, match="^not an expression node: str$"):
+        evaluate("x", 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

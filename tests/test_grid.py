@@ -24,6 +24,7 @@ from fieldtriple.errors import (
 from fieldtriple.grid import (
     Grid,
     GridField,
+    GridMomentum,
     _assemble_jacobian,
     _cell_hessians,
     _cell_slots,
@@ -82,8 +83,15 @@ def test_square_grid_layout():
 def test_grid_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError):
         Grid.square(2, 5)
-    with pytest.raises(InvalidParameterError):
-        Grid.square(5, 5, lx=-1.0)
+    with pytest.raises(InvalidParameterError,
+                       match="^grid needs nx, ny >= 3, got 9 x 2$"):
+        Grid.disc_mask(9, 2)
+    with pytest.raises(InvalidParameterError,
+                       match="^grid needs nx, ny >= 3, got 2 x 3$"):
+        Grid(nx=2, ny=3, hx=0.5, hy=0.5, mask=np.ones((2, 3)))
+    with pytest.raises(InvalidParameterError, match=r"^grid spacings must be "
+                       r"positive, got hx=0\.5, hy=nan$"):
+        Grid(nx=3, ny=3, hx=0.5, hy=float("nan"), mask=np.ones((3, 3)))
     with pytest.raises(InvalidInputError):
         Grid(nx=3, ny=3, hx=0.5, hy=0.5, mask=np.zeros((3, 4)))
     with pytest.raises(InvalidInputError):
@@ -111,6 +119,9 @@ def test_grid_field_validation():
     g = Grid.square(4, 4)
     with pytest.raises(InvalidInputError):
         GridField(grid=g, values=np.zeros((4, 3, 1)))
+    with pytest.raises(InvalidInputError,
+                       match="^field needs at least one component$"):
+        GridField(grid=g, values=np.zeros((4, 4, 0)))
     bad = np.zeros((4, 4, 1))
     bad[1, 1, 0] = np.nan
     with pytest.raises(InvalidInputError):
@@ -123,6 +134,50 @@ def test_grid_field_from_function():
     assert f.values[4, 0, 0] == pytest.approx(1.0)
     assert f.values[0, 4, 0] == pytest.approx(2.0)
     assert f.m == 1
+
+
+def test_from_function_rejects_a_value_of_the_wrong_shape():
+    g = Grid.square(4, 4)
+    with pytest.raises(InvalidInputError,
+                       match=r"^function returned shape \(2,\), expected \(1,\)$"):
+        GridField.from_function(g, lambda x, y: np.array([x, y]), m=1)
+
+
+def test_grid_momentum_validation():
+    g = Grid.disc_mask(9, 9)
+    mom, _ = boundary_momentum(HARM1, GridField.from_function(
+        g, lambda x, y: np.array([x]), m=1))
+    with pytest.raises(InvalidInputError,
+                       match=r"^p1 has shape \(8, 8\), expected \(8, 8\) \+ \(m,\)$"):
+        GridMomentum(g, mom.p1[..., 0], mom.p2)
+    with pytest.raises(InvalidInputError,
+                       match="^p1 and p2 must have the same shape$"):
+        GridMomentum(g, mom.p1, np.concatenate([mom.p2, mom.p2], axis=2))
+    bad = mom.p2.copy()
+    i, j = g.active_cells[0]
+    bad[i, j, 0] = np.inf
+    with pytest.raises(InvalidInputError,
+                       match="^non-finite momentum on an active cell$"):
+        GridMomentum(g, mom.p1, bad)
+    outside = mom.p2.copy()
+    outside[0, 0, 0] = np.inf  # a corner cell of the disc is not active
+    assert GridMomentum(g, mom.p1, outside).m == 1
+
+
+def test_field_and_model_must_agree():
+    f = GridField.from_function(Grid.square(4, 4), lambda x, y: np.array([x]), m=1)
+    with pytest.raises(InvalidInputError, match="^expected a GridField$"):
+        discrete_action(HARM1, f.values)
+    with pytest.raises(InvalidInputError, match="^field has m=1, model has m=4$"):
+        discrete_action_gradient(NAMBU, f)
+
+
+def test_boundary_pairing_rejects_a_variation_of_the_wrong_shape():
+    f = GridField.from_function(Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
+    _, pairing = boundary_momentum(HARM1, f)
+    with pytest.raises(InvalidInputError, match=r"^variation has shape "
+                       r"\(5, 5\), expected \(5, 5, 1\)$"):
+        pairing(np.zeros((5, 5)))
 
 
 def test_from_function_outside_nodes_are_nan():
@@ -974,6 +1029,9 @@ def test_solver_rejects_bad_parameters():
     bvals = boundary_rows(f)
     with pytest.raises(InvalidParameterError):
         solve_dirichlet(HARM1, g, bvals, f, tol=-1.0)
+    with pytest.raises(InvalidParameterError,
+                       match="^tolerance must be positive, got nan$"):
+        solve_dirichlet(HARM1, g, bvals, f, tol=float("nan"))
     with pytest.raises(InvalidParameterError):
         solve_dirichlet(HARM1, g, bvals, f, max_iter=0)
     other = GridField.from_function(Grid.square(7, 9),

@@ -10,6 +10,7 @@ from fieldtriple.bundles import Jet, Phase, PhaseJet, project_to_phase
 from fieldtriple.errors import (
     DomainError,
     InvalidInputError,
+    InvalidParameterError,
     NoConvergenceError,
     SingularJacobianError,
 )
@@ -41,10 +42,15 @@ from fieldtriple.models import (
     sigma_metric,
 )
 
+from support import (fd_grad, halfplane_hamiltonian, halfplane_lagrangian,
+                     sample_halfplane_q)
+
 HARM_L = harmonic_lagrangian(1)
 HARM_H = harmonic_hamiltonian(1)
 NAMBU_L = nambu_lagrangian()
 NAMBU_H = nambu_hamiltonian()
+HALFPLANE_L = halfplane_lagrangian()
+HALFPLANE_H = halfplane_hamiltonian()
 STANDARD_PHASE = Phase([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
@@ -120,7 +126,7 @@ def test_dh_matches_finite_differences_on_string():
         ph = sample_admissible_string_phase(rng)
         flat = np.concatenate([ph.q, *ph.p])
         g = autodiff.grad(NAMBU_H.H, flat)
-        fg = autodiff.fd_grad(NAMBU_H.H, flat)
+        fg = fd_grad(NAMBU_H.H, flat)
         assert np.max(np.abs(g - fg)) <= 1e-6
 
 
@@ -136,6 +142,14 @@ def test_ham_member_canonical_and_randomized():
         w1 = ham_dynamics_member(NAMBU_H, ph, free=rng.standard_normal((3, 4)))
         assert ham_phase_residual(NAMBU_H, w0) <= 1e-12
         assert ham_phase_residual(NAMBU_H, w1) <= 1e-12
+        assert project_to_phase(w0) == ph
+    # H depends on q here, so the members carry a nonzero source term -dH/dq.
+    for _ in range(100):
+        ph = Phase(sample_halfplane_q(rng), rng.standard_normal((2, 2)))
+        w0 = ham_dynamics_member(HALFPLANE_H, ph)
+        w1 = ham_dynamics_member(HALFPLANE_H, ph, free=rng.standard_normal((3, 2)))
+        assert ham_phase_residual(HALFPLANE_H, w0) <= 1e-12
+        assert ham_phase_residual(HALFPLANE_H, w1) <= 1e-12
         assert project_to_phase(w0) == ph
 
 
@@ -159,6 +173,14 @@ def test_dynamics_agree_between_both_descriptions():
         ph = sample_admissible_string_phase(rng)
         w = ham_dynamics_member(NAMBU_H, ph, free=rng.standard_normal((3, 4)))
         assert phase_relation_residual(NAMBU_L, w) <= 1e-8
+    for _ in range(100):
+        j = Jet(sample_halfplane_q(rng), rng.standard_normal((2, 2)))
+        w = phase_dynamics_member(HALFPLANE_L, j, free=rng.standard_normal((3, 2)))
+        assert ham_phase_residual(HALFPLANE_H, w) <= 1e-8
+
+        ph = Phase(sample_halfplane_q(rng), rng.standard_normal((2, 2)))
+        w = ham_dynamics_member(HALFPLANE_H, ph, free=rng.standard_normal((3, 2)))
+        assert phase_relation_residual(HALFPLANE_L, w) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +313,17 @@ def test_invert_wrong_dimension_rejected():
     with pytest.raises(InvalidInputError, match="^phase has m=2, model has m=1$"):
         legendre_invert(HARM_L, Phase([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
                         Jet([0.0], [[0.0], [0.0]]))
+    ph = Phase([0.7], [[2.0], [-3.0]])
+    with pytest.raises(InvalidInputError,
+                       match=r"^guess has q shape \(1, 3\), expected \(1,\)$"):
+        legendre_invert(HARM_L, ph, Jet(np.zeros((1, 3)), np.zeros((2, 1, 3))))
+    guess = Jet([0.7], [[0.0], [0.0]])
+    for tol, text in ((float("nan"), "nan"), (-1.0, "-1.0")):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^tolerance must be positive, got {text}$"):
+            legendre_invert(HARM_L, ph, guess, tol=tol)
+    with pytest.raises(InvalidParameterError, match="^max_iter must be >= 1, got 0$"):
+        legendre_invert(HARM_L, ph, guess, max_iter=0)
 
 
 def test_invert_rejects_inadmissible_guess():

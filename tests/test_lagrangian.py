@@ -24,8 +24,11 @@ from fieldtriple.models import (
     sample_admissible_string_jet,
 )
 
+from support import halfplane_lagrangian, sample_halfplane_q
+
 HARM1 = harmonic_lagrangian(1)
 NAMBU = nambu_lagrangian()
+HALFPLANE = halfplane_lagrangian()
 STANDARD_JET = Jet([0.0] * 4, [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 
@@ -173,6 +176,14 @@ def test_phase_dynamics_member_canonical_and_randomized():
         assert phase_relation_residual(NAMBU, w0) <= 1e-12
         assert phase_relation_residual(NAMBU, w1) <= 1e-12
         assert project_to_jet(w0) == j
+    # L depends on q here, so the members carry a nonzero source term dL/dq.
+    for _ in range(100):
+        j = Jet(sample_halfplane_q(rng), rng.standard_normal((2, 2)))
+        w0 = phase_dynamics_member(HALFPLANE, j)
+        w1 = phase_dynamics_member(HALFPLANE, j, free=rng.standard_normal((3, 2)))
+        assert phase_relation_residual(HALFPLANE, w0) <= 1e-12
+        assert phase_relation_residual(HALFPLANE, w1) <= 1e-12
+        assert project_to_jet(w0) == j
 
 
 @given(st.floats(1e-6, 0.1), st.integers(0, 2))
@@ -218,6 +229,18 @@ def test_el_residual_of_parabola():
 def test_el_residual_of_constant_map_vanishes():
     s = SecondJet(Jet([1.3], [[0.0], [0.0]]), np.zeros((2, 2, 1)))
     assert np.max(np.abs(el_residual_pointwise(HARM1, s))) == 0.0
+
+
+def test_el_residual_of_holomorphic_map_into_the_half_plane_vanishes():
+    # q = (-e^x sin y, e^x cos y) is i e^(x + iy), holomorphic, hence a
+    # harmonic map into the hyperbolic half-plane; its source term dL/dq is
+    # balanced by the q-dependence of the momenta.
+    x, y = 0.3, 0.7
+    ex, s, c = np.exp(x), np.sin(y), np.cos(y)
+    q, qx, qy = ex * np.array([[-s, c], [-s, c], [-c, -s]])
+    sj = SecondJet(Jet(q, [qx, qy]), [[qx, qy], [qy, -qx]])
+    assert dL(HALFPLANE, sj.jet).a[1] == pytest.approx(-3.311, abs=1e-3)
+    assert np.max(np.abs(el_residual_pointwise(HALFPLANE, sj))) <= 1e-14
 
 
 def test_el_residual_nambu_flat_sheet_vanishes():

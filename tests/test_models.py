@@ -14,6 +14,7 @@ from fieldtriple.models import (
     GramMatrix,
     get_hamiltonian,
     get_lagrangian,
+    harmonic_hamiltonian,
     harmonic_lagrangian,
     nambu_hamiltonian,
     nambu_lagrangian,
@@ -268,6 +269,16 @@ def test_catalog_rejects_bad_requests():
         get_lagrangian("nambu", m=3)
     with pytest.raises(InvalidParameterError):
         get_lagrangian("harmonic", m=0)
+    with pytest.raises(InvalidParameterError, match="^m must be >= 1, got 0$"):
+        harmonic_lagrangian(0)
+    with pytest.raises(InvalidParameterError, match="^m must be >= 1, got 0$"):
+        harmonic_hamiltonian(0)
+    with pytest.raises(InvalidParameterError,
+                       match="^string model needs m=4, got m=1$"):
+        nambu_legendre_closed_form(Jet([0.0], [[1.0], [0.0]]))
+    with pytest.raises(InvalidParameterError,
+                       match="^string model needs m=4, got m=1$"):
+        nambu_legendre_inverse_closed_form(Phase([0.0], [[1.0], [0.0]]))
 
 
 def test_nambu_lagrangian_raises_exactly_outside_admissible():
