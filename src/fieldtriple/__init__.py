@@ -25,10 +25,9 @@ from .hamiltonian import (HamiltonianModel, dH, ham_dynamics_member,
 from .lagrangian import (LagrangianModel, SecondJet, dL, el_residual_pointwise,
                          legendre, phase_dynamics_member,
                          phase_relation_residual)
-from .models import (MODEL_NAMES, STRING_JET, GramMatrix, MinkowskiMetric,
-                     Uniform, draw_points, get_hamiltonian, get_lagrangian,
-                     harmonic_hamiltonian, harmonic_lagrangian,
-                     nambu_hamiltonian, nambu_lagrangian,
+from .models import (MODEL_NAMES, STRING_JET, Uniform, draw_points,
+                     get_hamiltonian, get_lagrangian, harmonic_hamiltonian,
+                     harmonic_lagrangian, nambu_hamiltonian, nambu_lagrangian,
                      nambu_legendre_closed_form,
                      nambu_legendre_inverse_closed_form,
                      sample_admissible_string_jet,

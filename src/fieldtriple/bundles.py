@@ -81,11 +81,6 @@ __all__ = [
     "omega2_pair",
     "project_to_jet",
     "project_to_phase",
-    "random_jet",
-    "random_phase",
-    "random_phase_jet",
-    "random_jet_tangent",
-    "random_phase_tangent",
 ]
 
 # The length of the direction axis: the dimension of the base.
@@ -417,36 +412,3 @@ def project_to_phase(x) -> Phase:
     if isinstance(x, JetCovector):
         return Phase(q=x.jet.q, p=x.b)
     raise InvalidInputError(f"cannot project {type(x).__name__} to a Phase")
-
-
-def random_jet(rng: np.random.Generator, m: int) -> Jet:
-    return Jet(q=rng.standard_normal(m), qdot=rng.standard_normal((_N, m)))
-
-
-def random_phase(rng: np.random.Generator, m: int) -> Phase:
-    return Phase(q=rng.standard_normal(m), p=rng.standard_normal((_N, m)))
-
-
-def random_phase_jet(rng: np.random.Generator, m: int,
-                     base: Phase | None = None) -> PhaseJet:
-    """Direction-major draws after the base: (qdot[j], pdot[j, 0],
-    pdot[j, 1]) for each direction j."""
-    if base is None:
-        base = random_phase(rng, m)
-    x = rng.standard_normal((_N, 1 + _N, m))
-    return PhaseJet(base=base, qdot=x[:, 0], pdot=x[:, 1:])
-
-
-def random_jet_tangent(rng: np.random.Generator, m: int,
-                       jet: Jet | None = None) -> JetTangent:
-    if jet is None:
-        jet = random_jet(rng, m)
-    return JetTangent(jet=jet, dq=rng.standard_normal(m),
-                      dqdot=rng.standard_normal((_N, m)))
-
-
-def random_phase_tangent(rng: np.random.Generator,
-                         phase: Phase) -> PhaseTangent:
-    m = phase.m
-    return PhaseTangent(phase=phase, dq=rng.standard_normal(m),
-                        dp=rng.standard_normal((_N, m)))

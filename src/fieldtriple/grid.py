@@ -50,7 +50,7 @@ import numpy as np
 # scipy is imported by the functions that build and factor the Newton matrix,
 # so only a solve's first Newton step loads it; the rest needs numpy.
 
-from .autodiff import Taylor, seed
+from .autodiff import Taylor, _expand
 from .errors import (
     DomainError,
     GridDomainError,
@@ -318,18 +318,19 @@ def _cell_slots(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.concatenate(_cell_jets(grid, values), axis=1).T
 
 
-def _evaluate_cells(model: LagrangianModel, grid: Grid, slots, first: int = 0):
-    """L over per-cell slot arrays of the active cells first, first + 1, ...;
-    a domain error names the offending cell."""
+def _evaluate_cells(grid: Grid, evaluate: Callable, *args, first: int = 0):
+    """``evaluate(*args)``, a pass of L over per-cell slot arrays of the
+    active cells first, first + 1, ...; a domain error names the offending
+    cell."""
     try:
-        return model.L(slots)
+        return evaluate(*args)
     except DomainError as e:
         raise _wrap_cell_domain_error(grid, e, first) from e
 
 
 def _cell_values(model: LagrangianModel, grid: Grid, values: np.ndarray) -> np.ndarray:
     """L at every active cell jet, one batched plain evaluation."""
-    out = _evaluate_cells(model, grid, list(_cell_slots(grid, values)))
+    out = _evaluate_cells(grid, model.L, list(_cell_slots(grid, values)))
     return np.broadcast_to(np.asarray(out, dtype=float), (len(grid.active_cells),))
 
 
@@ -337,10 +338,7 @@ def _cell_expansion(model: LagrangianModel, grid: Grid, slots: np.ndarray,
                     second: bool, first: int = 0) -> Taylor:
     """L as one batched Taylor pass seeded on the 3m rows of ``slots``, one
     column per active cell from ``first`` on."""
-    out = _evaluate_cells(model, grid, seed(slots, second), first)
-    if not isinstance(out, Taylor):
-        raise InvalidInputError("Lagrangian did not propagate Taylor numbers")
-    return out
+    return _evaluate_cells(grid, _expand, model.L, slots, second, first=first)
 
 
 def _cell_gradients(model: LagrangianModel, grid: Grid,
@@ -809,11 +807,9 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     iterate returned; a step that cannot restore admissibility at any
     length raises a grid domain error.
     """
-    if not isinstance(initial, GridField):
-        raise InvalidInputError("initial must be a GridField")
+    _require_model_field(model, initial)
     if not (initial.grid is grid or initial.grid.same_layout(grid)):
         raise InvalidInputError("initial field lives on a different grid")
-    _require_model_field(model, initial)
     _require_newton_options(tol, max_iter)
     m = model.m
     bnodes = grid.boundary_nodes
@@ -874,7 +870,7 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
             saw_admissible = True
             res_try = grad_try[inodes[:, 0], inodes[:, 1]]
             norm_try = _max_norm(res_try)
-            if norm_try < res_norm or norm_try <= tol:
+            if norm_try < res_norm:
                 u, res, res_norm = u_try, res_try, norm_try
                 accepted = True
                 break

@@ -31,7 +31,8 @@ from .autodiff import ScalarField, Taylor
 from .bundles import Jet, Phase, PhaseCovector, PhaseJet, beta
 from .errors import (DomainError, InvalidInputError, NoConvergenceError,
                      SingularJacobianError, _require_newton_options)
-from .lagrangian import LagrangianModel, _max_norm_per_point, _member_pdot
+from .lagrangian import (LagrangianModel, _check_model, _flat, _max_norm_per_point,
+                         _member_pdot, _require_m)
 
 __all__ = [
     "HamiltonianModel",
@@ -56,20 +57,7 @@ class HamiltonianModel:
     name: str = ""
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidInputError(f"m must be >= 1, got {self.m}")
-        if self.H.arity != 3 * self.m:
-            raise InvalidInputError(
-                f"H has arity {self.H.arity}, expected 3m = {3 * self.m}")
-
-
-def _flat_phase(ph: Phase) -> np.ndarray:
-    return np.concatenate([ph.q, *ph.p])
-
-
-def _require_m(model, ph: Phase) -> None:
-    if ph.m != model.m:
-        raise InvalidInputError(f"phase has m={ph.m}, model has m={model.m}")
+        _check_model(self.m, self.H, "H")
 
 
 def dH(model: HamiltonianModel, ph: Phase) -> PhaseCovector:
@@ -77,7 +65,7 @@ def dH(model: HamiltonianModel, ph: Phase) -> PhaseCovector:
     them in one Taylor pass; H's ``DomainError`` at any one inadmissible
     point fails the whole batch."""
     _require_m(model, ph)
-    g = autodiff.grad(model.H, _flat_phase(ph))
+    g = autodiff.grad(model.H, _flat(ph))
     m = model.m
     return PhaseCovector(phase=ph, phi=g[:m], psi=g[m:].reshape(ph.p.shape))
 

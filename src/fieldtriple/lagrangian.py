@@ -54,11 +54,16 @@ class LagrangianModel:
     name: str = ""
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InvalidInputError(f"m must be >= 1, got {self.m}")
-        if self.L.arity != 3 * self.m:
-            raise InvalidInputError(
-                f"L has arity {self.L.arity}, expected 3m = {3 * self.m}")
+        _check_model(self.m, self.L, "L")
+
+
+def _check_model(m: int, f: ScalarField, name: str) -> None:
+    """The shape checks of a model on either side: m >= 1, and its function
+    ``name`` (L or H) of arity 3m."""
+    if m < 1:
+        raise InvalidInputError(f"m must be >= 1, got {m}")
+    if f.arity != 3 * m:
+        raise InvalidInputError(f"{name} has arity {f.arity}, expected 3m = {3 * m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +79,17 @@ class SecondJet(_BlockValue):
         _set_blocks(self, _anchor_shape(self.jet, Jet, "jet"), d=2)
 
 
-def _flat_jet(j: Jet) -> np.ndarray:
-    return np.concatenate([j.q, *j.qdot])
+def _flat(point) -> np.ndarray:
+    """The flat slots (q, v[0], v[1]) of a Jet (v = qdot) or a Phase (v = p)."""
+    v = point.qdot if isinstance(point, Jet) else point.p
+    return np.concatenate([point.q, *v])
 
 
-def _require_m(model: LagrangianModel, j: Jet) -> None:
-    if j.m != model.m:
-        raise InvalidInputError(f"jet has m={j.m}, model has m={model.m}")
+def _require_m(model, point) -> None:
+    """Reject a Jet or a Phase whose m is not the model's."""
+    if point.m != model.m:
+        kind = "jet" if isinstance(point, Jet) else "phase"
+        raise InvalidInputError(f"{kind} has m={point.m}, model has m={model.m}")
 
 
 def dL(model: LagrangianModel, j: Jet) -> JetCovector:
@@ -91,7 +100,7 @@ def dL(model: LagrangianModel, j: Jet) -> JetCovector:
     whole batch.
     """
     _require_m(model, j)
-    g = autodiff.grad(model.L, _flat_jet(j))
+    g = autodiff.grad(model.L, _flat(j))
     m = model.m
     return JetCovector(jet=j, a=g[:m], b=g[m:].reshape(j.qdot.shape))
 
@@ -176,7 +185,7 @@ def el_residual_pointwise(model: LagrangianModel, s: SecondJet) -> np.ndarray:
     j = s.jet
     _require_m(model, j)
     m = model.m
-    z = _flat_jet(j)
+    z = _flat(j)
     g = autodiff.grad(model.L, z)
     # H[k, :, l] is the block of slots k, l of the flat jet: q, then qdot[i]
     H = autodiff.hessian(model.L, z).reshape(3, m, 3, m)

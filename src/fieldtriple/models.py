@@ -26,9 +26,15 @@ the tests:
 where gd = [[-eta(p2,p2), eta(p1,p2)], [eta(p1,p2), -eta(p1,p1)]] is the
 dual-side Gram matrix (equal to g along the image of the Legendre map: the
 momenta satisfy eta(p1,p1) = -eta(v2,v2), eta(p2,p2) = -eta(v1,v1),
-eta(p1,p2) = eta(v1,v2)).  Both formulas carry the same overall sign; this
-is forced by direct linear inversion of the momentum formulas and is
-verified numerically in the tests (forward then inverse is the identity).
+eta(p1,p2) = eta(v1,v2)).  Its determinant
+
+    det gd = eta(p1,p1) eta(p2,p2) - eta(p1,p2)^2
+
+is the Gram determinant of the momenta themselves, so one function forms
+both sides' entries and determinants.  Both formulas carry the same
+overall sign; this is forced by direct linear inversion of the momentum
+formulas and is verified numerically in the tests (forward then inverse is
+the identity).
 
 The string Hamiltonian is the Legendre transform
 
@@ -55,8 +61,6 @@ from .hamiltonian import HamiltonianModel
 from .lagrangian import LagrangianModel
 
 __all__ = [
-    "MinkowskiMetric",
-    "GramMatrix",
     "harmonic_lagrangian",
     "harmonic_hamiltonian",
     "sigma_metric",
@@ -79,70 +83,31 @@ def _value(x):
     return x.value if isinstance(x, Taylor) else x
 
 
-@dataclass(frozen=True)
-class MinkowskiMetric:
-    """Flat metric of signature (+,-,-,-) on R^4, in a fixed inertial chart.
-
-    With the metric diagonal, lowering and raising an index are the same
-    componentwise sign flip, and the dual-side bilinear form has the same
-    components as the primal one.
-    """
-
-    dim = 4
-
-    @property
-    def signs(self) -> np.ndarray:
-        s = -np.ones(self.dim)
-        s[0] = 1.0
-        return s
-
-    def inner(self, v, w):
-        """eta(v, w) for two vectors given as length-4 sequences; entries may
-        be plain numbers, arrays, or Taylor numbers."""
-        acc = v[0] * w[0]
-        for i in range(1, self.dim):
-            acc = acc - v[i] * w[i]
-        return acc
-
-    # The form is diagonal with entries +-1, so it equals its own inverse
-    # and the dual pairing has the identical component formula.
-    inner_dual = inner
-
-    def lower(self, v) -> np.ndarray:
-        """The index of ``v`` lowered; ``v`` has shape (dim,) + batch."""
-        v = np.asarray(v, dtype=float)
-        return self.signs.reshape((self.dim,) + (1,) * (v.ndim - 1)) * v
-
-    raise_ = lower
+def _eta(v, w):
+    """eta(v, w) of signature (+,-,-,-) for two vectors given as length-4
+    sequences, summed left to right; entries may be plain numbers, arrays,
+    or Taylor numbers."""
+    acc = v[0] * w[0]
+    for i in range(1, 4):
+        acc = acc - v[i] * w[i]
+    return acc
 
 
-MINKOWSKI = MinkowskiMetric()
+def _lower(v) -> np.ndarray:
+    """The index of ``v``, of shape (4,) + batch, lowered by eta.  eta is
+    diagonal with entries +-1, so it is its own inverse: raising an index is
+    the same sign flip."""
+    v = np.asarray(v, dtype=float)
+    return np.concatenate([v[:1], -v[1:]])
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric 2x2 Gram matrix, held as its diagonal (g[0][0], g[1][1])
-    and its off-diagonal entry; the worldsheet is admissible iff det < 0."""
-
-    diag: tuple
-    off: object
-
-    @property
-    def det(self):
-        return self.diag[0] * self.diag[1] - self.off * self.off
-
-    @classmethod
-    def from_velocities(cls, metric: MinkowskiMetric, v) -> "GramMatrix":
-        """g[i][j] = eta(v[i], v[j]) for the two tangent vectors v[0], v[1]."""
-        return cls(diag=(metric.inner(v[0], v[0]), metric.inner(v[1], v[1])),
-                   off=metric.inner(v[0], v[1]))
-
-    @classmethod
-    def from_momenta(cls, metric: MinkowskiMetric, p) -> "GramMatrix":
-        """The dual-side gd of the two momenta p[0], p[1]."""
-        return cls(diag=(-metric.inner_dual(p[1], p[1]),
-                         -metric.inner_dual(p[0], p[0])),
-                   off=metric.inner_dual(p[0], p[1]))
+def _gram(v1, v2):
+    """The 2x2 Gram matrix of v1, v2 under eta, as (A, B, C, det) with
+    A = eta(v1,v1), B = eta(v1,v2), C = eta(v2,v2) and det = A C - B^2."""
+    A = _eta(v1, v1)
+    B = _eta(v1, v2)
+    C = _eta(v2, v2)
+    return A, B, C, A * C - B * B
 
 
 def _check_metric(m: int, target_metric) -> np.ndarray:
@@ -204,16 +169,11 @@ def sigma_metric(m: int) -> np.ndarray:
 _WORLDSHEET_DOMAIN = "worldsheet Gram determinant must be negative"
 
 
-def _string_gram_from_slots(xs) -> GramMatrix:
-    return GramMatrix.from_velocities(MINKOWSKI, (xs[4:8], xs[8:12]))
-
-
 def nambu_lagrangian() -> LagrangianModel:
     """String Lagrangian L = sqrt(-det g) in Minkowski R^4 (m = 4)."""
 
     def eval_L(xs):
-        g = _string_gram_from_slots(xs)
-        det = g.det
+        det = _gram(xs[4:8], xs[8:12])[3]
         _require_domain(_value(det) < 0.0, _WORLDSHEET_DOMAIN)
         return autodiff.sqrt(-det)
 
@@ -226,14 +186,10 @@ def nambu_legendre_closed_form(j: Jet) -> Phase:
     if j.m != 4:
         raise InvalidParameterError(f"string model needs m=4, got m={j.m}")
     v1, v2 = j.qdot
-    A = MINKOWSKI.inner(v1, v1)
-    B = MINKOWSKI.inner(v1, v2)
-    C = MINKOWSKI.inner(v2, v2)
-    det = A * C - B * B
+    A, B, C, det = _gram(v1, v2)
     _require_domain(det < 0.0, _WORLDSHEET_DOMAIN)
     s = np.sqrt(-det)
-    w1 = MINKOWSKI.lower(v1)
-    w2 = MINKOWSKI.lower(v2)
+    w1, w2 = _lower(v1), _lower(v2)
     return Phase(q=j.q, p=np.array([(B * w2 - C * w1) / s, (B * w1 - A * w2) / s]))
 
 
@@ -248,14 +204,10 @@ def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
     if ph.m != 4:
         raise InvalidParameterError(f"string model needs m=4, got m={ph.m}")
     p1, p2 = ph.p
-    P11 = MINKOWSKI.inner_dual(p1, p1)
-    P12 = MINKOWSKI.inner_dual(p1, p2)
-    P22 = MINKOWSKI.inner_dual(p2, p2)
-    det_d = P11 * P22 - P12 * P12  # equals det gd for gd built from momenta
+    P11, P12, P22, det_d = _gram(p1, p2)
     _require_domain(det_d < 0.0, "dual-side Gram determinant must be negative")
     s = np.sqrt(-det_d)
-    r1 = MINKOWSKI.raise_(p1)
-    r2 = MINKOWSKI.raise_(p2)
+    r1, r2 = _lower(p1), _lower(p2)
     return Jet(q=ph.q, qdot=np.array([(P12 * r2 - P22 * r1) / s,
                                       (P12 * r1 - P11 * r2) / s]))
 
@@ -274,7 +226,7 @@ def nambu_hamiltonian() -> HamiltonianModel:
     """
 
     def eval_H(xs):
-        det = GramMatrix.from_momenta(MINKOWSKI, (xs[4:8], xs[8:12])).det
+        det = _gram(xs[4:8], xs[8:12])[3]
         _require_domain(_value(det) < -_DUAL_DET_MARGIN, _DUAL_DET_DOMAIN)
         return autodiff.sqrt(-det)
 

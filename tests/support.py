@@ -1,10 +1,11 @@
-"""Test-side helpers: a finite-difference gradient oracle, and a model pair
-whose Lagrangian depends on q, so the source term dL/dq = -dH/dq of the
-phase equations is nonzero."""
+"""Test-side helpers: a finite-difference gradient oracle, random bundle
+points, and a model pair whose Lagrangian depends on q, so the source term
+dL/dq = -dH/dq of the phase equations is nonzero."""
 
 import numpy as np
 
 from fieldtriple.autodiff import ScalarField, Taylor, _point
+from fieldtriple.bundles import _N, Jet, JetTangent, Phase, PhaseJet, PhaseTangent
 from fieldtriple.errors import DomainError, InvalidParameterError
 from fieldtriple.hamiltonian import HamiltonianModel
 from fieldtriple.lagrangian import LagrangianModel
@@ -33,6 +34,39 @@ def fd_grad(f: ScalarField, x, h: float = 1e-5) -> np.ndarray:
                               component=i)
         out[i] = (fp - fm) / (2.0 * hi)
     return out
+
+
+def random_jet(rng: np.random.Generator, m: int) -> Jet:
+    return Jet(q=rng.standard_normal(m), qdot=rng.standard_normal((_N, m)))
+
+
+def random_phase(rng: np.random.Generator, m: int) -> Phase:
+    return Phase(q=rng.standard_normal(m), p=rng.standard_normal((_N, m)))
+
+
+def random_phase_jet(rng: np.random.Generator, m: int,
+                     base: Phase | None = None) -> PhaseJet:
+    """Direction-major draws after the base: (qdot[j], pdot[j, 0],
+    pdot[j, 1]) for each direction j."""
+    if base is None:
+        base = random_phase(rng, m)
+    x = rng.standard_normal((_N, 1 + _N, m))
+    return PhaseJet(base=base, qdot=x[:, 0], pdot=x[:, 1:])
+
+
+def random_jet_tangent(rng: np.random.Generator, m: int,
+                       jet: Jet | None = None) -> JetTangent:
+    if jet is None:
+        jet = random_jet(rng, m)
+    return JetTangent(jet=jet, dq=rng.standard_normal(m),
+                      dqdot=rng.standard_normal((_N, m)))
+
+
+def random_phase_tangent(rng: np.random.Generator,
+                         phase: Phase) -> PhaseTangent:
+    m = phase.m
+    return PhaseTangent(phase=phase, dq=rng.standard_normal(m),
+                        dp=rng.standard_normal((_N, m)))
 
 
 def _require_upper(q2) -> None:

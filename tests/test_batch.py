@@ -32,11 +32,6 @@ from fieldtriple.bundles import (
     pair_phase_covector,
     project_to_jet,
     project_to_phase,
-    random_jet,
-    random_jet_tangent,
-    random_phase,
-    random_phase_jet,
-    random_phase_tangent,
 )
 from fieldtriple.cli import main
 from fieldtriple.errors import DomainError, IncompatiblePointsError, InvalidInputError
@@ -53,9 +48,7 @@ from fieldtriple.lagrangian import (
     phase_relation_residual,
 )
 from fieldtriple.models import (
-    MINKOWSKI,
     STRING_JET,
-    GramMatrix,
     Uniform,
     draw_points,
     get_hamiltonian,
@@ -63,7 +56,13 @@ from fieldtriple.models import (
     harmonic_lagrangian,
     sample_admissible_string_jet,
     sample_admissible_string_phase,
+    _eta,
+    _gram,
+    _lower,
 )
+
+from support import (random_jet, random_jet_tangent, random_phase, random_phase_jet,
+                     random_phase_tangent)
 
 MODELS = [("nambu", None), ("harmonic", 3), ("sigma", 3)]
 N = 40
@@ -85,12 +84,12 @@ def _string_jet(rng):
 
 def _string_closed_form(j):
     v1, v2 = j.qdot
-    A = float(MINKOWSKI.inner(v1, v1))
-    B = float(MINKOWSKI.inner(v1, v2))
-    C = float(MINKOWSKI.inner(v2, v2))
+    A = float(_eta(v1, v1))
+    B = float(_eta(v1, v2))
+    C = float(_eta(v2, v2))
     s = np.sqrt(-(A * C - B * B))
-    w1 = MINKOWSKI.signs * v1
-    w2 = MINKOWSKI.signs * v2
+    w1 = _lower(v1)
+    w2 = _lower(v2)
     return Phase(q=j.q, p=[(B * w2 - C * w1) / s, (B * w1 - A * w2) / s])
 
 
@@ -236,9 +235,9 @@ def test_one_inadmissible_point_fails_the_batch():
         dL(lag, Jet(j.q, qdot))
     p = ph.p.copy()
     p[1, :, 5] = 2.0 * ph.p[0, :, 5]
-    dual = GramMatrix.from_momenta(MINKOWSKI, p).det
+    dual = _gram(*p)[3]
     assert np.all(np.delete(dual, 5) < -1e-8) and dual[5] == 0.0
-    primal = GramMatrix.from_velocities(MINKOWSKI, qdot).det
+    primal = _gram(*qdot)[3]
     assert np.all(np.delete(primal, 7) < 0.0) and primal[7] == 0.0
     with pytest.raises(DomainError):
         dH(ham, Phase(ph.q, p))

@@ -36,14 +36,12 @@ from fieldtriple.bundles import (
     pair_phase_covector,
     project_to_jet,
     project_to_phase,
-    random_jet,
-    random_jet_tangent,
-    random_phase,
-    random_phase_jet,
-    random_phase_tangent,
 )
 from fieldtriple.errors import IncompatiblePointsError, InvalidInputError
 from fieldtriple.lagrangian import SecondJet
+
+from support import (random_jet, random_jet_tangent, random_phase, random_phase_jet,
+                     random_phase_tangent)
 
 
 def phase_jet_m1(q, p1, p2, qd1, p1d1, p2d1, qd2, p1d2, p2d2):

@@ -245,6 +245,42 @@ def test_pointwise_stdout_is_pinned(capsys, argv, seed, digest):
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
+# sha256 of the field CSV, the momenta CSV, the report and stdout of three
+# solves (numpy 2.4.6, scipy 1.17.1, x86-64): a one-step harmonic solve kept
+# by the definite trial, a sigma solve on a disc mask, and a string solve
+# stopped by its iteration cap after pivoting fallbacks and plan fills.  The
+# report is written as it is printed, so stdout shares its digest.
+SOLVE_SHA256 = [
+    ("harmonic", "21x17", ("sin(3*x)*cosh(y) + x^2*y",), (), 0,
+     ("810d35ef8ad6fe5cc949cbbdb136bc99050ebaa6fbab89fdae4c783c53651910",
+      "ba4f4a4fe6c49276b7fd96a07ae2cd9b573f313283cfc08ec7438c2c2f11438a",
+      "ba824e0c84260572f8c97fa3f8d55accd257aed93b9062cd67788a247f841120")),
+    ("sigma", "21x21", ("x*y", "x-y^2"), ("--m", "2", "--domain", "disc-mask"), 0,
+     ("c087d59f5a44aeadb87a5d68af89eea3bf39ebf31885494dfd09772cf2f57118",
+      "225745f1055d8767d58ebee5e3792f1059348ff6edb456a04539be3f1a773c42",
+      "e57c681e373cc2625ae591b1ef7e65bfd1061f62e064e57ec0630b42bbb2a7f0")),
+    ("nambu", "9x9", ("x", "y", "0.1*x*y", "0"), ("--max-iter", "4"), 3,
+     ("4a726610d05d719018922c0589e0309cecc31e724a23bf1b36f957d0d7f50ad9",
+      "df258e698d616799a4557db29af033fc62af2eee994289faed3deaf220bad34f",
+      "de7f20f24d25c0f95d7b0a875e889d7fbc20bd9a26a41d5067fc9b0bf86833ed")),
+]
+
+
+@pytest.mark.parametrize("model,grid,bc,extra,exit_code,digests", SOLVE_SHA256,
+                         ids=[case[0] for case in SOLVE_SHA256])
+def test_solve_artifacts_are_pinned(tmp_path, capsys, model, grid, bc, extra,
+                                    exit_code, digests):
+    out = tmp_path / "sol.csv"
+    code, stdout, _ = run(capsys, *solve_args(out, bc=bc, model=model,
+                                              grid=grid, extra=extra))
+    assert code == exit_code
+    field, momenta, report = digests
+    files = [out, tmp_path / "sol.momenta.csv", tmp_path / "sol.report.json"]
+    assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in files] == [
+        field, momenta, report]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == report
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 

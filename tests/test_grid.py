@@ -951,7 +951,7 @@ def test_solver_rejects_boundary_mismatch():
     with pytest.raises(InvalidInputError, match=r"^boundary values have shape "
                        r"\(32, 2\), expected \(32, 1\)$"):
         solve_dirichlet(HARM1, g, np.zeros((32, 2)), f)
-    with pytest.raises(InvalidInputError, match="^initial must be a GridField$"):
+    with pytest.raises(InvalidInputError, match="^expected a GridField$"):
         solve_dirichlet(HARM1, g, boundary_rows(f), f.values)
 
 
@@ -973,7 +973,7 @@ def test_solver_rejects_a_lagrangian_that_drops_taylor_numbers():
     constant = LagrangianModel(m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0),
                                name="constant")
     with pytest.raises(InvalidInputError,
-                       match="^Lagrangian did not propagate Taylor numbers$"):
+                       match="^field did not propagate Taylor numbers$"):
         _solve_with_bc(constant, Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
 
 

@@ -9,9 +9,7 @@ from fieldtriple.bundles import Jet, Phase
 from fieldtriple.errors import DomainError, InvalidParameterError
 from fieldtriple.lagrangian import dL, legendre, phase_dynamics_member
 from fieldtriple.models import (
-    MINKOWSKI,
     MODEL_NAMES,
-    GramMatrix,
     get_hamiltonian,
     get_lagrangian,
     harmonic_hamiltonian,
@@ -23,6 +21,9 @@ from fieldtriple.models import (
     sample_admissible_string_jet,
     sample_admissible_string_phase,
     sigma_metric,
+    _eta,
+    _gram,
+    _lower,
 )
 
 NAMBU = nambu_lagrangian()
@@ -36,29 +37,29 @@ STANDARD_JET = Jet([0.0] * 4, [V1, V2])
 
 
 def test_metric_signature():
-    assert MINKOWSKI.signs.tolist() == [1.0, -1.0, -1.0, -1.0]
+    assert _lower(np.ones(4)).tolist() == [1.0, -1.0, -1.0, -1.0]
 
 
 def test_lower_then_raise_is_identity():
     rng = np.random.default_rng(3)
     for _ in range(20):
         v = rng.standard_normal(4)
-        assert np.array_equal(MINKOWSKI.raise_(MINKOWSKI.lower(v)), v)
+        # eta is its own inverse: raising an index is lowering it again
+        assert np.array_equal(_lower(_lower(v)), v)
 
 
 def test_inner_is_symmetric_and_matches_lowering():
     rng = np.random.default_rng(5)
     for _ in range(20):
         v, w = rng.standard_normal(4), rng.standard_normal(4)
-        assert MINKOWSKI.inner(v, w) == MINKOWSKI.inner(w, v)
-        assert MINKOWSKI.inner(v, w) == pytest.approx(
-            float(MINKOWSKI.lower(v) @ w), rel=1e-15)
+        assert _eta(v, w) == _eta(w, v)
+        assert _eta(v, w) == pytest.approx(float(_lower(v) @ w), rel=1e-15)
 
 
 def test_gram_determinant_hand_case():
-    g = GramMatrix.from_velocities(MINKOWSKI, (V1, V2))
-    assert g.diag[0] == 1.0 and g.diag[1] == -1.0 and g.off == 0.0
-    assert g.det == -1.0
+    A, B, C, det = _gram(V1, V2)
+    assert A == 1.0 and C == -1.0 and B == 0.0
+    assert det == -1.0
 
 
 def test_dual_gram_equals_primal_gram_on_legendre_image():
@@ -68,8 +69,8 @@ def test_dual_gram_equals_primal_gram_on_legendre_image():
     for _ in range(200):
         j = sample_admissible_string_jet(rng)
         ph = nambu_legendre_closed_form(j)
-        dp = GramMatrix.from_velocities(MINKOWSKI, j.qdot).det
-        dd = GramMatrix.from_momenta(MINKOWSKI, ph.p).det
+        dp = _gram(*j.qdot)[3]
+        dd = _gram(*ph.p)[3]
         assert dd == pytest.approx(dp, rel=1e-12)
 
 
@@ -216,9 +217,9 @@ def test_samplers_respect_admissibility_margin():
     rng = np.random.default_rng(37)
     for _ in range(500):
         j = sample_admissible_string_jet(rng)
-        assert GramMatrix.from_velocities(MINKOWSKI, j.qdot).det < -1e-3
+        assert _gram(*j.qdot)[3] < -1e-3
         ph = sample_admissible_string_phase(rng)
-        assert GramMatrix.from_momenta(MINKOWSKI, ph.p).det < -1e-3
+        assert _gram(*ph.p)[3] < -1e-3
 
 
 def test_string_jet_sampler_gram_bound():
@@ -232,7 +233,7 @@ def test_string_jet_sampler_gram_bound():
         u, v2 = 2.0 * j.qdot[0][1:], j.qdot[1][1:]
         r = np.linalg.norm(v2)
         c = float(u @ v2) / r
-        dets[k] = GramMatrix.from_velocities(MINKOWSKI, j.qdot).det
+        dets[k] = _gram(*j.qdot)[3]
         assert dets[k] == pytest.approx(-r * r * (0.75 + 0.25 * c * c), rel=1e-13)
     assert np.max(dets) <= -0.1875 * (1.0 - 1e-12)
     assert np.max(dets) >= -0.19  # the bound is nearly attained
@@ -294,6 +295,6 @@ def test_nambu_lagrangian_raises_exactly_outside_admissible():
             raised = False
         except DomainError:
             raised = True
-        assert raised != (GramMatrix.from_velocities(MINKOWSKI, j.qdot).det < 0.0)
+        assert raised != (_gram(*j.qdot)[3] < 0.0)
         outcomes.add(raised)
     assert outcomes == {False, True}
