@@ -180,11 +180,16 @@ def nambu_lagrangian() -> LagrangianModel:
     return LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L), name="nambu")
 
 
+def _require_string_m(point) -> None:
+    """Reject a Jet or a Phase that is not in the string's m = 4."""
+    if point.m != 4:
+        raise InvalidParameterError(f"string model needs m=4, got m={point.m}")
+
+
 def nambu_legendre_closed_form(j: Jet) -> Phase:
     """Closed-form string momenta (see module docstring for the formulas),
     per point of a batch: each point rounds as it would alone."""
-    if j.m != 4:
-        raise InvalidParameterError(f"string model needs m=4, got m={j.m}")
+    _require_string_m(j)
     v1, v2 = j.qdot
     A, B, C, det = _gram(v1, v2)
     _require_domain(det < 0.0, _WORLDSHEET_DOMAIN)
@@ -201,8 +206,7 @@ def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
     linear inversion of the momentum formulas gives (and what the
     round-trip tests enforce).
     """
-    if ph.m != 4:
-        raise InvalidParameterError(f"string model needs m=4, got m={ph.m}")
+    _require_string_m(ph)
     p1, p2 = ph.p
     P11, P12, P22, det_d = _gram(p1, p2)
     _require_domain(det_d < 0.0, "dual-side Gram determinant must be negative")
@@ -235,7 +239,8 @@ def nambu_hamiltonian() -> HamiltonianModel:
 
 @dataclass(frozen=True)
 class Uniform:
-    """One ``rng.uniform(lo, hi)`` draw in a ``draw_points`` layout."""
+    """One draw uniform in [lo, hi) in a ``draw_points`` layout: the value of
+    ``rng.uniform(lo, hi)``, drawn as ``lo + (hi - lo) * rng.random()``."""
 
     lo: float
     hi: float
@@ -249,7 +254,10 @@ def draw_points(rng: np.random.Generator, n: int, layout) -> list:
     Consecutive normals are one stream however the calls split them, so each
     run of normals between two uniforms, across point boundaries too, is one
     ``standard_normal(out=...)`` call into a shared buffer; a layout without
-    uniforms takes one call.  Returns one array per item with a leading
+    uniforms takes one call.  Each uniform is one ``rng.random()`` call u,
+    all of them scaled afterwards in one array expression
+    ``lo + (hi - lo) * u``: numpy's ``uniform`` is that same expression on
+    the same double, so the values are its own bit for bit.  Returns one array per item with a leading
     point axis: shape (n,) + shape for normals, (n,) for a uniform.
     """
     sizes = [1 if isinstance(it, Uniform) else int(np.prod(it)) for it in layout]
@@ -257,19 +265,21 @@ def draw_points(rng: np.random.Generator, n: int, layout) -> list:
     starts = [stop - size for stop, size in zip(stops, sizes)]
     width = stops[-1]
     buf = np.empty(n * width)
-    uniforms = [(start, it.lo, it.hi) for start, it in zip(starts, layout)
-                if isinstance(it, Uniform)]
+    cols = [start for start, it in zip(starts, layout) if isinstance(it, Uniform)]
     pos = 0
     for base in range(0, n * width, width):
-        for start, lo, hi in uniforms:
+        for start in cols:
             at = base + start
             if at > pos:
                 rng.standard_normal(out=buf[pos:at])
-            buf[at] = rng.uniform(lo, hi)
+            buf[at] = rng.random()
             pos = at + 1
     if pos < len(buf):
         rng.standard_normal(out=buf[pos:])
     table = buf.reshape(n, width)
+    lo = np.array([it.lo for it in layout if isinstance(it, Uniform)])
+    hi = np.array([it.hi for it in layout if isinstance(it, Uniform)])
+    table[:, cols] = lo + (hi - lo) * table[:, cols]
     return [table[:, start] if isinstance(it, Uniform)
             else table[:, start:stop].reshape((n,) + tuple(it))
             for it, start, stop in zip(layout, starts, stops)]

@@ -33,7 +33,7 @@ from fieldtriple.bundles import (
     project_to_jet,
     project_to_phase,
 )
-from fieldtriple.cli import main
+from fieldtriple.cli import _joined, main
 from fieldtriple.errors import DomainError, IncompatiblePointsError, InvalidInputError
 from fieldtriple.hamiltonian import (
     dH,
@@ -184,6 +184,29 @@ def test_batched_members_and_residuals_match_per_point_bitwise(name, m):
             ref = [residual(model, s) for s in singles]
             assert all(type(x) is float for x in ref)
             assert np.array_equal(r, ref)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name,m", MODELS)
+def test_joined_batches_match_their_parts_bitwise(name, m):
+    """One pass over two point sets joined along the batch axis, as the
+    pointwise verbs run them, gives bit for bit the two per-set passes."""
+    lag, ham, j, ph, free_l, free_h = draws(name, m)
+    fwd = legendre(lag, j)
+    both = dH(ham, _joined(fwd, ph))
+    parts = [dH(ham, x) for x in (fwd, ph)]
+    for blk in ("phi", "psi"):
+        ref = np.concatenate([getattr(c, blk) for c in parts], axis=-1)
+        assert np.array_equal(bits(getattr(both, blk)), bits(ref)), blk
+    members = (phase_dynamics_member(lag, j, free_l),
+               ham_dynamics_member(ham, ph, free_h))
+    w = _joined(*members)
+    for residual, model in ((phase_relation_residual, lag), (ham_phase_residual, ham)):
+        ref = np.concatenate([residual(model, x) for x in members])
+        assert np.array_equal(bits(residual(model, w)), bits(ref))
 
 
 @pytest.mark.parametrize("name,m", MODELS)
@@ -354,15 +377,22 @@ class _CountingRng:
 
     def __init__(self, rng):
         self.rng = rng
-        self.normal_calls = self.uniform_calls = 0
+        self.normal_calls = self.random_calls = 0
 
     def standard_normal(self, *args, **kwargs):
         self.normal_calls += 1
         return self.rng.standard_normal(*args, **kwargs)
 
-    def uniform(self, *args, **kwargs):
-        self.uniform_calls += 1
-        return self.rng.uniform(*args, **kwargs)
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def _same_state(a, b):
+    """Two bit generator states, whose entries may be arrays, agree."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
 
 
 LAYOUTS = [
@@ -376,25 +406,41 @@ LAYOUTS = [
 ]
 
 
-@pytest.mark.parametrize("n", [1, N])
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_draw_points_matches_per_point_loop_bitwise(layout, n):
-    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+def _check_draw_points(bit_generator, layout, n):
+    rng = np.random.Generator(bit_generator(7))
+    ref_rng = np.random.Generator(bit_generator(7))
     counting = _CountingRng(rng)
     got = draw_points(counting, n, layout)
     ref = _draw_per_point(ref_rng, n, layout)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
     assert len(got) == len(layout)
     for a, b, it in zip(got, ref, layout):
         shape = (n,) if isinstance(it, Uniform) else (n,) + it
         assert a.shape == b.shape == shape
-        assert np.array_equal(a, b)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
     # one call per uniform, and one per run of normals between them
     uniforms = sum(isinstance(it, Uniform) for it in layout)
     flat = "".join("u" if isinstance(it, Uniform) else "n" for it in layout)
     runs = len([run for run in (flat * n).split("u") if run])
-    assert counting.uniform_calls == n * uniforms
+    assert counting.random_calls == n * uniforms
     assert counting.normal_calls == runs
+
+
+@pytest.mark.parametrize("n", [1, N])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_draw_points_matches_per_point_loop_bitwise(layout, n):
+    _check_draw_points(np.random.PCG64, layout, n)  # default_rng's
+
+
+# numpy's uniform(lo, hi) is lo + (hi - lo) * random() whatever the bits
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.Philox,
+                                           np.random.SFC64, np.random.MT19937],
+                         ids=lambda b: b.__name__)
+@pytest.mark.parametrize("n", [1, N])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_draw_points_matches_per_point_loop_on_other_generators(layout, n,
+                                                                bit_generator):
+    _check_draw_points(bit_generator, layout, n)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 12345])
@@ -546,3 +592,21 @@ def test_pointwise_verbs_match_per_point_loop_bytewise(capsys, verb, reference,
             out = capsys.readouterr().out
             expected = reference(model, m, points, seed)
             assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("model", ["harmonic", "nambu"])
+@pytest.mark.parametrize("verb,passes", [("legendre", 3), ("phase-check", 4)])
+def test_pointwise_verbs_take_one_taylor_pass_per_side(monkeypatch, capsys, verb,
+                                                       passes, model):
+    """legendre: L forward, H over both point sets, L back; phase-check:
+    the two members, then each residual once over both."""
+    calls = []
+    grad = autodiff.grad
+
+    def counting(f, x):
+        calls.append(f)
+        return grad(f, x)
+
+    monkeypatch.setattr(autodiff, "grad", counting)
+    assert main([verb, "--model", model, "--points", "30"]) == 0
+    assert len(calls) == passes
