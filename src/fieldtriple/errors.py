@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one damped-Newton loop.
 
 Every error raised on purpose derives from FieldTripleError so callers can
 catch the package's failures without also swallowing programming mistakes.
@@ -63,9 +63,52 @@ class ExprSyntaxError(FieldTripleError, ValueError):
 
 
 def _require_newton_options(tol, max_iter) -> None:
-    """The Newton solvers' shared test of their tolerance and iteration cap;
-    a nan tolerance fails it."""
+    """The Newton loop's test of its tolerance and iteration cap; a nan
+    tolerance fails it."""
     if not tol > 0.0:
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
+
+
+def _max_norm(r) -> float:
+    return float(abs(r).max(initial=0.0))
+
+
+# Trial step lengths per line search, 1 down to 2^-29, before it gives up.
+_MAX_HALVINGS = 30
+
+
+def _damped_newton(residual, newton_step, x, F, tol, max_iter):
+    """Damped Newton iteration on ``residual`` from ``x``, where it is ``F``.
+
+    ``newton_step(x, F, iterations)`` gives the full step and ``residual``
+    raises ``DomainError`` where it is undefined.  The line search halves the
+    step until ``x + t*step`` is defined and strictly lowers the max-norm.
+    Returns ``(x, norm, iterations, stop)`` with ``stop`` one of converged,
+    cap (``max_iter`` steps), stalled (no defined trial lowered the norm) or
+    inadmissible (no trial was defined).
+    """
+    _require_newton_options(tol, max_iter)
+    norm = _max_norm(F)
+    iterations = 0
+    while not norm <= tol:
+        if iterations == max_iter:
+            return x, norm, iterations, "cap"
+        step = newton_step(x, F, iterations)
+        stop = "inadmissible"
+        for k in range(_MAX_HALVINGS):
+            trial = x + 0.5 ** k * step
+            try:
+                F_trial = residual(trial)
+            except DomainError:
+                continue
+            stop = "stalled"
+            norm_trial = _max_norm(F_trial)
+            if norm_trial < norm:
+                break
+        else:
+            return x, norm, iterations, stop
+        x, F, norm = trial, F_trial, norm_trial
+        iterations += 1
+    return x, norm, iterations, "converged"

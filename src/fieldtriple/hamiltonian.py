@@ -29,8 +29,8 @@ import numpy as np
 from . import autodiff
 from .autodiff import ScalarField, Taylor
 from .bundles import Jet, Phase, PhaseCovector, PhaseJet, beta
-from .errors import (DomainError, InvalidInputError, NoConvergenceError,
-                     SingularJacobianError, _require_newton_options)
+from .errors import (InvalidInputError, NoConvergenceError, SingularJacobianError,
+                     _damped_newton, _max_norm)
 from .lagrangian import (LagrangianModel, _check_model, _flat, _max_norm_per_point,
                          _member_pdot, _require_m)
 
@@ -107,58 +107,41 @@ def legendre_invert(model: LagrangianModel, ph: Phase, guess: Jet,
 
     Damped Newton iteration on F(v) = momenta(q, v) - p in the 2m velocity
     unknowns, starting from ``guess``, where L must be defined: L's own
-    ``DomainError`` there propagates.  The step is halved (up to 20 times)
-    whenever the residual fails to decrease or L raises ``DomainError`` at
-    the trial iterate.  ``guess`` must share the shape of ``ph``'s ``q``.
+    ``DomainError`` there propagates.  The loop is the grid solver's: the
+    step is halved, over at most 30 lengths 1, 1/2, ..., 2^-29, whenever the
+    residual fails to decrease or L raises ``DomainError`` at the trial
+    iterate.  ``guess`` must share the shape of ``ph``'s ``q``.
     """
     _require_m(model, ph)
     if guess.q.shape != ph.q.shape:
         raise InvalidInputError(
             f"guess has q shape {guess.q.shape}, expected {ph.q.shape}")
-    _require_newton_options(tol, max_iter)
-    m = model.m
     target = np.concatenate(ph.p)
-    v = np.concatenate(guess.qdot)
 
-    def jet_of(vv: np.ndarray) -> Jet:
-        return Jet(q=ph.q, qdot=vv.reshape(ph.p.shape))
+    def residual(v: np.ndarray) -> np.ndarray:
+        return _momenta(model, np.concatenate([ph.q, v])) - target
 
-    z = np.concatenate([ph.q, v])
-    F = _momenta(model, z) - target
-    res = float(np.max(np.abs(F)))
-    for _ in range(max_iter):
-        if res <= tol:
-            return jet_of(v)
-        J = autodiff.hessian(model.L, z)[m:, m:]
+    def newton_step(v: np.ndarray, F: np.ndarray, iterations: int) -> np.ndarray:
+        J = autodiff.hessian(model.L, np.concatenate([ph.q, v]))[model.m:, model.m:]
         try:
-            step = np.linalg.solve(J, -F)
+            return np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as e:
-            raise SingularJacobianError(
-                f"Legendre map degenerate at iterate (residual {res:.3e})") from e
-        t = 1.0
-        for _ in range(20):
-            cand = v + t * step
-            zc = np.concatenate([ph.q, cand])
-            try:
-                Fc = _momenta(model, zc) - target
-            except DomainError:
-                t *= 0.5
-                continue
-            rc = float(np.max(np.abs(Fc)))
-            if rc < res:
-                v, z, F, res = cand, zc, Fc, rc
-                break
-            t *= 0.5
-        else:
-            raise NoConvergenceError(
-                f"Legendre inversion stalled at residual {res:.3e}",
-                last_iterate=jet_of(v), residual=res)
-    if res <= tol:
-        return jet_of(v)
-    raise NoConvergenceError(
-        f"Legendre inversion did not reach tolerance {tol:.1e} "
-        f"in {max_iter} iterations (residual {res:.3e})",
-        last_iterate=jet_of(v), residual=res)
+            raise SingularJacobianError("Legendre map degenerate at iterate "
+                                        f"(residual {_max_norm(F):.3e})") from e
+
+    v = np.concatenate(guess.qdot)
+    v, res, _, stop = _damped_newton(residual, newton_step, v, residual(v),
+                                     tol, max_iter)
+    jet = Jet(q=ph.q, qdot=v.reshape(ph.p.shape))
+    if stop == "converged":
+        return jet
+    if stop == "cap":
+        raise NoConvergenceError(
+            f"Legendre inversion did not reach tolerance {tol:.1e} "
+            f"in {max_iter} iterations (residual {res:.3e})",
+            last_iterate=jet, residual=res)
+    raise NoConvergenceError(f"Legendre inversion stalled at residual {res:.3e}",
+                             last_iterate=jet, residual=res)
 
 
 def _default_invert(model: LagrangianModel, ph: Phase) -> Jet:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fieldtriple import cli as cli_module
+from fieldtriple import grid as grid_module
 from fieldtriple.cli import main, read_field_csv, write_field_csv, write_momentum_csv
 from fieldtriple.errors import InvalidInputError, InvalidParameterError
 from fieldtriple.grid import Grid, GridField, GridMomentum, discrete_action
@@ -110,6 +111,27 @@ def test_solve_stall_exits_3_but_writes_artifacts(tmp_path, capsys):
         assert out.exists()
         on_disk = json.loads((tmp_path / f"stall{max_iter}.report.json").read_text())
         assert on_disk == report
+
+
+def test_solve_residual_passes(tmp_path, capsys, monkeypatch):
+    # Gradient passes and plain passes of L over the cells per solve.  The
+    # start's residual is one gradient pass with no plain pass to screen it
+    # (a screen would make the plain counts 29 and 3); each line-search trial
+    # is a plain screen, then a gradient pass unless the screen refuses it.
+    counts = {}
+    for name in ("discrete_action_gradient", "_cell_values"):
+        def counted(*args, inner=getattr(grid_module, name), name=name):
+            counts[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(grid_module, name, counted)
+    cases = ((("x", "y", "0.1*x*y", "0"), "nambu", "9x9", ("--max-iter", "4"), 24, 28),
+             (("sin(3*x)*cosh(y) + x^2*y",), "harmonic", "21x17", (), 2, 2))
+    for bc, model, grid, extra, gradients, plain in cases:
+        counts.update(discrete_action_gradient=0, _cell_values=0)
+        run(capsys, *solve_args(tmp_path / "f.csv", bc=bc, model=model,
+                                grid=grid, extra=extra))
+        assert counts == {"discrete_action_gradient": gradients,
+                          "_cell_values": plain}
 
 
 # ---------------------------------------------------------------------------

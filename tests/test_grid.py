@@ -462,9 +462,12 @@ def test_string_strongly_curved_boundary_stalls_gracefully():
 
 def test_newton_releases_each_factorization(monkeypatch):
     """Each Newton step's LU factors are gone before the next factorization,
-    so peak memory holds one factorization, not the previous one as well."""
+    so peak memory holds one factorization, not the previous one as well,
+    and no element-block array is alive while splu runs."""
     factors = []
+    blocks = []
     splu = scipy.sparse.linalg.splu
+    element_blocks = grid_module._element_blocks
 
     class Factors:
         def __init__(self, lu):
@@ -475,15 +478,23 @@ def test_newton_releases_each_factorization(monkeypatch):
 
     def tracked_splu(*args, **kwargs):
         assert all(ref() is None for ref in factors)
+        assert all(ref() is None for ref in blocks)
         lu = Factors(splu(*args, **kwargs))
         factors.append(weakref.ref(lu))
         return lu
 
+    def tracked_blocks(*args):
+        out = element_blocks(*args)
+        blocks.append(weakref.ref(out))
+        return out
+
     monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
+    monkeypatch.setattr(grid_module, "_element_blocks", tracked_blocks)
     g = Grid.square(9, 9)
     _, rep = _solve_with_bc(NAMBU, g, near_flat_sheet(0.1), m=4,
                             tol=1e-10, max_iter=4)
     assert rep.iterations >= 2 and len(factors) >= 2
+    assert len(blocks) >= 2
     assert all(ref() is None for ref in factors)
 
 

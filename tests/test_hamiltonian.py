@@ -308,6 +308,32 @@ def test_invert_retreats_when_the_full_step_leaves_the_domain():
     assert np.max(np.abs(rec.qdot - exact.qdot)) <= 1e-9
 
 
+def test_invert_line_search_that_never_regains_admissibility_stalls():
+    # Harmonic L that raises DomainError outside a 1e-12 band around the
+    # guess's zero velocities.  The full Newton step is (0.7, -1.1), so even
+    # its 2^-29 fraction leaves the band: the line search refuses all of its
+    # 30 trials, the cap the grid solver's line search has too.
+    refused = []
+
+    def eval_L(xs):
+        v1, v2 = (getattr(x, "value", x) for x in xs[1:])
+        if not abs(v1) + abs(v2) < 1e-12:
+            refused.append((float(v1), float(v2)))
+            raise DomainError("velocity left the band")
+        return HARM_L.L(xs)
+
+    banded = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="banded")
+    guess = Jet([0.3], [[0.0], [0.0]])
+    with pytest.raises(NoConvergenceError) as exc:
+        legendre_invert(banded, Phase([0.3], [[0.7], [-1.1]]), guess)
+    e = exc.value
+    assert str(e) == "Legendre inversion stalled at residual 1.100e+00"
+    assert e.residual == 1.1
+    assert e.last_iterate.q.tolist() == [0.3]
+    assert np.array_equal(e.last_iterate.qdot, guess.qdot)
+    assert refused == [(0.5 ** k * 0.7, 0.5 ** k * -1.1) for k in range(30)]
+
+
 def test_invert_wrong_dimension_rejected():
     with pytest.raises(InvalidInputError, match="^phase has m=2, model has m=1$"):
         legendre_invert(HARM_L, Phase([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
