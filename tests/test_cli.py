@@ -267,9 +267,10 @@ def test_pointwise_stdout_is_pinned(capsys, argv, seed, digest):
     assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
-# sha256 of the field CSV, the momenta CSV, the report and stdout of three
+# sha256 of the field CSV, the momenta CSV, the report and stdout of four
 # solves (numpy 2.4.6, scipy 1.17.1, x86-64): a one-step harmonic solve kept
-# by the definite trial, a sigma solve on a disc mask, and a string solve
+# by the definite trial, a harmonic m=3 solve whose Newton matrix splits into
+# six decoupled blocks, a sigma solve on a disc mask, and a string solve
 # stopped by its iteration cap after pivoting fallbacks and plan fills.  The
 # report is written as it is printed, so stdout shares its digest.
 SOLVE_SHA256 = [
@@ -277,6 +278,11 @@ SOLVE_SHA256 = [
      ("810d35ef8ad6fe5cc949cbbdb136bc99050ebaa6fbab89fdae4c783c53651910",
       "ba4f4a4fe6c49276b7fd96a07ae2cd9b573f313283cfc08ec7438c2c2f11438a",
       "ba824e0c84260572f8c97fa3f8d55accd257aed93b9062cd67788a247f841120")),
+    ("harmonic", "33x33", ("sin(2*x)*cosh(y)", "x^2*y - y^3", "exp(x*y)"),
+     ("--m", "3"), 0,
+     ("72eb949e670214ac5ad407f8fe627b8ab909392fcc62402bcb1e189fe13227d3",
+      "1bef111d2ebc1ba8a08328dacb81fb23a6f5905b45a39e7473acae424898d99b",
+      "1cac016eafa43092a4f7a3aab115a1b31e65cceacc70fd058f49e25000dd9ea2")),
     ("sigma", "21x21", ("x*y", "x-y^2"), ("--m", "2", "--domain", "disc-mask"), 0,
      ("c087d59f5a44aeadb87a5d68af89eea3bf39ebf31885494dfd09772cf2f57118",
       "225745f1055d8767d58ebee5e3792f1059348ff6edb456a04539be3f1a773c42",
@@ -289,7 +295,7 @@ SOLVE_SHA256 = [
 
 
 @pytest.mark.parametrize("model,grid,bc,extra,exit_code,digests", SOLVE_SHA256,
-                         ids=[case[0] for case in SOLVE_SHA256])
+                         ids=["harmonic", "harmonic-m3", "sigma", "nambu"])
 def test_solve_artifacts_are_pinned(tmp_path, capsys, model, grid, bc, extra,
                                     exit_code, digests):
     out = tmp_path / "sol.csv"
@@ -648,6 +654,15 @@ def test_non_finite_boundary_value_exits_3(tmp_path, capsys, bc):
     assert code == 3
     assert stderr.startswith("fieldtriple: numerical failure:")
     assert "Traceback" not in stderr
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_start_residual_exits_3(tmp_path, capsys):
+    """Finite boundary data whose start residual overflows to nan."""
+    code, _, stderr = run(capsys, *solve_args(tmp_path / "o.csv", bc=("1e160*x*y",)))
+    assert code == 3
+    assert stderr == ("fieldtriple: numerical failure: residual at the "
+                      "starting point is not finite (nan)\n")
 
 
 def test_expression_error_reports_offset(tmp_path, capsys):

@@ -30,10 +30,10 @@ from fieldtriple.grid import (
     _cell_slots,
     _dissection_order,
     _element_blocks,
-    _factor_jacobian,
     _fill_jacobian,
     _fill_plan,
     _free_dofs,
+    _solve_jacobian,
     boundary_momentum,
     discrete_action,
     discrete_action_gradient,
@@ -463,7 +463,9 @@ def test_string_strongly_curved_boundary_stalls_gracefully():
 def test_newton_releases_each_factorization(monkeypatch):
     """Each Newton step's LU factors are gone before the next factorization,
     so peak memory holds one factorization, not the previous one as well,
-    and no element-block array is alive while splu runs."""
+    and no element-block array is alive while splu runs.  Within a definite
+    step, each decoupled block's factors are gone before the next block is
+    factored."""
     factors = []
     blocks = []
     splu = scipy.sparse.linalg.splu
@@ -495,6 +497,12 @@ def test_newton_releases_each_factorization(monkeypatch):
                             tol=1e-10, max_iter=4)
     assert rep.iterations >= 2 and len(factors) >= 2
     assert len(blocks) >= 2
+    assert all(ref() is None for ref in factors)
+    string_factors = len(factors)
+    _, rep = _solve_with_bc(HARM1, Grid.square(17, 17),
+                            lambda x, y: np.array([x * x * y]), m=1)
+    assert rep.converged and rep.iterations == 1
+    assert len(factors) == string_factors + 2  # one per checkerboard
     assert all(ref() is None for ref in factors)
 
 
@@ -605,22 +613,32 @@ def test_definite_newton_systems_keep_the_diagonal_pivot_trial(
     model = (minimal_surface_model() if name == "graph-area"
              else get_lagrangian(name, m))
     calls = _record_factorizations(monkeypatch)
+    assembled, _, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(model, grid, fn, m,
                             interior=lambda x, y: np.full(m, 0.3))
     assert rep.converged and rep.iterations >= 1
-    assert len(calls) == rep.iterations
+    assert len(assembled) == rep.iterations
+    assert all(fallback is None for _, _, fallback in factored)
+    assert len(calls) == sum(_components(J)[0] for J in assembled)
     assert all(spec == "NATURAL" and len(lu.solves) == 1
                for _, spec, lu in calls)
 
 
+def _components(J):
+    """``connected_components`` of ``J`` without its stored zeros."""
+    J = J.copy()
+    J.eliminate_zeros()
+    return connected_components(J, directed=False)
+
+
 def _record_newton_matrices(monkeypatch):
-    """Wrap the Newton matrix builds and the factorization; returns the list
-    of Newton matrices, the list of COO assemblies of the same element
-    blocks (the first matrix itself for the first step) and the list of
-    ``_factor_jacobian`` results."""
+    """Wrap the Newton matrix builds and the solve; returns the list of
+    Newton matrices, the list of COO assemblies of the same element blocks
+    (the first matrix itself for the first step) and the list of
+    ``(rhs, step, fallback)`` of each ``_solve_jacobian`` call."""
     assembled, coo, factored, layout = [], [], [], []
     assemble, fill = grid_module._assemble_jacobian, grid_module._fill_jacobian
-    factor = grid_module._factor_jacobian
+    solve = grid_module._solve_jacobian
 
     def recording_assemble(grid, blocks, free_dof, nfree):
         J = assemble(grid, blocks, free_dof, nfree)
@@ -636,14 +654,14 @@ def _record_newton_matrices(monkeypatch):
         coo.append(assemble(grid, blocks, free_dof, nfree))
         return J
 
-    def recording_factor(J, fallback):
-        out = factor(J, fallback)
-        factored.append(out)
+    def recording_solve(J, rhs, fallback):
+        out = solve(J, rhs, fallback)
+        factored.append((rhs, *out))
         return out
 
     monkeypatch.setattr(grid_module, "_assemble_jacobian", recording_assemble)
     monkeypatch.setattr(grid_module, "_fill_jacobian", recording_fill)
-    monkeypatch.setattr(grid_module, "_factor_jacobian", recording_factor)
+    monkeypatch.setattr(grid_module, "_solve_jacobian", recording_solve)
     return assembled, coo, factored
 
 
@@ -662,35 +680,35 @@ def _check_fallback_reuse(calls, assembled, coo, factored, first):
     later step reuses that fallback's column order: it factors
     ``J_asm[:, cols]`` (stored zeros included) in its natural order, and its
     factors, row pivots and step are bitwise those of a fresh ``MMD_ATA``
-    factorization of the assembled matrix."""
+    factorization of the assembled matrix.  Each fallback solves the
+    right-hand side as given, unpermuted."""
     assert coo[0] is assembled[0]
     for J_asm, ref in zip(assembled[1:], coo[1:], strict=True):
         assert J_asm is not ref and _same_bits(J_asm, ref)
     fallbacks = calls[len(calls) - len(assembled) + first:]
     assert [spec for _, spec, _ in fallbacks] == (
         ["MMD_ATA"] + ["NATURAL"] * (len(assembled) - first - 1))
-    _, _, _, cols = factored[first]
+    _, _, cols = factored[first]
     assert np.array_equal(np.sort(cols), np.arange(len(cols)))
-    for k, ((J, _, lu), J_asm, (_, rows, step_cols, fallback)) in enumerate(
+    for k, ((J, _, lu), J_asm, (rhs, step, fallback)) in enumerate(
             zip(fallbacks, assembled[first:], factored[first:], strict=True)):
         n = J_asm.shape[0]
-        assert np.array_equal(rows, np.arange(n))
         assert fallback is cols
+        (b, x), = lu.solves
+        assert b is rhs
         if k == 0:
-            assert J is J_asm and np.array_equal(step_cols, np.arange(n))
+            assert J is J_asm
+            assert np.array_equal(step.view(np.int64), x.view(np.int64))
         else:
-            assert step_cols is cols
             assert _same_bits(J, J_asm[:, cols])
             assert J.nnz == J_asm.nnz
             assert np.count_nonzero(J.data) == np.count_nonzero(J_asm.data)
             assert np.array_equal(lu.perm_c, np.arange(n))
+            assert np.array_equal(step[cols].view(np.int64), x.view(np.int64))
         fresh = _ORIGINAL_SPLU(J_asm, permc_spec="MMD_ATA")
         assert np.array_equal(cols, np.argsort(fresh.perm_c))
         assert _same_bits(lu.L, fresh.L) and _same_bits(lu.U, fresh.U)
         assert np.array_equal(lu.perm_r, fresh.perm_r)
-        (b, x), = lu.solves
-        step = np.empty(n)
-        step[step_cols] = x
         ref = fresh.solve(b)
         assert np.array_equal(step.view(np.int64), ref.view(np.int64))
 
@@ -766,9 +784,14 @@ def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
     assert [spec for _, spec, _ in calls] == [
         "NATURAL", "NATURAL", "MMD_ATA", "NATURAL", "NATURAL"]
     assert all(np.all(J.diagonal() > 0.0) for J in assembled[:2])
-    (_, order, cols, fallback) = factored[0]
-    assert fallback is None and np.array_equal(order, cols)
-    assert len(calls[0][2].solves) == 1 and len(calls[1][2].solves) == 0
+    assert all(_components(J)[0] == 1 for J in assembled[:2])
+    (rhs, step, fallback) = factored[0]
+    assert fallback is None
+    assert calls[0][0] is assembled[0]
+    (b, x), = calls[0][2].solves
+    assert np.array_equal(b, rhs)
+    assert np.array_equal(step.view(np.int64), x.view(np.int64))
+    assert len(calls[1][2].solves) == 0
     _check_fallback_reuse(calls, assembled, coo, factored, 1)
 
 
@@ -790,31 +813,80 @@ def test_definite_newton_step_matches_partial_pivoting(monkeypatch, name, m,
                                                        grid, fn, components):
     """The trial factors the decoupled blocks of the Newton matrix (with
     hx = hy, two checkerboards per harmonic component, two for sigma; one
-    block with hx != hy) and keeps them; its step matches partial pivoting
-    on the matrix as assembled."""
+    block with hx != hy) one by one and keeps them; its step matches
+    partial pivoting on the matrix as assembled."""
     splu = scipy.sparse.linalg.splu
     calls = _record_factorizations(monkeypatch)
     assembled, _, factored = _record_newton_matrices(monkeypatch)
     _solve_with_bc(get_lagrangian(name, m), grid, fn, m)
-    (J_asm,), ((_, order, cols, fallback),) = assembled, factored
-    (J, spec, lu), = calls
-    (b, x), = lu.solves
-    assert spec == "NATURAL" and fallback is None
-    assert np.array_equal(cols, order)
-    ncomp, labels = connected_components(J, directed=False)
-    assert ncomp == components
+    (J_asm,), ((rhs, step, fallback),) = assembled, factored
+    assert fallback is None
+    ncomp, labels = _components(J_asm)
+    assert ncomp == components and len(calls) == components
     if components == 1:
-        assert J is J_asm and np.array_equal(order, np.arange(J.shape[0]))
+        assert calls[0][0] is J_asm
     else:
-        assert J.nnz == np.count_nonzero(J_asm.data)
-        assert (J - J_asm[order][:, order]).count_nonzero() == 0
-        # Each block is contiguous and keeps the assembled order inside.
-        assert np.all(np.diff(labels) >= 0)
-        assert np.all(np.diff(order)[np.diff(labels) == 0] > 0)
-    rhs, step = np.empty_like(b), np.empty_like(x)
-    rhs[order], step[order] = b, x
+        assert sum(J.nnz for J, _, _ in calls) == np.count_nonzero(J_asm.data)
+    firsts = []
+    for k, (J, spec, lu) in enumerate(calls):
+        # Block k is component k, whole, in the assembled order.
+        rows = np.flatnonzero(labels == k)
+        firsts.append(rows[0])
+        assert spec == "NATURAL"
+        assert connected_components(J, directed=False)[0] == 1
+        if components > 1:
+            assert J.nnz == np.count_nonzero(J.data)
+            assert (J - J_asm[rows][:, rows]).count_nonzero() == 0
+        (b, x), = lu.solves
+        assert np.array_equal(b, rhs[rows])
+        assert np.array_equal(step[rows].view(np.int64), x.view(np.int64))
+    assert np.all(np.diff(firsts) > 0)
     ref = splu(J_asm).solve(rhs)
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _block_diagonal_step(J, rhs):
+    """The definite step as one factorization: the decoupled blocks of ``J``
+    without its stored zeros, each in ``J``'s order, in one block-diagonal
+    matrix factored with diagonal pivots."""
+    trial = J.copy()
+    trial.eliminate_zeros()
+    _, labels = connected_components(trial, directed=False)
+    order = np.argsort(labels, kind="stable")
+    lu = _ORIGINAL_SPLU(trial[order][:, order], permc_spec="NATURAL",
+                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
+    step = np.empty(len(rhs))
+    step[order] = lu.solve(rhs[order])
+    return step
+
+
+@pytest.mark.parametrize("name,m,grid,fn,components", [
+    ("harmonic", 1, Grid.square(33, 33),
+     lambda x, y: np.array([0.7 * np.sin(2.1 * x) * np.cosh(y) + 1.3 * x * x * y]),
+     2),
+    ("harmonic", 2, Grid.square(17, 17),
+     lambda x, y: np.array([np.sin(x) * np.cosh(y) + x * x, np.exp(x * y)]), 4),
+    ("harmonic", 3, Grid.square(21, 21),
+     lambda x, y: np.array([x * y * y, np.cos(3 * x) * np.exp(y), np.sqrt(1 + x)]),
+     6),
+    ("sigma", 2, Grid.square(17, 17),
+     lambda x, y: np.array([x * y, np.exp(-x)]), 2),
+    ("harmonic", 1, Grid.disc_mask(21, 21),
+     lambda x, y: np.array([x * x - y * y + np.sqrt(x + 1)]), 2),
+], ids=["harmonic-33", "harmonic-m2-17", "harmonic-m3-21", "sigma-m2-17",
+        "harmonic-disc-21"])
+def test_blockwise_step_is_the_block_diagonal_factorization_bitwise(
+        monkeypatch, name, m, grid, fn, components):
+    """Factoring the decoupled blocks one at a time gives, bit for bit, the
+    step of one factorization of all of them as a block-diagonal matrix."""
+    assembled, _, factored = _record_newton_matrices(monkeypatch)
+    _, rep = _solve_with_bc(get_lagrangian(name, m), grid, fn, m)
+    assert rep.converged
+    (J,), ((rhs, step, fallback),) = assembled, factored
+    assert fallback is None and _components(J)[0] == components
+    ref = _block_diagonal_step(J, rhs)
+    assert np.array_equal(step.view(np.int64), ref.view(np.int64))
 
 
 # The tiny first pivot of the trial swamps every other entry, the remaining
@@ -845,16 +917,17 @@ def test_indefinite_matrix_falls_back_to_partial_pivoting(monkeypatch, A, trial)
     calls = _record_factorizations(monkeypatch)
     J = scipy.sparse.csc_matrix(np.array(A))
     b = np.arange(1.0, len(A) + 1.0)
-    lu, rows, cols, fallback = _factor_jacobian(J, None)
+    step, fallback = _solve_jacobian(J, b, None)
     assert [spec for _, spec, _ in calls] == (
         ["MMD_ATA"] if trial is None else ["NATURAL", "MMD_ATA"])
     if trial is not None:
         assert (calls[0][2] is None) == (trial == "raises")
-    assert calls[-1][0] is J
-    assert np.array_equal(rows, np.arange(len(A)))
-    assert np.array_equal(cols, np.arange(len(A)))
+    J_fallback, _, lu = calls[-1]
+    assert J_fallback is J
+    (rhs, x), = lu.solves
+    assert rhs is b and np.array_equal(step.view(np.int64), x.view(np.int64))
     assert np.array_equal(fallback, np.argsort(lu.perm_c))
-    assert np.allclose(lu.solve(b), np.linalg.solve(A, b), rtol=0, atol=1e-14)
+    assert np.allclose(step, np.linalg.solve(A, b), rtol=0, atol=1e-14)
 
 
 def _with_stored_zeros(A):
@@ -870,26 +943,66 @@ def _with_stored_zeros(A):
     ([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]], False),
 ], ids=["definite", "negative-pivot"])
 def test_trial_factors_the_decoupled_blocks(monkeypatch, A, definite):
-    """Stored zeros are dropped and the components {0, 2} and {1} ordered
-    one after the other for the trial; a rejected trial leaves partial
-    pivoting with the matrix as given, stored zeros included."""
+    """Stored zeros are dropped and the components {0, 2} and {1} factored
+    one after the other, each in the order it has in the matrix; a rejected
+    trial leaves partial pivoting with the matrix as given, stored zeros
+    included."""
     calls = _record_factorizations(monkeypatch)
     J = _with_stored_zeros(A)
     b = np.array([1.0, -2.0, 3.0])
-    lu, rows, cols, fallback = _factor_jacobian(J, None)
+    step, fallback = _solve_jacobian(J, b, None)
     assert (fallback is None) is definite
-    assert np.array_equal(calls[0][0].toarray(), np.array(A)[[0, 2, 1]][:, [0, 2, 1]])
-    assert calls[0][0].nnz == 5
+    assert np.array_equal(calls[0][0].toarray(), np.array(A)[[0, 2]][:, [0, 2]])
+    assert calls[0][0].nnz == 4
     if definite:
-        assert len(calls) == 1
-        assert np.array_equal(rows, [0, 2, 1]) and np.array_equal(cols, [0, 2, 1])
+        assert [spec for _, spec, _ in calls] == ["NATURAL", "NATURAL"]
+        assert np.array_equal(calls[1][0].toarray(), [[3.0]])
+        assert calls[1][0].nnz == 1
+        (b0, x0), = calls[0][2].solves
+        (b1, x1), = calls[1][2].solves
+        assert np.array_equal(b0, b[[0, 2]]) and np.array_equal(b1, b[[1]])
+        assert np.array_equal(step[[0, 2]], x0) and np.array_equal(step[[1]], x1)
     else:
         assert [spec for _, spec, _ in calls] == ["NATURAL", "MMD_ATA"]
         assert calls[1][0] is J and J.nnz == 9
-        assert np.array_equal(rows, np.arange(3)) and np.array_equal(cols, np.arange(3))
-    x = np.empty(3)
-    x[cols] = lu.solve(b[rows])
-    assert np.allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-14)
+        assert np.array_equal(fallback, np.argsort(calls[1][2].perm_c))
+    assert np.allclose(step, np.linalg.solve(A, b), rtol=0, atol=1e-14)
+
+
+_DEFINITE_BLOCK = [[2.0, 1.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("second", [
+    [[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 3.0]],
+    _SWAMPED_POSITIVE,
+], ids=["negative-pivot", "exact-zero-pivot"])
+def test_rejected_later_block_discards_the_step(monkeypatch, second):
+    """The first block {0, 2} is definite and kept; the second {1, 3, 4} has
+    a negative pivot, or an exact zero pivot that makes splu raise.  The
+    partial step is discarded, and the matrix as assembled, stored zeros
+    included, is factored with partial pivoting."""
+    A = np.zeros((5, 5))
+    A[np.ix_([0, 2], [0, 2])] = _DEFINITE_BLOCK
+    A[np.ix_([1, 3, 4], [1, 3, 4])] = second
+    calls = _record_factorizations(monkeypatch)
+    J = _with_stored_zeros(A)
+    b = np.array([1.0, -2.0, 3.0, 0.5, -1.5])
+    step, fallback = _solve_jacobian(J, b, None)
+    assert [spec for _, spec, _ in calls] == ["NATURAL", "NATURAL", "MMD_ATA"]
+    (J1, _, lu1), (J2, _, lu2), (J3, _, lu3) = calls
+    assert np.array_equal(J1.toarray(), _DEFINITE_BLOCK) and J1.nnz == 4
+    assert len(lu1.solves) == 1
+    assert np.array_equal(J2.toarray(), second) and J2.nnz == 9
+    if second is _SWAMPED_POSITIVE:
+        assert lu2 is None
+    else:
+        assert np.array_equal(lu2.perm_r, lu2.perm_c)
+        assert np.any(lu2.U.diagonal() < 0.0) and lu2.solves == []
+    assert J3 is J and J.nnz == 25
+    (rhs, x), = lu3.solves
+    assert rhs is b and np.array_equal(step.view(np.int64), x.view(np.int64))
+    assert np.array_equal(fallback, np.argsort(lu3.perm_c))
+    assert np.allclose(step, np.linalg.solve(A, b), rtol=0, atol=1e-13)
 
 
 def test_exact_zero_pivot_case_makes_the_trial_raise():
@@ -920,6 +1033,21 @@ def test_singular_newton_system_raises():
     with pytest.raises(SingularJacobianError,
                        match="Newton system is singular at iteration 0: "):
         _solve_with_bc(model, Grid.square(7, 7), lambda x, y: np.array([x]), m=1)
+
+
+def test_nan_start_residual_is_named(monkeypatch):
+    """L = |qdot|^2/2 + nan*q^2 raises nothing, so the residual at the start
+    is nan: the solve names it before any Newton matrix is factored."""
+
+    def eval_L(xs):
+        return (xs[1] * xs[1] + xs[2] * xs[2]) / 2.0 + np.nan * xs[0] * xs[0]
+
+    model = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="nan")
+    calls = _record_factorizations(monkeypatch)
+    with pytest.raises(DomainError,
+                       match=r"^residual at the starting point is not finite \(nan\)$"):
+        _solve_with_bc(model, Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
+    assert calls == []
 
 
 def test_string_affine_boundary_is_exact_solution():

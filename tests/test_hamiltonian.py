@@ -334,6 +334,15 @@ def test_invert_line_search_that_never_regains_admissibility_stalls():
     assert refused == [(0.5 ** k * 0.7, 0.5 ** k * -1.1) for k in range(30)]
 
 
+def test_invert_from_a_nan_guess_names_the_start():
+    """L raises nothing at a nan velocity, so the residual there is nan: the
+    loop names the start, without taking a step."""
+    with pytest.raises(DomainError,
+                       match=r"^residual at the starting point is not finite \(nan\)$"):
+        legendre_invert(HARM_L, Phase([0.3], [[0.7], [-1.1]]),
+                        Jet([0.3], [[np.nan], [0.0]]))
+
+
 def test_invert_wrong_dimension_rejected():
     with pytest.raises(InvalidInputError, match="^phase has m=2, model has m=1$"):
         legendre_invert(HARM_L, Phase([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
