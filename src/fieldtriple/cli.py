@@ -593,7 +593,8 @@ def _coerce(name: str, value):
         return _parse_grid(value)
     if name == "grid":
         if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or not all(isinstance(v, int) for v in value)):
+                or not all(isinstance(v, int) and not isinstance(v, bool)
+                           for v in value)):
             raise InvalidParameterError(
                 f"grid must be 'NXxNY' or [nx, ny], got {value!r}")
         return tuple(value)

@@ -546,8 +546,11 @@ def _assemble_jacobian(grid: Grid, blocks: np.ndarray, free_dof: np.ndarray,
     from the element blocks of ``_element_blocks``.
 
     The blocks land in a COO triplet list, and duplicate entries are summed
-    on conversion to CSC.  Each solve builds its first Newton matrix here;
-    ``_fill_plan`` reproduces this sum bit for bit for the later ones.
+    on conversion to CSC.  The function consumes ``blocks``: it drops its
+    reference once the triplets are gathered, so a caller that passes them
+    inline has them freed before the conversion.  Each solve builds its
+    first Newton matrix here; ``_fill_plan`` reproduces this sum bit for bit
+    for the later ones.
     """
     import scipy.sparse
 
@@ -557,6 +560,9 @@ def _assemble_jacobian(grid: Grid, blocks: np.ndarray, free_dof: np.ndarray,
     valid = (rows >= 0) & (cols >= 0)
     J = scipy.sparse.coo_matrix(
         (blocks[valid], (rows[valid], cols[valid])), shape=(nfree, nfree))
+    # tocsc allocates the CSC arrays beside the triplets; on harmonic 257x257
+    # the blocks (8.4 MB) kept alive through it would raise the solve's peak.
+    del blocks, free, rows, cols, valid
     return J.tocsc()
 
 
@@ -790,10 +796,10 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     splits into two checkerboards per component, and the sigma system, whose
     constant target metric couples the components, into two.  Each block's
     rows of the step are solved, and its factors freed, before the next
-    block is factored, so one block's factors are alive at a time: harmonic
-    257x257 benchmark runs peak at 148.0 MB against 160.5 MB with all the
-    blocks factored as one block-diagonal matrix (medians of ten 40 s runs,
-    2-vCPU host), and the step is bit for bit the same.  Otherwise the
+    block is factored, so one block's factors are alive at a time: that took
+    harmonic 257x257 benchmark runs from 160.5 MB peak, with all the blocks
+    factored as one block-diagonal matrix, to 148.0 MB (medians of ten 40 s
+    runs, 2-vCPU host), and the step is bit for bit the same.  Otherwise the
     step factors the Hessian as assembled with partial pivoting in the
     MMD(J^T J) column order (the string: indefinite, hyperbolic, with a
     negative diagonal, so no trial runs).  Later steps of the solve skip the
@@ -808,7 +814,10 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     0.075 s (first Newton matrix, 3,844 unknowns).
 
     Each Newton matrix sums the per-cell element blocks.  The solve's first
-    matrix is summed as a COO triplet list on conversion to CSC.  When the
+    matrix is summed as a COO triplet list on conversion to CSC, and its
+    blocks are freed once the triplets are gathered, before the conversion:
+    that took the harmonic 257x257 peak from 148.6 to 133.2 MB (medians of
+    ten paired 40 s runs, 2-vCPU host), bit for bit the same matrix.  When the
     solve needs a second matrix it builds a fill plan, once: the CSC
     structure and, per stored entry, where its summands sit in the block
     array, in the order the conversion adds them.  Every later matrix is

@@ -1,6 +1,7 @@
 """Test-side helpers: a finite-difference gradient oracle, random bundle
-points, and a model pair whose Lagrangian depends on q, so the source term
-dL/dq = -dH/dq of the phase equations is nonzero."""
+points, a model pair whose Lagrangian depends on q, so the source term
+dL/dq = -dH/dq of the phase equations is nonzero, and the target
+symmetries of the catalog models."""
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from fieldtriple.bundles import _N, Jet, JetTangent, Phase, PhaseJet, PhaseTange
 from fieldtriple.errors import DomainError, InvalidParameterError
 from fieldtriple.hamiltonian import HamiltonianModel
 from fieldtriple.lagrangian import LagrangianModel
+from fieldtriple.models import sigma_metric
 
 
 def fd_grad(f: ScalarField, x, h: float = 1e-5) -> np.ndarray:
@@ -107,3 +109,36 @@ def halfplane_hamiltonian() -> HamiltonianModel:
 def sample_halfplane_q(rng: np.random.Generator) -> np.ndarray:
     """A point of the upper half-plane, q2 in [0.5, 2]."""
     return np.array([rng.standard_normal(), rng.uniform(0.5, 2.0)])
+
+
+def target_metric(name: str, m: int) -> np.ndarray:
+    """The constant target metric of a catalog model: the identity for
+    "harmonic", ``sigma_metric(m)`` for "sigma", and eta = diag(1, -1, -1,
+    -1) for "nambu" (m = 4)."""
+    if name == "harmonic":
+        return np.eye(m)
+    if name == "sigma":
+        return sigma_metric(m)
+    return np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def symmetry_generators(name: str, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The affine isometries of a catalog model's target, as generators
+    delta(q) = omega q + b, listed as pairs ``(omega, b)``.
+
+    They are the m translations (omega = 0, b = e_a) and, for each a < b,
+    omega = g^-1 (E_ab - E_ba), which is g-antisymmetric
+    (g omega + omega^T g = 0): so(m) for "harmonic", the 6 Lorentz
+    generators for "nambu".  L depends on the field only through q and the
+    difference quotients, both linear in the nodal values, so each is an
+    exact symmetry of the discrete action.
+    """
+    ginv = np.linalg.inv(target_metric(name, m))
+    zero = np.zeros(m)
+    out = [(np.zeros((m, m)), np.eye(m)[a]) for a in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            A = np.zeros((m, m))
+            A[a, b], A[b, a] = 1.0, -1.0
+            out.append((ginv @ A, zero))
+    return out

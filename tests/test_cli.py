@@ -530,6 +530,8 @@ def test_invalid_requests_exit_2(tmp_path, capsys, argv):
     (["legendre"], {"seed": 1.5}, "seed must be an integer, got 1.5"),
     (["legendre"], {"tol": "small"}, "tol must be a number, got 'small'"),
     (["legendre"], {"model": 5}, "model must be a string, got 5"),
+    (["solve"], {"grid": [True, 17]},
+     "grid must be 'NXxNY' or [nx, ny], got [True, 17]"),
 ])
 def test_invalid_configs_exit_2_with_message(tmp_path, capsys, argv, config,
                                              message):
