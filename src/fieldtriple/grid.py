@@ -359,20 +359,18 @@ def _cell_gradients(model: LagrangianModel, grid: Grid,
 _HESSIAN_BLOCK = 32768
 
 
-def _cell_hessians(model: LagrangianModel, grid: Grid,
-                   values: np.ndarray) -> np.ndarray:
-    """Per-cell Hessian of L over the 3m jet slots, shape (ncells, 3m, 3m),
-    from batched second-order passes over blocks of cells."""
+def _cell_hessians(model: LagrangianModel, grid: Grid, values: np.ndarray):
+    """Per-cell Hessians of L over the 3m jet slots, one batched
+    second-order pass per block of cells: yields ``(lo, H)`` with H of shape
+    (cells, 3m, 3m) for the active cells lo, lo + 1, ..."""
     k = 3 * model.m
     slots = _cell_slots(grid, values)
     ncells = slots.shape[1]
     step = max(1, _HESSIAN_BLOCK // (k * k))
-    H = np.empty((ncells, k, k))
     for lo in range(0, ncells, step):
         hi = min(lo + step, ncells)
         out = _cell_expansion(model, grid, slots[:, lo:hi], True, first=lo)
-        H[lo:hi] = np.moveaxis(np.broadcast_to(out.hess, (k, k, hi - lo)), -1, 0)
-    return H
+        yield lo, np.moveaxis(np.broadcast_to(out.hess, (k, k, hi - lo)), -1, 0)
 
 
 def discrete_action(model: LagrangianModel, f: GridField) -> float:
@@ -516,9 +514,10 @@ def _element_blocks(model: LagrangianModel, grid: Grid,
                     values: np.ndarray) -> np.ndarray:
     """Per-cell nodal Hessian blocks of the discrete action, shape
     (ncells, 4m, 4m): T H T^t * hx*hy, with H the 3m x 3m slot Hessian and T
-    the (4m x 3m) corner-coefficient matrix."""
+    the (4m x 3m) corner-coefficient matrix.  Each pass's H goes through T
+    into its rows of the output, so no whole-grid H or T H is formed, and
+    the blocks are scaled in place."""
     m = model.m
-    H = _cell_hessians(model, grid, values)
     coeff = np.array([(0.25, sx / (2.0 * grid.hx), sy / (2.0 * grid.hy))
                       for _, _, sx, sy in _CORNERS])
     T = np.zeros((4 * m, 3 * m))
@@ -526,112 +525,117 @@ def _element_blocks(model: LagrangianModel, grid: Grid,
         for blk in range(3):
             T[c * m:(c + 1) * m, blk * m:(blk + 1) * m] = (
                 coeff[c, blk] * np.eye(m))
-    return grid.hx * grid.hy * (T @ H @ T.T)
+    blocks = np.empty((len(grid.active_cells), 4 * m, 4 * m))
+    for lo, H in _cell_hessians(model, grid, values):
+        np.matmul(T @ H, T.T, out=blocks[lo:lo + len(H)])
+    blocks *= grid.hx * grid.hy
+    return blocks
 
 
-def _cell_unknowns(grid: Grid, free_dof: np.ndarray, m: int) -> np.ndarray:
-    """The unknown of each active cell's 4m corner dofs, in element-block
-    order, shape (ncells, 4m); -1 marks a fixed dof."""
+# The nine offsets (di, dj) from a node to the nodes it can share a cell with.
+_OFFSETS = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+
+# One (k, a, b) per pair of cell corners: the element-block rows of corner a
+# and columns of corner b add to the Newton entries whose row node lies at
+# offset _OFFSETS[k] from their column node.  Column corners run (1, 1),
+# (1, 0), (0, 1), (0, 0), so each node meets its cells in increasing cell
+# order, the order of ``Grid.active_cells``.
+_CORNER_PAIRS = tuple(
+    (_OFFSETS.index((_CORNERS[a][0] - _CORNERS[b][0],
+                     _CORNERS[a][1] - _CORNERS[b][1])), a, b)
+    for b in (3, 1, 2, 0) for a in range(4))
+
+
+def _newton_layout(grid: Grid, free_dof: np.ndarray, m: int):
+    """The CSC structure of a solve's Newton matrices, built once per solve.
+
+    Returns ``(indptr, indices, gather)``, int32.  Entry (row, col) is
+    stored, zeros included, when both dofs are unknowns (``free_dof`` >= 0)
+    and an active cell holds both of their nodes.  ``gather`` holds each
+    stored entry's position in the flattened stencil sums of
+    ``_newton_matrix``, shape (nx, ny, 9, m, m): the column node, the
+    offset of the row node from it, the row component and the column
+    component.  The temporaries hold one int32 candidate row per stencil
+    offset and component of each unknown, so the build stays within a few
+    copies of the stored indices.
+    """
+    nx, ny = grid.nx, grid.ny
+    slots = len(_OFFSETS) * m
+    active = np.pad(_active_cell_mask(grid.mask), 1)
+    shared = np.zeros((nx, ny, len(_OFFSETS)), dtype=bool)
+    for k, _, b in _CORNER_PAIRS:
+        bi, bj = _CORNERS[b][:2]
+        shared[:, :, k] |= active[1 - bi:1 - bi + nx, 1 - bj:1 - bj + ny]
+    shared = shared.reshape(nx * ny, -1)
+    padded = np.pad(free_dof.reshape(nx, ny, m), ((1, 1), (1, 1), (0, 0)),
+                    constant_values=-1).reshape(-1, m)
+    # dofs[u] is the flat dof of unknown u, the column it heads.
+    known = np.flatnonzero(free_dof >= 0)
+    dofs = np.empty(len(known), dtype=np.int32)
+    dofs[free_dof[known]] = known
+    node, comp = np.divmod(dofs, m)
+    i, j = np.divmod(node, ny)
+    centre = (i + 1) * (ny + 2) + j + 1
+    # Slot k * m + c of a column holds the row of component c of the node at
+    # offset k, or -1 for none, shifted up past the slot number it carries:
+    # sorting the keys of a column sorts its rows and keeps their slots.
+    shift = (slots - 1).bit_length()
+    key = np.empty((len(dofs), len(_OFFSETS), m), dtype=np.int32)
+    for k, (di, dj) in enumerate(_OFFSETS):
+        key[:, k] = np.where(shared[node, k, None],
+                             padded[centre + di * (ny + 2) + dj], -1)
+    key = key.reshape(len(dofs), slots)
+    key <<= shift
+    key |= np.arange(slots, dtype=np.int32)
+    key.sort(axis=1)
+    stored = key >= 0
+    indptr = np.zeros(len(dofs) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+    # The entry in slot k * m + c of column (node, comp) sums at
+    # [node, k, c, comp].
+    at = key & ((1 << shift) - 1)
+    at *= m
+    at += (node * (slots * m) + comp).astype(np.int32)[:, None]
+    gather = at[stored]
+    del at
+    key >>= shift
+    return indptr, key[stored], gather
+
+
+def _newton_matrix(grid: Grid, layout, blocks: np.ndarray):
+    """The Newton matrix: the element blocks of ``_element_blocks`` summed
+    on the structure ``layout`` of ``_newton_layout``.
+
+    For each stencil offset, each node's entries add the blocks of the (at
+    most four) cells that hold the node and its neighbour, in increasing
+    cell order, left to right, to a -0.0 start, as in-place slice additions
+    over the grid; an inactive cell of a masked grid adds a -0.0 block.
+    x + (-0.0) is x for every x, so the start and the inactive cells drop
+    out exactly, where a +0.0 would turn a -0.0 sum into +0.0.  The stored
+    entries are then gathered.  The function consumes ``blocks``: a caller
+    that passes them inline has them freed before the gather.
+    """
+    import scipy.sparse
+
+    indptr, indices, gather = layout
+    nx, ny, n = grid.nx, grid.ny, blocks.shape[-1]
+    m = n // 4
     cells = grid.active_cells
-    ci, cj = cells[:, 0], cells[:, 1]
-    corner_flat = np.stack([(ci + di) * grid.ny + (cj + dj)
-                            for di, dj, _, _ in _CORNERS], axis=1)
-    dofs = (corner_flat[:, :, None] * m + np.arange(m)).reshape(len(cells), 4 * m)
-    return free_dof[dofs]
-
-
-def _assemble_jacobian(grid: Grid, blocks: np.ndarray, free_dof: np.ndarray,
-                       nfree: int):
-    """Sparse Hessian of the discrete action restricted to the free dofs,
-    from the element blocks of ``_element_blocks``.
-
-    The blocks land in a COO triplet list, and duplicate entries are summed
-    on conversion to CSC.  The function consumes ``blocks``: it drops its
-    reference once the triplets are gathered, so a caller that passes them
-    inline has them freed before the conversion.  Each solve builds its
-    first Newton matrix here; ``_fill_plan`` reproduces this sum bit for bit
-    for the later ones.
-    """
-    import scipy.sparse
-
-    free = _cell_unknowns(grid, free_dof, blocks.shape[1] // 4)
-    rows = np.broadcast_to(free[:, :, None], blocks.shape)
-    cols = np.broadcast_to(free[:, None, :], blocks.shape)
-    valid = (rows >= 0) & (cols >= 0)
-    J = scipy.sparse.coo_matrix(
-        (blocks[valid], (rows[valid], cols[valid])), shape=(nfree, nfree))
-    # tocsc allocates the CSC arrays beside the triplets; on harmonic 257x257
-    # the blocks (8.4 MB) kept alive through it would raise the solve's peak.
-    del blocks, free, rows, cols, valid
-    return J.tocsc()
-
-
-def _fill_plan(grid: Grid, free_dof: np.ndarray, nfree: int, m: int):
-    """How ``_assemble_jacobian`` sums the element blocks into CSC form.
-
-    Returns ``(indptr, indices, first, later)``: the CSC structure, stored
-    zeros included, and where each stored entry's summands sit in the
-    flattened (ncells, 4m, 4m) block array.  ``first`` holds every entry's
-    first summand; the k-th pair ``(entries, positions)`` of ``later`` holds
-    the (k+1)-th summand of the entries that have one.  ``tocsc`` groups the
-    triplets by column, stably, sorts each column by row with an unstable
-    sort, and adds each run of equal rows left to right.  That sort compares
-    rows only, so running it once on triplet positions in place of values
-    gives the order in which the values are summed at every step.  The plan
-    depends only on the grid and the free dofs; its arrays are int32.
-    """
-    import scipy.sparse
-
-    free = _cell_unknowns(grid, free_dof, m)
-    n = free.shape[1]
-    # Column k of cell c's block holds the triplets of unknown free[c, k], one
-    # per free row.  Ordering the (c, k) pairs by that unknown, stably, lists
-    # every column's triplets by cell and row, as tocsc's grouping does.
-    pairs = np.flatnonzero(free >= 0)
-    pairs = pairs[np.argsort(free.reshape(-1)[pairs], kind="stable")]
-    cell, k = np.divmod(pairs, n)
-    rows = free[cell]
-    valid = rows >= 0
-    pos = ((cell * n * n + k)[:, None] + n * np.arange(n))[valid].astype(np.int32)
-    cols = np.repeat(free.reshape(-1)[pairs], np.count_nonzero(valid, axis=1))
-    rows = rows[valid]
-    # Each temporary is freed once spent: the build then peaks at 7.6 MB
-    # (traced) on the string 33x33, against 7.0 MB for one COO assembly.
-    del pairs, cell, k, valid
-    indptr = np.zeros(nfree + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=nfree), out=indptr[1:])
-    grouped = scipy.sparse.csc_matrix((pos, rows, indptr), shape=(nfree, nfree))
-    grouped.sort_indices()
-    rows, pos = grouped.indices, grouped.data
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    del cols
-    # counts[t] is the number of stored entries before triplet t.
-    counts = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum(starts, out=counts[1:])
-    heads = np.flatnonzero(starts).astype(np.int32)
-    del starts
-    entry = counts[1:] - 1
-    rank = np.arange(len(rows), dtype=np.int32) - heads[entry]
-    later = []
-    for summand in range(1, int(rank.max(initial=0)) + 1):
-        sel = rank == summand
-        later.append((entry[sel], pos[sel]))
-    return counts[indptr], rows[heads], pos[heads], later
-
-
-def _fill_jacobian(plan, blocks: np.ndarray):
-    """The Newton matrix summed from the element blocks by a ``_fill_plan``
-    plan: bit for bit the matrix ``_assemble_jacobian`` builds from them."""
-    import scipy.sparse
-
-    indptr, indices, first, later = plan
-    flat = blocks.reshape(-1)
-    data = flat[first]
-    for entries, positions in later:
-        data[entries] += flat[positions]
-    n = len(indptr) - 1
-    return scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n))
+    if len(cells) == (nx - 1) * (ny - 1):
+        dense = blocks.reshape(nx - 1, ny - 1, n, n)
+    else:
+        dense = np.full((nx - 1, ny - 1, n, n), -0.0)
+        dense[cells[:, 0], cells[:, 1]] = blocks
+    del blocks
+    sums = np.full((nx, ny, len(_OFFSETS), m, m), -0.0)
+    for k, a, b in _CORNER_PAIRS:
+        bi, bj = _CORNERS[b][:2]
+        sums[bi:bi + nx - 1, bj:bj + ny - 1, k] += (
+            dense[:, :, a * m:(a + 1) * m, b * m:(b + 1) * m])
+    del dense
+    nfree = len(indptr) - 1
+    return scipy.sparse.csc_matrix((sums.reshape(-1)[gather], indices, indptr),
+                                   shape=(nfree, nfree))
 
 
 # Boxes of at most this many nodes are numbered as they lie, not split.
@@ -813,20 +817,21 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     against 1.20 M, and reusing the order takes a step's splu from 0.101 to
     0.075 s (first Newton matrix, 3,844 unknowns).
 
-    Each Newton matrix sums the per-cell element blocks.  The solve's first
-    matrix is summed as a COO triplet list on conversion to CSC, and its
-    blocks are freed once the triplets are gathered, before the conversion:
-    that took the harmonic 257x257 peak from 148.6 to 133.2 MB (medians of
-    ten paired 40 s runs, 2-vCPU host), bit for bit the same matrix.  When the
-    solve needs a second matrix it builds a fill plan, once: the CSC
-    structure and, per stored entry, where its summands sit in the block
-    array, in the order the conversion adds them.  Every later matrix is
-    filled from the plan, bit for bit the COO sum.  The first matrix keeps
-    the COO path because a plan pays off only over later steps, and a solve
-    may take one step: harmonic 257x257 solves do, and a plan would cost
-    them 0.11 s and 34 MB (traced) on top of the 0.05 s and 31 MB of the COO
-    sum.  On the string 33x33 the plan takes 16 ms, and each later sum 2.4 ms
-    against 7.7 ms.
+    Each Newton matrix is summed one way, in two parts.  Once per solve,
+    ``_newton_layout`` builds the CSC structure, stored zeros included, from
+    the grid and the free dofs, with one gather index per stored entry.  At
+    every step, ``_newton_matrix`` adds, for each of the nine node offsets
+    of the stencil, the element blocks of the (at most four) cells that hold
+    both nodes, in increasing cell order, as slice additions, and gathers
+    the stored entries; no triplet list is formed.  The blocks are formed
+    one Hessian pass at a time and freed before the gather.  At m = 1 the
+    matrix is bit for bit the COO triplet sum this replaced, and so are the
+    harmonic and sigma matrices at every m, whose summands of an entry are
+    equal; string entries can differ in their last bit.  That took harmonic
+    257x257 benchmark runs from 133.2 to 130.9 MB peak (medians of ten
+    paired 40 s runs, 2-vCPU host).  There the structure takes 25 ms once
+    per solve, and a step's blocks and sum 34 ms against 68 ms for the blocks
+    and the COO sum (fastest of 9, in process).
 
     Returns ``(field, report)``.  Non-convergence (stalled line search or
     iteration cap) is reported through ``report.converged`` with the best
@@ -848,7 +853,6 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
 
     inodes, free_dof = _free_dofs(grid, m)
     ii, jj = inodes[:, 0], inodes[:, 1]
-    nfree = len(inodes) * m
 
     def field(x: np.ndarray) -> np.ndarray:
         u = initial.values.copy()
@@ -860,21 +864,16 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
         _cell_values(model, grid, u)
         return discrete_action_gradient(model, GridField(grid=grid, values=u))[ii, jj]
 
-    fallback = plan = None
+    layout = _newton_layout(grid, free_dof, m)
+    fallback = None
 
     def newton_step(x: np.ndarray, F: np.ndarray, iterations: int) -> np.ndarray:
         # The field and its element blocks are passed on, not bound, so they
         # are freed before splu (binding the field put harmonic-257 peak RSS
         # at 170 MB in 7 of 10 seeded runs, 2-vCPU host, against 158-162 MB);
         # _solve_jacobian returns the step alone, so no factors reach here.
-        nonlocal fallback, plan
-        if iterations == 0:
-            J = _assemble_jacobian(grid, _element_blocks(model, grid, field(x)),
-                                   free_dof, nfree)
-        else:
-            if plan is None:
-                plan = _fill_plan(grid, free_dof, nfree, m)
-            J = _fill_jacobian(plan, _element_blocks(model, grid, field(x)))
+        nonlocal fallback
+        J = _newton_matrix(grid, layout, _element_blocks(model, grid, field(x)))
         try:
             step, fallback = _solve_jacobian(J, -F.ravel(), fallback)
         except RuntimeError as e:

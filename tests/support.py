@@ -1,13 +1,15 @@
 """Test-side helpers: a finite-difference gradient oracle, random bundle
 points, a model pair whose Lagrangian depends on q, so the source term
-dL/dq = -dH/dq of the phase equations is nonzero, and the target
-symmetries of the catalog models."""
+dL/dq = -dH/dq of the phase equations is nonzero, the target symmetries
+of the catalog models, and two reference sums of a Newton matrix."""
 
 import numpy as np
+import scipy.sparse
 
 from fieldtriple.autodiff import ScalarField, Taylor, _point
 from fieldtriple.bundles import _N, Jet, JetTangent, Phase, PhaseJet, PhaseTangent
 from fieldtriple.errors import DomainError, InvalidParameterError
+from fieldtriple.grid import _CORNERS
 from fieldtriple.hamiltonian import HamiltonianModel
 from fieldtriple.lagrangian import LagrangianModel
 from fieldtriple.models import sigma_metric
@@ -142,3 +144,49 @@ def symmetry_generators(name: str, m: int) -> list[tuple[np.ndarray, np.ndarray]
             A[a, b], A[b, a] = 1.0, -1.0
             out.append((ginv @ A, zero))
     return out
+
+
+def cell_unknowns(grid, free_dof: np.ndarray, m: int) -> np.ndarray:
+    """The unknown of each active cell's 4m corner dofs, in element-block
+    order, shape (ncells, 4m); -1 marks a fixed dof."""
+    cells = grid.active_cells
+    ci, cj = cells[:, 0], cells[:, 1]
+    corner_flat = np.stack([(ci + di) * grid.ny + (cj + dj)
+                            for di, dj, _, _ in _CORNERS], axis=1)
+    dofs = (corner_flat[:, :, None] * m + np.arange(m)).reshape(len(cells), 4 * m)
+    return free_dof[dofs]
+
+
+def coo_newton_matrix(grid, blocks: np.ndarray, free_dof: np.ndarray,
+                      nfree: int):
+    """The Newton matrix as a COO triplet list of the element blocks
+    (ncells, 4m, 4m), duplicates summed on conversion to CSC.  ``tocsc``
+    adds each entry's summands left to right in the order its unstable
+    row sort leaves them: increasing cell order at m = 1, not in general
+    at m >= 2."""
+    free = cell_unknowns(grid, free_dof, blocks.shape[1] // 4)
+    rows = np.broadcast_to(free[:, :, None], blocks.shape)
+    cols = np.broadcast_to(free[:, None, :], blocks.shape)
+    valid = (rows >= 0) & (cols >= 0)
+    return scipy.sparse.coo_matrix(
+        (blocks[valid], (rows[valid], cols[valid])), shape=(nfree, nfree)).tocsc()
+
+
+def cell_order_newton_matrix(grid, blocks: np.ndarray, free_dof: np.ndarray,
+                             nfree: int):
+    """The Newton matrix summed in plain Python, as CSC: cells in
+    ``active_cells`` order, each entry's summands added left to right, the
+    first one taken as it is."""
+    entries = {}
+    for unknowns, block in zip(cell_unknowns(grid, free_dof, blocks.shape[1] // 4),
+                               blocks):
+        for r, row in enumerate(unknowns.tolist()):
+            for c, col in enumerate(unknowns.tolist()):
+                if row >= 0 and col >= 0:
+                    value = float(block[r, c])
+                    key = (row, col)
+                    entries[key] = entries[key] + value if key in entries else value
+    rows, cols = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
+    # No entry repeats, so the conversion adds nothing to any value.
+    return scipy.sparse.csc_matrix((list(entries.values()), (rows, cols)),
+                                   shape=(nfree, nfree))

@@ -222,7 +222,7 @@ def test_cell_hessians_match_pointwise_hessian():
     g = Grid.square(9, 9)
     f = GridField.from_function(g, lambda x, y: np.array(
         [x, y, 0.1 * x * y, 0.1 * np.sin(np.pi * x) * np.sin(np.pi * y)]), 4)
-    H = _cell_hessians(model, g, f.values)
+    H = np.concatenate([H for _, H in _cell_hessians(model, g, f.values)])
     jets = np.concatenate(_cell_jets(g, f.values), axis=1)
     assert H.shape == (len(jets), 12, 12)
     for Hc, z in zip(H, jets):

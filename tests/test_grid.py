@@ -25,14 +25,13 @@ from fieldtriple.grid import (
     Grid,
     GridField,
     GridMomentum,
-    _assemble_jacobian,
     _cell_hessians,
     _cell_slots,
     _dissection_order,
     _element_blocks,
-    _fill_jacobian,
-    _fill_plan,
     _free_dofs,
+    _newton_layout,
+    _newton_matrix,
     _solve_jacobian,
     boundary_momentum,
     discrete_action,
@@ -44,7 +43,7 @@ from fieldtriple.grid import (
 from fieldtriple.lagrangian import LagrangianModel, SecondJet, el_residual_pointwise
 from fieldtriple.models import get_lagrangian
 
-from support import symmetry_generators
+from support import cell_order_newton_matrix, coo_newton_matrix, symmetry_generators
 
 HARM1 = get_lagrangian("harmonic")
 NAMBU = get_lagrangian("nambu")
@@ -247,8 +246,8 @@ def test_newton_jacobian_matches_residual_differences(name, m, fn):
     node_flat = inodes[:, 0] * g.ny + inodes[:, 1]
     for c in range(m):
         free_dof[node_flat * m + c] = np.arange(len(inodes)) * m + c
-    J = _assemble_jacobian(g, _element_blocks(model, g, f.values), free_dof,
-                           len(inodes) * m)
+    J = _newton_matrix(g, _newton_layout(g, free_dof, m),
+                       _element_blocks(model, g, f.values))
     delta = np.random.default_rng(5).standard_normal((len(inodes), m))
 
     def residual(t):
@@ -542,36 +541,46 @@ def test_newton_releases_each_factorization(monkeypatch):
     assert all(ref() is None for ref in factors)
 
 
-def test_assembly_frees_the_element_blocks_before_tocsc(monkeypatch):
-    """The COO -> CSC conversion of a solve's first Newton matrix runs with
-    only the triplets alive: the element-block array it was gathered from
-    is already garbage, on a one-step harmonic solve and on a multi-step
-    string solve."""
+def test_solve_builds_no_coo_matrix_and_frees_the_blocks_before_splu(monkeypatch):
+    """A solve sums its Newton matrices without a triplet list: no COO
+    matrix is built, and the element-block array is garbage when the first
+    splu runs, on a one-step harmonic solve and on a multi-step string
+    solve."""
     blocks = []
-    conversions = []
+    coo_builds = []
+    first_splu = []
     element_blocks = grid_module._element_blocks
-    tocsc = scipy.sparse.coo_matrix.tocsc
+    splu = scipy.sparse.linalg.splu
 
     def tracked_blocks(*args):
         out = element_blocks(*args)
         blocks.append(weakref.ref(out))
         return out
 
-    def tracked_tocsc(self, *args, **kwargs):
-        assert blocks and all(ref() is None for ref in blocks)
-        conversions.append(len(blocks))
-        return tocsc(self, *args, **kwargs)
+    def tracked_splu(*args, **kwargs):
+        if len(first_splu) < len(blocks):
+            first_splu.append(all(ref() is None for ref in blocks))
+        return splu(*args, **kwargs)
 
+    for cls in (scipy.sparse.coo_matrix, scipy.sparse.coo_array):
+        init = cls.__init__
+
+        def tracked_init(self, *args, _init=init, **kwargs):
+            coo_builds.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", tracked_init)
     monkeypatch.setattr(grid_module, "_element_blocks", tracked_blocks)
-    monkeypatch.setattr(scipy.sparse.coo_matrix, "tocsc", tracked_tocsc)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
     _, rep = _solve_with_bc(HARM1, Grid.square(17, 17),
                             lambda x, y: np.array([x * x * y]), m=1)
     assert rep.converged and rep.iterations == 1
-    assert conversions == [1]
+    assert first_splu == [True]
     _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
                             m=4, tol=1e-10, max_iter=4)
-    assert rep.iterations >= 2 and len(blocks) >= 3
-    assert conversions == [1, 2]
+    assert rep.iterations == 4 and len(blocks) == 5
+    assert first_splu == [True] * 5
+    assert coo_builds == []
 
 
 # ---------------------------------------------------------------------------
@@ -700,26 +709,20 @@ def _components(J):
 
 
 def _record_newton_matrices(monkeypatch):
-    """Wrap the Newton matrix builds and the solve; returns the list of
-    Newton matrices, the list of COO assemblies of the same element blocks
-    (the first matrix itself for the first step) and the list of
-    ``(rhs, step, fallback)`` of each ``_solve_jacobian`` call."""
-    assembled, coo, factored, layout = [], [], [], []
-    assemble, fill = grid_module._assemble_jacobian, grid_module._fill_jacobian
+    """Wrap the Newton matrix sum and the solve; returns the list of Newton
+    matrices, the list of test-side plain Python sums of the same element
+    blocks in cell order and the list of ``(rhs, step, fallback)`` of each
+    ``_solve_jacobian`` call."""
+    assembled, reference, factored = [], [], []
+    newton_matrix = grid_module._newton_matrix
     solve = grid_module._solve_jacobian
 
-    def recording_assemble(grid, blocks, free_dof, nfree):
-        J = assemble(grid, blocks, free_dof, nfree)
-        layout[:] = grid, free_dof, nfree
+    def recording_matrix(grid, layout, blocks):
+        J = newton_matrix(grid, layout, blocks)
+        _, free_dof = _free_dofs(grid, blocks.shape[1] // 4)
         assembled.append(J)
-        coo.append(J)
-        return J
-
-    def recording_fill(plan, blocks):
-        J = fill(plan, blocks)
-        grid, free_dof, nfree = layout
-        assembled.append(J)
-        coo.append(assemble(grid, blocks, free_dof, nfree))
+        reference.append(cell_order_newton_matrix(grid, blocks, free_dof,
+                                                  J.shape[0]))
         return J
 
     def recording_solve(J, rhs, fallback):
@@ -727,10 +730,9 @@ def _record_newton_matrices(monkeypatch):
         factored.append((rhs, *out))
         return out
 
-    monkeypatch.setattr(grid_module, "_assemble_jacobian", recording_assemble)
-    monkeypatch.setattr(grid_module, "_fill_jacobian", recording_fill)
+    monkeypatch.setattr(grid_module, "_newton_matrix", recording_matrix)
     monkeypatch.setattr(grid_module, "_solve_jacobian", recording_solve)
-    return assembled, coo, factored
+    return assembled, reference, factored
 
 
 def _same_bits(A, B):
@@ -741,17 +743,15 @@ def _same_bits(A, B):
             and np.array_equal(A.data.view(np.int64), B.data.view(np.int64)))
 
 
-def _check_fallback_reuse(calls, assembled, coo, factored, first):
-    """Every Newton matrix after the first is filled from the solve's plan,
-    bit for bit the COO assembly of its element blocks, stored zeros
-    included.  Step ``first`` of the solve is its first fallback and every
+def _check_fallback_reuse(calls, assembled, reference, factored, first):
+    """Every Newton matrix is bit for bit the cell-order sum of its element
+    blocks, stored zeros included.  Step ``first`` of the solve is its first fallback and every
     later step reuses that fallback's column order: it factors
     ``J_asm[:, cols]`` (stored zeros included) in its natural order, and its
     factors, row pivots and step are bitwise those of a fresh ``MMD_ATA``
     factorization of the assembled matrix.  Each fallback solves the
     right-hand side as given, unpermuted."""
-    assert coo[0] is assembled[0]
-    for J_asm, ref in zip(assembled[1:], coo[1:], strict=True):
+    for J_asm, ref in zip(assembled, reference, strict=True):
         assert J_asm is not ref and _same_bits(J_asm, ref)
     fallbacks = calls[len(calls) - len(assembled) + first:]
     assert [spec for _, spec, _ in fallbacks] == (
@@ -781,32 +781,95 @@ def _check_fallback_reuse(calls, assembled, coo, factored, first):
         assert np.array_equal(step.view(np.int64), ref.view(np.int64))
 
 
+def _perturbed_blocks(name, m, grid, fn, seed=11):
+    """The element blocks, the free dofs and the unknown count at a
+    perturbed state (at the bilinear start summation orders can agree by
+    accident)."""
+    inodes, free_dof = _free_dofs(grid, m)
+    values = GridField.from_function(grid, fn, m).values
+    bump = np.random.default_rng(seed).standard_normal((len(inodes), m))
+    values[inodes[:, 0], inodes[:, 1]] += 0.01 * bump
+    return _element_blocks(get_lagrangian(name, m), grid, values), free_dof, len(inodes) * m
+
+
+def _same_structure(J, ref):
+    return (J.indptr.dtype == ref.indptr.dtype == np.int32
+            and J.indices.dtype == ref.indices.dtype == np.int32
+            and np.array_equal(J.indptr, ref.indptr)
+            and np.array_equal(J.indices, ref.indices))
+
+
 @pytest.mark.parametrize("name,m,grid,fn", [
+    ("harmonic", 1, Grid.square(33, 33),
+     lambda x, y: np.array([np.sin(x) * np.cosh(y)])),
     ("harmonic", 1, Grid.disc_mask(19, 23),
      lambda x, y: np.array([x * x - y * y + np.sqrt(x + 1)])),
+    ("harmonic", 1, Grid.square(21, 17),
+     lambda x, y: np.array([np.exp(x) * y])),
+    ("harmonic", 2, Grid.disc_mask(21, 21),
+     lambda x, y: np.array([x * y, np.exp(-x)])),
+    ("harmonic", 3, Grid.square(14, 19),
+     lambda x, y: np.array([x, y ** 1.5, np.cosh(x * y)])),
     ("sigma", 2, Grid.disc_mask(21, 21),
      lambda x, y: np.array([x * y, np.exp(-x)])),
     ("sigma", 3, Grid.square(14, 19),
      lambda x, y: np.array([x, y ** 1.5, np.cosh(x * y)])),
-    ("nambu", 4, Grid.square(17, 17), near_flat_sheet(0.1)),
-], ids=["harmonic-disc-19x23", "sigma-m2-disc-21", "sigma-m3-14x19", "nambu-17"])
-def test_fill_plan_sums_the_blocks_as_the_coo_assembly(name, m, grid, fn):
-    """At a perturbed state (at the bilinear start the summation orders can
-    agree by accident) the plan-filled Newton matrix stores the same
-    structure, stored zeros included, and the same bits as the COO
-    assembly of the same element blocks."""
-    model = get_lagrangian(name, m)
+], ids=["harmonic-33", "harmonic-disc-19x23", "harmonic-21x17",
+        "harmonic-m2-disc-21", "harmonic-m3-14x19", "sigma-m2-disc-21",
+        "sigma-m3-14x19"])
+def test_newton_matrix_is_the_coo_assembly_bitwise(name, m, grid, fn):
+    """At m = 1 the COO conversion adds each entry's summands in cell
+    order, as the stencil sum does.  Harmonic and sigma have the same slot
+    Hessian in every cell, so every summand of an entry is the same value
+    and any order gives the same bits at m = 2-3 too.  The structure, int32
+    and with its stored zeros, is the COO one."""
+    blocks, free_dof, nfree = _perturbed_blocks(name, m, grid, fn)
+    ref = coo_newton_matrix(grid, blocks, free_dof, nfree)
+    J = _newton_matrix(grid, _newton_layout(grid, free_dof, m), blocks)
+    assert _same_structure(J, ref)
+    assert np.array_equal(J.data.view(np.int64), ref.data.view(np.int64))
+
+
+@pytest.mark.parametrize("grid", [Grid.square(9, 9), Grid.disc_mask(13, 17)],
+                         ids=["9x9", "disc-13x17"])
+def test_string_newton_matrix_sums_in_cell_order(grid):
+    """The string's slot Hessian differs from cell to cell, so the order of
+    an entry's summands shows in its bits: they are added in increasing
+    cell order, left to right, as a plain Python sum over the cells adds
+    them.  The structure is the COO one."""
+    blocks, free_dof, nfree = _perturbed_blocks("nambu", 4, grid,
+                                                near_flat_sheet(0.1))
+    J = _newton_matrix(grid, _newton_layout(grid, free_dof, 4), blocks)
+    assert _same_structure(J, coo_newton_matrix(grid, blocks, free_dof, nfree))
+    assert _same_bits(J, cell_order_newton_matrix(grid, blocks, free_dof, nfree))
+
+
+def test_newton_matrix_keeps_a_negative_zero_beside_an_inactive_cell():
+    """A -0.0 summand stays -0.0 where the other cells that hold the
+    entry's nodes are inactive: the sum starts from -0.0 and an inactive
+    cell adds -0.0, since x + (-0.0) is x, where +0.0 would give +0.0."""
+    grid = Grid.disc_mask(13, 17)
+    m = 2
     inodes, free_dof = _free_dofs(grid, m)
     nfree = len(inodes) * m
-    values = GridField.from_function(grid, fn, m).values
-    bump = np.random.default_rng(11).standard_normal((len(inodes), m))
-    values[inodes[:, 0], inodes[:, 1]] += 0.01 * bump
-    blocks = _element_blocks(model, grid, values)
-    ref = _assemble_jacobian(grid, blocks, free_dof, nfree)
-    J = _fill_jacobian(_fill_plan(grid, free_dof, nfree, m), blocks)
-    assert J.indptr.dtype == ref.indptr.dtype == np.int32
-    assert J.indices.dtype == ref.indices.dtype == np.int32
-    assert _same_bits(J, ref)
+    active = np.pad(grid_module._active_cell_mask(grid.mask), 1)
+    cells = grid.active_cells
+    blocks = np.random.default_rng(3).standard_normal((len(cells), 4 * m, 4 * m))
+    # Every active cell at an interior node that also touches an inactive
+    # cell gets a -0.0 block.
+    beside = [k for k, (i, j) in enumerate(inodes)
+              if not active[i:i + 2, j:j + 2].all()]
+    assert len(beside) == 16
+    for i, j in inodes[beside]:
+        blocks[np.isin(cells[:, 0], (i - 1, i)) & np.isin(cells[:, 1], (j - 1, j))] = -0.0
+    J = _newton_matrix(grid, _newton_layout(grid, free_dof, m), blocks)
+    assert _same_bits(J, cell_order_newton_matrix(grid, blocks, free_dof, nfree))
+    for u in beside:
+        for c in range(m * u, m * u + m):
+            column = J.data[J.indptr[c]:J.indptr[c + 1]]
+            rows = J.indices[J.indptr[c]:J.indptr[c + 1]]
+            own = column[(rows >= m * u) & (rows < m * u + m)]
+            assert len(own) == m and np.all(own == 0.0) and np.all(np.signbit(own))
 
 
 def test_string_newton_skips_the_trial_and_factors_with_mmd_ata(monkeypatch):
@@ -815,7 +878,7 @@ def test_string_newton_skips_the_trial_and_factors_with_mmd_ata(monkeypatch):
     stored zeros included, with partial pivoting in the MMD(J^T J) order;
     every later step factors the assembled matrix in that column order."""
     calls = _record_factorizations(monkeypatch)
-    assembled, coo, factored = _record_newton_matrices(monkeypatch)
+    assembled, reference, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
                             m=4, tol=1e-10, max_iter=4)
     assert rep.iterations == 4
@@ -824,7 +887,7 @@ def test_string_newton_skips_the_trial_and_factors_with_mmd_ata(monkeypatch):
     assert [len(lu.solves) for _, _, lu in calls] == [1] * rep.iterations
     assert np.all(assembled[0].diagonal() < 0.0)
     assert np.any(assembled[0].data == 0.0)
-    _check_fallback_reuse(calls, assembled, coo, factored, 0)
+    _check_fallback_reuse(calls, assembled, reference, factored, 0)
 
 
 def _double_hump_model():
@@ -844,7 +907,7 @@ def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
     rejected and falls back to MMD_ATA, and every later step reuses that
     fallback's column order without running the trial again."""
     calls = _record_factorizations(monkeypatch)
-    assembled, coo, factored = _record_newton_matrices(monkeypatch)
+    assembled, reference, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(_double_hump_model(), Grid.square(9, 9),
                             lambda x, y: np.array([2.5 + 0.0 * x]), m=1,
                             interior=lambda x, y: np.array([1.0]), max_iter=4)
@@ -860,7 +923,7 @@ def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
     assert np.array_equal(b, rhs)
     assert np.array_equal(step.view(np.int64), x.view(np.int64))
     assert len(calls[1][2].solves) == 0
-    _check_fallback_reuse(calls, assembled, coo, factored, 1)
+    _check_fallback_reuse(calls, assembled, reference, factored, 1)
 
 
 @pytest.mark.parametrize("name,m,grid,fn,components", [
@@ -1226,7 +1289,7 @@ def test_hessian_pass_names_the_inadmissible_cell():
     values = GridField.from_function(g, near_flat_sheet(0.1), 4).values
     values[16, 16] = values[15, 15]
     with pytest.raises(GridDomainError) as exc:
-        _cell_hessians(NAMBU, g, values)
+        list(_cell_hessians(NAMBU, g, values))
     assert exc.value.cell == (15, 15)
 
 
