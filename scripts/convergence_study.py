@@ -32,11 +32,9 @@ def solve_errors(levels):
         exact = GridField.from_function(
             grid, lambda x, y: np.array([np.sin(x) * np.sinh(y)]), 1)
         b = grid.boundary_nodes
-        bvals = exact.values[b[:, 0], b[:, 1]]
         start = np.zeros_like(exact.values)
-        start[b[:, 0], b[:, 1]] = bvals
-        sol, rep = solve_dirichlet(model, grid, bvals,
-                                   GridField(grid=grid, values=start))
+        start[b[:, 0], b[:, 1]] = exact.values[b[:, 0], b[:, 1]]
+        sol, rep = solve_dirichlet(model, GridField(grid=grid, values=start))
         err = float(np.max(np.abs(sol.values - exact.values)))
         rows.append((n, grid.hx, err, rep.iterations, rep.final_residual))
     return rows

@@ -113,10 +113,7 @@ def spanning_surfaces(n, seed):
     for eps in (0.0, 1e-4, 1e-3, 0.1):
         f = GridField.from_function(
             grid, lambda x, y: np.array([x, y, eps * x * y, 0.0]), 4)
-        b = grid.boundary_nodes
-        bvals = f.values[b[:, 0], b[:, 1]]
-        sol, rep = solve_dirichlet(model, grid, bvals, f,
-                                   tol=1e-10, max_iter=50)
+        sol, rep = solve_dirichlet(model, f, tol=1e-10, max_iter=50)
         mom, _ = boundary_momentum(model, sol)
         div, _ = momentum_divergence(mom)
         conservation = float(np.max(np.abs(div))) if len(div) else 0.0

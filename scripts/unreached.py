@@ -3,16 +3,12 @@
 
 Runs the tier-1 suite (``tests/``) in this process under a ``sys.settrace``
 line tracer, then prints, per source file of ``src/fieldtriple``, every
-executable line that no test reached and that ``unreached_exempt.txt``
-beside this script does not list, followed by one count per file.  A line
-is executable when the compiled code of its file holds an instruction on
-it; docstrings are not counted.  Only the standard library is used.
+executable line that no test reached, followed by one count per file.  A
+line is executable when the compiled code of its file holds an instruction
+on it; docstrings are not counted.  Only the standard library is used.
 
-The exemption list holds one ``file:line reason`` entry per line, the file
-relative to the repository root (``src/fieldtriple/grid.py:120 reason``);
-blank lines and lines starting with ``#`` are ignored.  The script exits 1
-when an unreached line is not on the list, or with pytest's code when the
-suite fails, and 0 otherwise.
+The script exits 1 when a line is unreached, or with pytest's code when
+the suite fails, and 0 otherwise.
 
 After the suite, ``python -m fieldtriple --help`` is run in the same
 traced process through ``runpy``, so ``__main__.py`` is seen; it must exit
@@ -35,18 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fieldtriple"
-EXEMPTIONS = Path(__file__).resolve().with_name("unreached_exempt.txt")
-
-
-def read_exemptions(path: Path = EXEMPTIONS) -> dict[str, str]:
-    """The entries of the exemption list: ``file:line`` -> reason."""
-    entries = {}
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        text = raw.strip()
-        if text and not text.startswith("#"):
-            where, _, reason = text.partition(" ")
-            entries[where] = reason.strip()
-    return entries
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -119,20 +103,17 @@ def main(argv=None) -> int:
     if any(name == "fieldtriple" or name.startswith("fieldtriple.")
            for name in sys.modules):
         raise SystemExit("fieldtriple is already imported; run this as a script")
-    exempt = read_exemptions()
     code, reached = run_traced(["-q", "-p", "no:cacheprovider",
                                 str(ROOT / "tests"), *args])
     counts = {}
     for path in sorted(PACKAGE.glob("*.py")):
         missed = sorted(executable_lines(path) - reached.get(str(path), set()))
         text = path.read_text(encoding="utf-8").splitlines()
-        where = [f"{path.relative_to(ROOT)}:{line}" for line in missed]
-        unlisted = [(w, line) for w, line in zip(where, missed) if w not in exempt]
-        counts[path.name] = len(unlisted)
-        for w, line in unlisted:
-            print(f"{w}: {text[line - 1].strip()}")
+        counts[path.name] = len(missed)
+        for line in missed:
+            print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
     total = sum(counts.values())
-    print(f"\nunreached lines not in {EXEMPTIONS.name}, per file:")
+    print("\nunreached lines, per file:")
     for name, n in counts.items():
         print(f"  {name:16s} {n:4d}")
     print(f"  {'total':16s} {total:4d}")

@@ -270,10 +270,10 @@ def _parse_rows(rows: list[str], m: int) -> np.ndarray:
     return table
 
 
-def write_momentum_csv(path: str, grid: Grid, mom: GridMomentum) -> None:
-    """Momentum CSV: cell_i,cell_j,p1_*,p2_* rows over active cells; each
-    cell index is formatted once."""
-    m = mom.m
+def write_momentum_csv(path: str, mom: GridMomentum) -> None:
+    """Momentum CSV: cell_i,cell_j,p1_*,p2_* rows over the active cells of
+    ``mom.grid``; each cell index is formatted once."""
+    m, grid = mom.m, mom.grid
     cells = grid.active_cells
     ci, cj = cells[:, 0], cells[:, 1]
     label = [f"{k}," for k in range(max(grid.nx, grid.ny))]
@@ -317,18 +317,15 @@ def _run_solve(cfg: RunConfig) -> dict:
     for k, e in enumerate(exprs):
         values[inside, k] = evaluate(e, x[inside], y[inside])
     initial = GridField(grid, values)
-    bnodes = grid.boundary_nodes
-    bvals = values[bnodes[:, 0], bnodes[:, 1]]
 
     tol = 1e-10 if cfg.tol is None else cfg.tol
-    solution, rep = solve_dirichlet(model, grid, bvals, initial,
-                                    tol=tol, max_iter=cfg.max_iter)
+    solution, rep = solve_dirichlet(model, initial, tol=tol, max_iter=cfg.max_iter)
     mom, _ = boundary_momentum(model, solution)
 
     max_error = float(np.max(np.abs(solution.values[inside] - initial.values[inside])))
 
     write_field_csv(cfg.out, solution)
-    write_momentum_csv(_sibling(cfg.out, ".momenta.csv"), grid, mom)
+    write_momentum_csv(_sibling(cfg.out, ".momenta.csv"), mom)
     report = {
         "command": cfg.command,
         "model": model.name,

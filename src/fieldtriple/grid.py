@@ -107,28 +107,25 @@ def _active_cell_mask(mask: np.ndarray) -> np.ndarray:
 class Grid:
     """Rectangular node grid with an interior/boundary/outside mask.
 
-    ``mask`` has shape (nx, ny) with values 0 (outside the domain),
-    1 (boundary: value prescribed), 2 (interior: value solved for).  Every
-    interior node must have its four edge neighbors non-outside, and the
-    boundary set must be nonempty.  Equality on grids is identity; use
-    ``same_layout`` for structural comparison.
+    ``mask`` is a 2-D array with values 0 (outside the domain),
+    1 (boundary: value prescribed), 2 (interior: value solved for); its
+    shape is the grid's (nx, ny).  Every interior node must have its four
+    edge neighbors non-outside, and the boundary set must be nonempty.
+    Equality on grids is identity.
     """
 
-    nx: int
-    ny: int
     hx: float
     hy: float
     mask: np.ndarray
 
     def __post_init__(self):
-        _require_size(self.nx, self.ny)
+        mask = np.asarray(self.mask)
+        if mask.ndim != 2:
+            raise InvalidInputError(f"mask must be 2-D, got shape {mask.shape}")
+        _require_size(*mask.shape)
         if not (self.hx > 0.0 and self.hy > 0.0):
             raise InvalidParameterError(
                 f"grid spacings must be positive, got hx={self.hx}, hy={self.hy}")
-        mask = np.asarray(self.mask)
-        if mask.shape != (self.nx, self.ny):
-            raise InvalidInputError(
-                f"mask has shape {mask.shape}, expected ({self.nx}, {self.ny})")
         if not np.isin(mask, (OUTSIDE, BOUNDARY, INTERIOR)).all():
             raise InvalidInputError("mask entries must be 0, 1 or 2")
         mask = mask.astype(np.int8)
@@ -139,6 +136,14 @@ class Grid:
             raise InvalidInputError("boundary set is empty")
         object.__setattr__(self, "mask", mask)
 
+    @property
+    def nx(self) -> int:
+        return self.mask.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.mask.shape[1]
+
     @classmethod
     def square(cls, nx: int, ny: int) -> "Grid":
         """The unit square, spacings 1/(nx-1) and 1/(ny-1): border nodes
@@ -147,7 +152,7 @@ class Grid:
         mask = np.full((nx, ny), INTERIOR, dtype=np.int8)
         mask[0, :] = mask[-1, :] = BOUNDARY
         mask[:, 0] = mask[:, -1] = BOUNDARY
-        return cls(nx=nx, ny=ny, hx=1.0 / (nx - 1), hy=1.0 / (ny - 1), mask=mask)
+        return cls(hx=1.0 / (nx - 1), hy=1.0 / (ny - 1), mask=mask)
 
     @classmethod
     def disc_mask(cls, nx: int, ny: int) -> "Grid":
@@ -164,12 +169,7 @@ class Grid:
         inside = ((x[:, None] - 0.5) ** 2 + (y[None, :] - 0.5) ** 2) <= 0.25
         mask = np.where(inside & _surrounded(inside), INTERIOR,
                         np.where(inside, BOUNDARY, OUTSIDE)).astype(np.int8)
-        return cls(nx=nx, ny=ny, hx=hx, hy=hy, mask=mask)
-
-    def same_layout(self, other: "Grid") -> bool:
-        return (self.nx == other.nx and self.ny == other.ny
-                and self.hx == other.hx and self.hy == other.hy
-                and np.array_equal(self.mask, other.mask))
+        return cls(hx=hx, hy=hy, mask=mask)
 
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) arrays of shape (nx, ny) with node coordinates."""
@@ -693,15 +693,17 @@ def _solve_jacobian(J, rhs, fallback):
     That is exact: ``J``'s stored pattern depends only on the grid and the
     free dofs, so MMD(J^T J) would give the same order again, and the
     factors, row pivots and step are bitwise those of a fresh ``MMD_ATA``
-    factorization.  A ``RuntimeError`` from a fallback propagates.  No
-    factors outlive the call.
+    factorization.  ``J`` is rebound to its permuted copy, so a caller that
+    passes ``J`` inline has one Newton matrix alive in that ``splu``.  A
+    ``RuntimeError`` from a fallback propagates.  No factors outlive the
+    call.
     """
     import scipy.sparse.linalg
 
     if fallback is not None:
+        J = J[:, fallback]
         step = np.empty(len(rhs))
-        step[fallback] = scipy.sparse.linalg.splu(
-            J[:, fallback], permc_spec="NATURAL").solve(rhs)
+        step[fallback] = scipy.sparse.linalg.splu(J, permc_spec="NATURAL").solve(rhs)
         return step, fallback
     if np.all(J.diagonal() > 0.0):
         step = _definite_step(J, rhs)
@@ -769,88 +771,55 @@ def _free_dofs(grid: Grid, m: int):
     return inodes, free_dof
 
 
-def solve_dirichlet(model: LagrangianModel, grid: Grid,
-                    boundary_values: np.ndarray, initial: GridField, *,
+def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
                     tol: float = 1e-10,
                     max_iter: int = 50) -> tuple[GridField, SolveReport]:
     """Damped Newton solve of the discrete Euler-Lagrange equations with
     Dirichlet data.
 
-    ``boundary_values`` has shape (n_boundary, m), rows aligned with
-    ``grid.boundary_nodes``; ``initial`` must carry exactly those values on
-    the boundary and admissible cell jets.  Each Newton step solves the
-    sparse interior Hessian system by direct factorization, and the line
-    search ``legendre_invert`` shares halves the step (at most 30 lengths)
-    until the trial iterate is admissible and strictly decreases the
-    residual max-norm, so accepted steps never increase it.
-    L's own ``DomainError`` is the one admissibility test: each trial is
-    first screened by a plain evaluation of L at every cell, which rejects an
-    inadmissible string 33x33 trial in 0.3 ms where the gradient pass would
-    fail only after 1.4 ms, and without counting as a gradient evaluation;
-    the start's one gradient pass is its own screen.
+    Input: ``initial`` is the start and carries the whole problem: the grid
+    is ``initial.grid``, the Dirichlet data are its values at the boundary
+    nodes, and its interior values are the first iterate.  Every cell jet of
+    ``initial`` must be admissible.  The returned field lives on the same
+    grid and keeps ``initial``'s boundary and outside values bit for bit.
 
-    The interior dofs are numbered in geometric nested-dissection order.
-    When the Hessian's diagonal is positive, a step first factors it in that
-    order with diagonal pivots and keeps the factors only if no row was
-    swapped and every pivot is positive, which proves the system positive
-    definite (the harmonic and sigma models: elliptic field equations).  The
-    trial factors each decoupled block of the Hessian on its own: with
-    hx = hy the cell term |qdot|^2 is ((u11 - u00)^2 + (u10 - u01)^2) / 2h^2,
-    which couples nodes only across cell diagonals, so the harmonic system
-    splits into two checkerboards per component, and the sigma system, whose
-    constant target metric couples the components, into two.  Each block's
-    rows of the step are solved, and its factors freed, before the next
-    block is factored, so one block's factors are alive at a time: that took
-    harmonic 257x257 benchmark runs from 160.5 MB peak, with all the blocks
-    factored as one block-diagonal matrix, to 148.0 MB (medians of ten 40 s
-    runs, 2-vCPU host), and the step is bit for bit the same.  Otherwise the
-    step factors the Hessian as assembled with partial pivoting in the
-    MMD(J^T J) column order (the string: indefinite, hyperbolic, with a
-    negative diagonal, so no trial runs).  Later steps of the solve skip the
-    trial and reuse that first fallback's column order, which is computed
-    once per solve: the Hessian's stored pattern is the same at every step,
-    so MMD(J^T J) would give the same order again, and the factors and the
-    step are bitwise those of a fresh MMD(J^T J) factorization.  On the
-    harmonic 257x257 solve L + U hold 2.57 M nonzeros, against 4.59 M with
-    splu's default COLAMD order, and factoring the two checkerboards apart
-    halves the factorization time; on the string 33x33, L + U hold 1.11 M
-    against 1.20 M, and reusing the order takes a step's splu from 0.101 to
-    0.075 s (first Newton matrix, 3,844 unknowns).
+    Iteration: each step solves the Newton system of the interior dofs and
+    halves the step, over at most 30 lengths 1, 1/2, ..., 2^-29, until the
+    trial field is admissible (L raises no ``DomainError`` at any cell; a
+    plain evaluation screens each trial) and strictly lowers the residual
+    max-norm.  So accepted steps never raise it.
 
-    Each Newton matrix is summed one way, in two parts.  Once per solve,
-    ``_newton_layout`` builds the CSC structure, stored zeros included, from
-    the grid and the free dofs, with one gather index per stored entry.  At
-    every step, ``_newton_matrix`` adds, for each of the nine node offsets
-    of the stencil, the element blocks of the (at most four) cells that hold
-    both nodes, in increasing cell order, as slice additions, and gathers
-    the stored entries; no triplet list is formed.  The blocks are formed
-    one Hessian pass at a time and freed before the gather.  At m = 1 the
-    matrix is bit for bit the COO triplet sum this replaced, and so are the
-    harmonic and sigma matrices at every m, whose summands of an entry are
-    equal; string entries can differ in their last bit.  That took harmonic
-    257x257 benchmark runs from 133.2 to 130.9 MB peak (medians of ten
-    paired 40 s runs, 2-vCPU host).  There the structure takes 25 ms once
-    per solve, and a step's blocks and sum 34 ms against 68 ms for the blocks
-    and the COO sum (fastest of 9, in process).
+    Stop reasons, in ``report.message`` (empty when converged): converged,
+    when the max-norm of the discrete Euler-Lagrange residual is at most
+    ``tol``; "iteration cap N reached" after ``max_iter`` steps; and "line
+    search stalled" when no admissible trial lowered the residual.  The last
+    two return the best iterate with ``report.converged`` false.
 
-    Returns ``(field, report)``.  Non-convergence (stalled line search or
-    iteration cap) is reported through ``report.converged`` with the best
-    iterate returned; a step that cannot restore admissibility at any
-    length raises a grid domain error.
+    Errors: ``InvalidInputError`` when ``initial`` is not a ``GridField``, its
+    m is not the model's, or L drops Taylor numbers; ``InvalidParameterError``
+    for a ``tol`` that is not positive or a ``max_iter`` below 1;
+    ``GridDomainError`` naming the cell when a start cell is inadmissible,
+    and without one when no step length restores admissibility;
+    ``DomainError`` when the start residual is not finite; and
+    ``SingularJacobianError`` when a Newton system is singular or its step
+    is not finite.
+
+    Factorization policy: the interior nodes are numbered in geometric
+    nested-dissection order, and each Newton matrix is summed once per step
+    on a structure built once per solve (``_newton_layout``,
+    ``_newton_matrix``).  While the diagonal is positive, a step first
+    factors each decoupled block of the matrix on its own, in natural order
+    with diagonal pivots, and keeps the step only if no row was swapped and
+    every pivot is positive, which proves the matrix positive definite (the
+    harmonic and sigma models).  Otherwise the matrix is factored with
+    partial pivoting in the MMD(J^T J) column order (the string), and every
+    later step of the solve reuses that column order, which its stored
+    pattern would give again, so the step is bit for bit that of a fresh
+    factorization.  One factorization is alive at a time, and none outlives
+    its step.
     """
     _require_model_field(model, initial)
-    if not (initial.grid is grid or initial.grid.same_layout(grid)):
-        raise InvalidInputError("initial field lives on a different grid")
-    m = model.m
-    bnodes = grid.boundary_nodes
-    bvals = np.asarray(boundary_values, dtype=float)
-    if bvals.shape != (len(bnodes), m):
-        raise InvalidInputError(
-            f"boundary values have shape {bvals.shape}, expected "
-            f"({len(bnodes)}, {m})")
-    if not np.array_equal(initial.values[bnodes[:, 0], bnodes[:, 1]], bvals):
-        raise InvalidInputError("initial field does not satisfy the boundary values")
-
+    grid, m = initial.grid, model.m
     inodes, free_dof = _free_dofs(grid, m)
     ii, jj = inodes[:, 0], inodes[:, 1]
 
@@ -868,14 +837,16 @@ def solve_dirichlet(model: LagrangianModel, grid: Grid,
     fallback = None
 
     def newton_step(x: np.ndarray, F: np.ndarray, iterations: int) -> np.ndarray:
-        # The field and its element blocks are passed on, not bound, so they
-        # are freed before splu (binding the field put harmonic-257 peak RSS
-        # at 170 MB in 7 of 10 seeded runs, 2-vCPU host, against 158-162 MB);
-        # _solve_jacobian returns the step alone, so no factors reach here.
+        # The field, its element blocks and the Newton matrix are passed on,
+        # not bound, so each is freed as soon as its consumer drops it
+        # (binding the field put harmonic-257 peak RSS at 170 MB in 7 of 10
+        # seeded runs, 2-vCPU host, against 158-162 MB); _solve_jacobian
+        # returns the step alone, so no factors reach here.
         nonlocal fallback
-        J = _newton_matrix(grid, layout, _element_blocks(model, grid, field(x)))
         try:
-            step, fallback = _solve_jacobian(J, -F.ravel(), fallback)
+            step, fallback = _solve_jacobian(
+                _newton_matrix(grid, layout, _element_blocks(model, grid, field(x))),
+                -F.ravel(), fallback)
         except RuntimeError as e:
             raise SingularJacobianError(
                 f"Newton system is singular at iteration {iterations}: {e}") from e

@@ -31,7 +31,7 @@ from .autodiff import ScalarField, Taylor
 from .bundles import Jet, Phase, PhaseCovector, PhaseJet, beta
 from .errors import (InvalidInputError, NoConvergenceError, SingularJacobianError,
                      _damped_newton, _max_norm)
-from .lagrangian import (LagrangianModel, _check_model, _flat, _max_norm_per_point,
+from .lagrangian import (LagrangianModel, _check_arity, _flat, _max_norm_per_point,
                          _member_pdot, _require_m)
 
 __all__ = [
@@ -47,17 +47,21 @@ __all__ = [
 @dataclass(frozen=True)
 class HamiltonianModel:
     """A Hamiltonian: ``H`` has arity 3m over the flattened phase point
-    (q, p[0], p[1]), each slot of m entries.  Its admissible domain is where
-    it is defined: ``H`` is finite on every admissible Phase and raises
-    ``DomainError`` on any other, plain or Taylor.
+    (q, p[0], p[1]), each slot of m entries, which gives the model's m.  Its
+    admissible domain is where it is defined: ``H`` is finite on every
+    admissible Phase and raises ``DomainError`` on any other, plain or
+    Taylor.
     """
 
-    m: int
     H: ScalarField
     name: str = ""
 
     def __post_init__(self):
-        _check_model(self.m, self.H, "H")
+        _check_arity(self.H, "H")
+
+    @property
+    def m(self) -> int:
+        return self.H.arity // 3
 
 
 def dH(model: HamiltonianModel, ph: Phase) -> PhaseCovector:
@@ -183,6 +187,6 @@ def hamiltonian_from_lagrangian(model: LagrangianModel,
                 acc = acc + xs[i * m + a] * v[a]
         return acc - model.L(list(xs[:m]) + j.qdot.ravel().tolist())
 
-    return HamiltonianModel(m=m, H=ScalarField(arity=3 * m, eval=eval_H),
+    return HamiltonianModel(H=ScalarField(arity=3 * m, eval=eval_H),
                             name=f"legendre-transform({model.name})" if model.name
                             else "legendre-transform")

@@ -43,27 +43,30 @@ __all__ = [
 @dataclass(frozen=True)
 class LagrangianModel:
     """A Lagrangian: ``L`` has arity 3m over the flattened jet
-    (q, qdot[0], qdot[1]).  Its admissible domain is where it is defined:
-    ``L`` is finite on every admissible jet and raises ``DomainError`` on
-    any other, plain or Taylor, and that error is the one admissibility
-    test ``dL``, the Legendre inversion and the grid solver make.
+    (q, qdot[0], qdot[1]), which gives the model's m.  Its admissible domain
+    is where it is defined: ``L`` is finite on every admissible jet and
+    raises ``DomainError`` on any other, plain or Taylor, and that error is
+    the one admissibility test ``dL``, the Legendre inversion and the grid
+    solver make.
     """
 
-    m: int
     L: ScalarField
     name: str = ""
 
     def __post_init__(self):
-        _check_model(self.m, self.L, "L")
+        _check_arity(self.L, "L")
+
+    @property
+    def m(self) -> int:
+        return self.L.arity // 3
 
 
-def _check_model(m: int, f: ScalarField, name: str) -> None:
-    """The shape checks of a model on either side: m >= 1, and its function
-    ``name`` (L or H) of arity 3m."""
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if f.arity != 3 * m:
-        raise InvalidInputError(f"{name} has arity {f.arity}, expected 3m = {3 * m}")
+def _check_arity(f: ScalarField, name: str) -> None:
+    """A model's function ``name`` (L or H) takes three slots of m entries;
+    a ``ScalarField``'s arity is at least 1, so m is too."""
+    if f.arity % 3:
+        raise InvalidInputError(
+            f"{name} has arity {f.arity}, expected a multiple of 3")
 
 
 @dataclass(frozen=True, eq=False)

@@ -149,7 +149,7 @@ def harmonic_lagrangian(m: int = 1, target_metric=None,
                         name: str = "harmonic") -> LagrangianModel:
     """L = (1/2) g_ab (v1^a v1^b + v2^a v2^b), admissible everywhere."""
     g = _check_metric(m, target_metric)
-    return LagrangianModel(m=m, L=_half_quadratic_form(m, g), name=name)
+    return LagrangianModel(L=_half_quadratic_form(m, g), name=name)
 
 
 def harmonic_hamiltonian(m: int = 1, target_metric=None,
@@ -157,7 +157,7 @@ def harmonic_hamiltonian(m: int = 1, target_metric=None,
     """Closed-form Legendre transform of the harmonic model:
     H = (1/2) g^ab (p1_a p1_b + p2_a p2_b)."""
     ginv = np.linalg.inv(_check_metric(m, target_metric))
-    return HamiltonianModel(m=m, H=_half_quadratic_form(m, ginv), name=name)
+    return HamiltonianModel(H=_half_quadratic_form(m, ginv), name=name)
 
 
 def sigma_metric(m: int) -> np.ndarray:
@@ -177,7 +177,7 @@ def nambu_lagrangian() -> LagrangianModel:
         _require_domain(_value(det) < 0.0, _WORLDSHEET_DOMAIN)
         return autodiff.sqrt(-det)
 
-    return LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L), name="nambu")
+    return LagrangianModel(L=ScalarField(arity=12, eval=eval_L), name="nambu")
 
 
 def _require_string_m(point) -> None:
@@ -234,7 +234,7 @@ def nambu_hamiltonian() -> HamiltonianModel:
         _require_domain(_value(det) < -_DUAL_DET_MARGIN, _DUAL_DET_DOMAIN)
         return autodiff.sqrt(-det)
 
-    return HamiltonianModel(m=4, H=ScalarField(arity=12, eval=eval_H), name="nambu")
+    return HamiltonianModel(H=ScalarField(arity=12, eval=eval_H), name="nambu")
 
 
 @dataclass(frozen=True)

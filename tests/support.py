@@ -92,7 +92,7 @@ def halfplane_lagrangian() -> LagrangianModel:
         _require_upper(xs[1])
         return _velocity_norm2(xs) / (2.0 * xs[1] * xs[1])
 
-    return LagrangianModel(m=2, L=ScalarField(arity=6, eval=eval_L),
+    return LagrangianModel(L=ScalarField(arity=6, eval=eval_L),
                            name="halfplane")
 
 
@@ -104,7 +104,7 @@ def halfplane_hamiltonian() -> HamiltonianModel:
         _require_upper(xs[1])
         return 0.5 * (xs[1] * xs[1]) * _velocity_norm2(xs)
 
-    return HamiltonianModel(m=2, H=ScalarField(arity=6, eval=eval_H),
+    return HamiltonianModel(H=ScalarField(arity=6, eval=eval_H),
                             name="halfplane")
 
 

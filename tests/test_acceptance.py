@@ -260,10 +260,9 @@ def test_criterion_5_harmonic_dirichlet_solver():
     saddle = GridField.from_function(
         g, lambda x, y: np.array([x * x - y * y]), 1)
     b = g.boundary_nodes
-    bvals = saddle.values[b[:, 0], b[:, 1]]
     start = np.zeros_like(saddle.values)
-    start[b[:, 0], b[:, 1]] = bvals
-    sol, rep = solve_dirichlet(model, g, bvals, GridField(grid=g, values=start))
+    start[b[:, 0], b[:, 1]] = saddle.values[b[:, 0], b[:, 1]]
+    sol, rep = solve_dirichlet(model, GridField(grid=g, values=start))
     saddle_err = float(np.max(np.abs(sol.values - saddle.values)))
     assert rep.converged
     assert saddle_err <= 1e-9
@@ -274,10 +273,9 @@ def test_criterion_5_harmonic_dirichlet_solver():
         exact = GridField.from_function(
             gn, lambda x, y: np.array([np.sin(x) * np.sinh(y)]), 1)
         bn = gn.boundary_nodes
-        bv = exact.values[bn[:, 0], bn[:, 1]]
         init = np.zeros_like(exact.values)
-        init[bn[:, 0], bn[:, 1]] = bv
-        sn, rn = solve_dirichlet(model, gn, bv, GridField(grid=gn, values=init))
+        init[bn[:, 0], bn[:, 1]] = exact.values[bn[:, 0], bn[:, 1]]
+        sn, rn = solve_dirichlet(model, GridField(grid=gn, values=init))
         assert rn.converged
         errs.append(float(np.max(np.abs(sn.values - exact.values))))
     orders = [float(np.log2(errs[k] / errs[k + 1])) for k in range(2)]
@@ -295,9 +293,7 @@ def test_criterion_6_string_boundary_value_problem():
     g = Grid.square(17, 17)
     f = GridField.from_function(
         g, lambda x, y: np.array([x, y, 1e-3 * x * y, 0.0]), 4)
-    b = g.boundary_nodes
-    bvals = f.values[b[:, 0], b[:, 1]]
-    sol, rep = solve_dirichlet(model, g, bvals, f, tol=1e-10, max_iter=50)
+    sol, rep = solve_dirichlet(model, f, tol=1e-10, max_iter=50)
     mom, _ = boundary_momentum(model, sol)
     div, _ = momentum_divergence(mom)
     conservation = float(np.max(np.abs(div)))

@@ -309,6 +309,21 @@ def test_solve_artifacts_are_pinned(tmp_path, capsys, model, grid, bc, extra,
     assert hashlib.sha256(stdout.encode()).hexdigest() == report
 
 
+def test_action_of_the_pinned_harmonic_solve_is_pinned(tmp_path, capsys):
+    # The benchmark's second verb: the action verb reads the field CSV of the
+    # pinned harmonic 21x17 solve.
+    out = tmp_path / "sol.csv"
+    model, grid, bc, extra, _, (field, _, _) = SOLVE_SHA256[0]
+    assert run(capsys, *solve_args(out, bc=bc, model=model, grid=grid,
+                                   extra=extra))[0] == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == field
+    code, stdout, _ = run(capsys, "action", "--model", model, "--grid", grid,
+                          "--field", str(out))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "2d58ea46609fe78ba367e828f33cb7c297e9a83be83dcea36f1097e50d5452eb")
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 
@@ -352,7 +367,7 @@ def test_csv_writers_match_per_value_reference(tmp_path):
     p2 = np.resize(_FINITE_EXTREMES[2:], shape)
     cells = grid.active_cells
     path = tmp_path / "momenta.csv"
-    write_momentum_csv(str(path), grid, GridMomentum(grid, p1, p2))
+    write_momentum_csv(str(path), GridMomentum(grid, p1, p2))
     want = _reference_rows(
         [["cell_i,cell_j,p1_0,p1_1,p2_0,p2_1"]]
         + [[str(ci), str(cj), *p1[ci, cj], *p2[ci, cj]] for ci, cj in cells])

@@ -2,6 +2,7 @@
 per-cell momenta, conservation form, continuum consistency, and the
 Dirichlet Newton solver."""
 
+import re
 import weakref
 
 import numpy as np
@@ -55,7 +56,7 @@ def minimal_surface_model() -> LagrangianModel:
     def eval_L(xs):
         return autodiff.sqrt(1.0 + xs[1] * xs[1] + xs[2] * xs[2])
 
-    return LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="graph-area")
+    return LagrangianModel(L=ScalarField(arity=3, eval=eval_L), name="graph-area")
 
 
 def boundary_rows(field: GridField) -> np.ndarray:
@@ -89,16 +90,26 @@ def test_grid_rejects_bad_parameters():
         Grid.disc_mask(9, 2)
     with pytest.raises(InvalidParameterError,
                        match="^grid needs nx, ny >= 3, got 2 x 3$"):
-        Grid(nx=2, ny=3, hx=0.5, hy=0.5, mask=np.ones((2, 3)))
+        Grid(hx=0.5, hy=0.5, mask=np.ones((2, 3)))
     with pytest.raises(InvalidParameterError, match=r"^grid spacings must be "
                        r"positive, got hx=0\.5, hy=nan$"):
-        Grid(nx=3, ny=3, hx=0.5, hy=float("nan"), mask=np.ones((3, 3)))
+        Grid(hx=0.5, hy=float("nan"), mask=np.ones((3, 3)))
     with pytest.raises(InvalidInputError):
-        Grid(nx=3, ny=3, hx=0.5, hy=0.5, mask=np.zeros((3, 4)))
+        Grid(hx=0.5, hy=0.5, mask=np.full((3, 3), 7))
     with pytest.raises(InvalidInputError):
-        Grid(nx=3, ny=3, hx=0.5, hy=0.5, mask=np.full((3, 3), 7))
-    with pytest.raises(InvalidInputError):
-        Grid(nx=3, ny=3, hx=0.5, hy=0.5, mask=np.zeros((3, 3)))  # no boundary
+        Grid(hx=0.5, hy=0.5, mask=np.zeros((3, 3)))  # no boundary
+
+
+def test_grid_takes_its_shape_from_a_2d_mask():
+    g = Grid(hx=0.5, hy=1 / 3, mask=np.ones((3, 4)))
+    assert (g.nx, g.ny) == (3, 4)
+    assert type(g.nx) is int and type(g.ny) is int
+    with pytest.raises(AttributeError):
+        g.nx = 5
+    for shape in ((9,), (3, 4, 1), ()):
+        message = f"^mask must be 2-D, got shape {re.escape(str(shape))}$"
+        with pytest.raises(InvalidInputError, match=message):
+            Grid(hx=0.5, hy=0.5, mask=np.ones(shape))
 
 
 def test_grid_rejects_interior_node_with_outside_neighbor():
@@ -106,7 +117,7 @@ def test_grid_rejects_interior_node_with_outside_neighbor():
     mask[1, 1] = 2
     mask[0, 1] = 0
     with pytest.raises(InvalidInputError):
-        Grid(nx=4, ny=4, hx=0.5, hy=0.5, mask=mask)
+        Grid(hx=0.5, hy=0.5, mask=mask)
 
 
 def test_disc_mask_counts():
@@ -412,15 +423,12 @@ def test_residual_converges_to_pointwise_operator():
 
 
 def _solve_with_bc(model, grid, fn, m, interior=None, **kw):
-    bc_field = GridField.from_function(grid, fn, m)
-    bvals = boundary_rows(bc_field)
-    if interior is None:
-        initial = bc_field
-    else:
+    initial = GridField.from_function(grid, fn, m)
+    if interior is not None:
         values = GridField.from_function(grid, interior, m).values
-        values[grid.mask == 1] = bvals
+        values[grid.mask == 1] = boundary_rows(initial)
         initial = GridField(grid=grid, values=values)
-    return solve_dirichlet(model, grid, bvals, initial, **kw)
+    return solve_dirichlet(model, initial, **kw)
 
 
 def test_harmonic_saddle_solved_exactly():
@@ -583,6 +591,33 @@ def test_solve_builds_no_coo_matrix_and_frees_the_blocks_before_splu(monkeypatch
     assert coo_builds == []
 
 
+def test_reused_order_factors_with_the_assembled_matrix_freed(monkeypatch):
+    """A string solve's steps after its first fallback factor the permuted
+    copy of the Newton matrix alone: the assembled matrix is garbage when
+    that splu runs."""
+    matrices = []
+    reused = []
+    newton_matrix = grid_module._newton_matrix
+    splu = scipy.sparse.linalg.splu
+
+    def tracked_matrix(*args):
+        out = newton_matrix(*args)
+        matrices.append(weakref.ref(out))
+        return out
+
+    def tracked_splu(A, permc_spec=None, **kwargs):
+        if permc_spec == "NATURAL" and not kwargs:
+            reused.append(all(ref() is None for ref in matrices))
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(grid_module, "_newton_matrix", tracked_matrix)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
+    _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
+                            m=4, tol=1e-10, max_iter=4)
+    assert rep.iterations == 4 and len(matrices) == 4
+    assert reused == [True] * 3
+
+
 # ---------------------------------------------------------------------------
 # Newton factorization: nested-dissection order and the definiteness trial
 
@@ -630,7 +665,7 @@ def test_dissection_order_numbers_separators_after_their_halves(grid):
 
 
 def test_solve_without_interior_nodes_is_converged():
-    g = Grid(nx=3, ny=4, hx=0.5, hy=1 / 3, mask=np.ones((3, 4)))
+    g = Grid(hx=0.5, hy=1 / 3, mask=np.ones((3, 4)))
     sol, rep = _solve_with_bc(HARM1, g, lambda x, y: np.array([x + y]), m=1)
     assert rep.converged and rep.iterations == 0
     assert rep.final_residual == 0.0
@@ -899,7 +934,7 @@ def _double_hump_model():
         u = xs[0]
         return (xs[1] * xs[1] + xs[2] * xs[2]) / 2.0 + u * u / 2.0 - u * u * u * u / 4.0
 
-    return LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="double-hump")
+    return LagrangianModel(L=ScalarField(arity=3, eval=eval_L), name="double-hump")
 
 
 def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
@@ -1150,7 +1185,7 @@ def test_non_finite_newton_step_raises():
     def eval_L(xs):
         return 1e-300 * (xs[1] * xs[1] + xs[2] * xs[2]) / 2.0 + 1e10 * xs[0]
 
-    model = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="overflow")
+    model = LagrangianModel(L=ScalarField(arity=3, eval=eval_L), name="overflow")
     with pytest.raises(SingularJacobianError,
                        match="Newton step is non-finite at iteration 0"):
         _solve_with_bc(model, Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
@@ -1160,7 +1195,7 @@ def test_singular_newton_system_raises():
     # L = qbar is linear in the nodal values: its Hessian, and so the Newton
     # matrix, is zero while the residual is not.
     model = LagrangianModel(
-        m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0 * xs[0]), name="linear")
+        L=ScalarField(arity=3, eval=lambda xs: 1.0 * xs[0]), name="linear")
     with pytest.raises(SingularJacobianError,
                        match="Newton system is singular at iteration 0: "):
         _solve_with_bc(model, Grid.square(7, 7), lambda x, y: np.array([x]), m=1)
@@ -1173,7 +1208,7 @@ def test_nan_start_residual_is_named(monkeypatch):
     def eval_L(xs):
         return (xs[1] * xs[1] + xs[2] * xs[2]) / 2.0 + np.nan * xs[0] * xs[0]
 
-    model = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="nan")
+    model = LagrangianModel(L=ScalarField(arity=3, eval=eval_L), name="nan")
     calls = _record_factorizations(monkeypatch)
     with pytest.raises(DomainError,
                        match=r"^residual at the starting point is not finite \(nan\)$"):
@@ -1211,36 +1246,25 @@ def test_solve_on_disc_domain():
     assert np.max(np.abs(sol.values[inside] - sol2.values[inside])) <= 1e-9
 
 
-def test_solver_rejects_boundary_mismatch():
-    g = Grid.square(9, 9)
-    f = GridField.from_function(g, lambda x, y: np.array([x]), m=1)
-    bvals = boundary_rows(f) + 0.5
-    with pytest.raises(InvalidInputError, match="^initial field does not "
-                       "satisfy the boundary values$"):
-        solve_dirichlet(HARM1, g, bvals, f)
-    with pytest.raises(InvalidInputError, match=r"^boundary values have shape "
-                       r"\(32, 2\), expected \(32, 1\)$"):
-        solve_dirichlet(HARM1, g, np.zeros((32, 2)), f)
-    with pytest.raises(InvalidInputError, match="^expected a GridField$"):
-        solve_dirichlet(HARM1, g, boundary_rows(f), f.values)
-
-
-def test_solver_takes_an_initial_field_on_a_grid_of_the_same_layout():
-    g = Grid.square(9, 9)
-    f = GridField.from_function(Grid.square(9, 9), lambda x, y: np.array([x * y]), m=1)
-    assert f.grid is not g
-    _, rep = solve_dirichlet(HARM1, g, boundary_rows(f), f)
-    assert rep.converged
-    disc = GridField.from_function(Grid.disc_mask(9, 9),
-                                   lambda x, y: np.array([x * y]), m=1)
-    assert disc.values.shape == f.values.shape
-    with pytest.raises(InvalidInputError,
-                       match="^initial field lives on a different grid$"):
-        solve_dirichlet(HARM1, g, boundary_rows(f), disc)
+def test_solver_takes_its_grid_and_dirichlet_data_from_the_initial_field():
+    # A disc grid, nan outside it, and a start off the solution inside: the
+    # solution lives on the start's grid and keeps its boundary and outside
+    # values bit for bit.
+    g = Grid.disc_mask(13, 11)
+    f = GridField.from_function(g, lambda x, y: np.array([x * y, x - y * y]), m=2)
+    values = f.values.copy()
+    values[g.mask == 2] += 0.25
+    sol, rep = solve_dirichlet(get_lagrangian("harmonic", 2),
+                               GridField(grid=g, values=values))
+    assert rep.converged and rep.iterations == 1
+    assert sol.grid is g
+    fixed = g.mask != 2
+    assert np.array_equal(sol.values[fixed], values[fixed], equal_nan=True)
+    assert np.isnan(sol.values[g.mask == 0]).all()
 
 
 def test_solver_rejects_a_lagrangian_that_drops_taylor_numbers():
-    constant = LagrangianModel(m=1, L=ScalarField(arity=3, eval=lambda xs: 1.0),
+    constant = LagrangianModel(L=ScalarField(arity=3, eval=lambda xs: 1.0),
                                name="constant")
     with pytest.raises(InvalidInputError,
                        match="^field did not propagate Taylor numbers$"):
@@ -1251,9 +1275,8 @@ def test_solver_rejects_inadmissible_initial_cell():
     g = Grid.square(9, 9)
     f = GridField.from_function(g, lambda x, y:
                                 np.array([0.0, 0.0, x, y]), m=4)
-    bvals = boundary_rows(f)
     with pytest.raises(GridDomainError) as exc:
-        solve_dirichlet(NAMBU, g, bvals, f)
+        solve_dirichlet(NAMBU, f)
     assert "cell" in str(exc.value)
 
 
@@ -1272,10 +1295,10 @@ def test_line_search_that_never_regains_admissibility_raises():
             raise DomainError("cell slope left the band")
         return HARM1.L(xs)
 
-    banded = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="banded")
+    banded = LagrangianModel(L=ScalarField(arity=3, eval=eval_L), name="banded")
     discrete_action_gradient(banded, f)  # the start is inside the band
     with pytest.raises(GridDomainError) as exc:
-        solve_dirichlet(banded, g, boundary_rows(f), f)
+        solve_dirichlet(banded, f)
     assert str(exc.value) == ("line search could not restore admissibility "
                               "at iteration 0")
 
@@ -1296,15 +1319,14 @@ def test_hessian_pass_names_the_inadmissible_cell():
 def test_solver_rejects_bad_parameters():
     g = Grid.square(9, 9)
     f = GridField.from_function(g, lambda x, y: np.array([x]), m=1)
-    bvals = boundary_rows(f)
     with pytest.raises(InvalidParameterError):
-        solve_dirichlet(HARM1, g, bvals, f, tol=-1.0)
+        solve_dirichlet(HARM1, f, tol=-1.0)
     with pytest.raises(InvalidParameterError,
                        match="^tolerance must be positive, got nan$"):
-        solve_dirichlet(HARM1, g, bvals, f, tol=float("nan"))
+        solve_dirichlet(HARM1, f, tol=float("nan"))
     with pytest.raises(InvalidParameterError):
-        solve_dirichlet(HARM1, g, bvals, f, max_iter=0)
-    other = GridField.from_function(Grid.square(7, 9),
-                                    lambda x, y: np.array([x]), m=1)
-    with pytest.raises(InvalidInputError):
-        solve_dirichlet(HARM1, g, bvals, other)
+        solve_dirichlet(HARM1, f, max_iter=0)
+    with pytest.raises(InvalidInputError, match="^expected a GridField$"):
+        solve_dirichlet(HARM1, f.values)
+    with pytest.raises(InvalidInputError, match="^field has m=1, model has m=4$"):
+        solve_dirichlet(NAMBU, f)

@@ -94,10 +94,14 @@ def test_dh_wrong_dimension_rejected():
 
 
 def test_hamiltonian_model_shape_checks():
-    with pytest.raises(InvalidInputError, match="^m must be >= 1, got 0$"):
-        HamiltonianModel(m=0, H=HARM_H.H)
-    with pytest.raises(InvalidInputError, match="^H has arity 3, expected 3m = 6$"):
-        HamiltonianModel(m=2, H=HARM_H.H)
+    assert HamiltonianModel(H=HARM_H.H).m == 1
+    assert HamiltonianModel(H=NAMBU_H.H).m == 4
+    with pytest.raises(AttributeError):
+        HARM_H.m = 2
+    for arity in (1, 2, 4, 13):
+        with pytest.raises(InvalidInputError, match=f"^H has arity {arity}, "
+                           "expected a multiple of 3$"):
+            HamiltonianModel(H=ScalarField(arity=arity, eval=lambda xs: xs[0]))
 
 
 @pytest.mark.parametrize("det_gd,defined", [(-5e-9, False), (-2e-8, True)])
@@ -221,7 +225,6 @@ def test_invert_round_trip_through_forward_map():
 
 def test_invert_affine_lagrangian_is_singular():
     affine = LagrangianModel(
-        m=1,
         L=ScalarField(arity=3, eval=lambda xs: xs[1]),
         name="affine",
     )
@@ -232,7 +235,6 @@ def test_invert_affine_lagrangian_is_singular():
 
 # Momenta v/sqrt(1 + v^2) fill (-1, 1) only, so p1 = 2 has no preimage.
 SATURATING = LagrangianModel(
-    m=1,
     L=ScalarField(arity=3, eval=lambda xs: autodiff.sqrt(1.0 + xs[1] * xs[1])
                   + autodiff.sqrt(1.0 + xs[2] * xs[2])),
     name="saturating",
@@ -302,7 +304,7 @@ def test_invert_retreats_when_the_full_step_leaves_the_domain():
             refused.append([x.value for x in xs])
             raise
 
-    counting = LagrangianModel(m=4, L=ScalarField(arity=12, eval=eval_L))
+    counting = LagrangianModel(L=ScalarField(arity=12, eval=eval_L))
     rec = legendre_invert(counting, ph, guess)
     assert np.array_equal(refused[0], np.concatenate([ph.q, full]))
     assert np.max(np.abs(rec.qdot - exact.qdot)) <= 1e-9
@@ -322,7 +324,7 @@ def test_invert_line_search_that_never_regains_admissibility_stalls():
             raise DomainError("velocity left the band")
         return HARM_L.L(xs)
 
-    banded = LagrangianModel(m=1, L=ScalarField(arity=3, eval=eval_L), name="banded")
+    banded = LagrangianModel(L=ScalarField(arity=3, eval=eval_L), name="banded")
     guess = Jet([0.3], [[0.0], [0.0]])
     with pytest.raises(NoConvergenceError) as exc:
         legendre_invert(banded, Phase([0.3], [[0.7], [-1.1]]), guess)
@@ -422,13 +424,12 @@ def test_transform_of_string_matches_closed_form():
 
 def test_transform_is_named_after_its_lagrangian():
     assert hamiltonian_from_lagrangian(HARM_L).name == "legendre-transform(harmonic)"
-    nameless = LagrangianModel(m=1, L=HARM_L.L)
+    nameless = LagrangianModel(L=HARM_L.L)
     assert hamiltonian_from_lagrangian(nameless).name == "legendre-transform"
 
 
 def test_transform_of_affine_lagrangian_fails_at_evaluation():
     affine = LagrangianModel(
-        m=1,
         L=ScalarField(arity=3, eval=lambda xs: xs[1]),
         name="affine",
     )

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldtriple.autodiff import ScalarField
 from fieldtriple.bundles import Jet, Phase, PhaseJet, project_to_jet
 from fieldtriple.errors import DomainError, InvalidInputError
 from fieldtriple.lagrangian import (
@@ -69,11 +70,18 @@ def test_inadmissible_jet_raises_the_lagrangians_own_error():
         el_residual_pointwise(NAMBU, SecondJet(degenerate, np.zeros((2, 2, 4))))
 
 
+def test_model_m_is_a_third_of_the_arity():
+    model = LagrangianModel(L=ScalarField(arity=6, eval=lambda xs: xs[3]))
+    assert model.m == 2
+    with pytest.raises(AttributeError):
+        model.m = 3
+    for arity in (1, 2, 4, 13):
+        with pytest.raises(InvalidInputError, match=f"^L has arity {arity}, "
+                           "expected a multiple of 3$"):
+            LagrangianModel(L=ScalarField(arity=arity, eval=lambda xs: xs[0]))
+
+
 def test_model_and_jet_dimensions_must_agree():
-    with pytest.raises(InvalidInputError, match="^m must be >= 1, got 0$"):
-        LagrangianModel(m=0, L=HARM1.L)
-    with pytest.raises(InvalidInputError, match="^L has arity 3, expected 3m = 6$"):
-        LagrangianModel(m=2, L=HARM1.L)
     with pytest.raises(InvalidInputError, match="^jet has m=2, model has m=1$"):
         dL(HARM1, Jet([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]))
 
