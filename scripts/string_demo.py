@@ -112,7 +112,7 @@ def spanning_surfaces(n, seed):
     print("   eps      converged  iter  residual       conservation   action")
     for eps in (0.0, 1e-4, 1e-3, 0.1):
         f = GridField.from_function(
-            grid, lambda x, y: np.array([x, y, eps * x * y, 0.0]), 4)
+            grid, lambda x, y: (x, y, eps * x * y, 0.0), 4)
         sol, rep = solve_dirichlet(model, f, tol=1e-10, max_iter=50)
         mom, _ = boundary_momentum(model, sol)
         div, _ = momentum_divergence(mom)

@@ -310,13 +310,9 @@ def _run_solve(cfg: RunConfig) -> dict:
         raise InvalidParameterError("solve requires --out")
     exprs = [parse_expr(src) for src in cfg.bc]
     grid = _make_grid(cfg)
-    x, y = grid.node_coords()
     inside = grid.mask != OUTSIDE
-
-    values = np.full((grid.nx, grid.ny, model.m), np.nan)
-    for k, e in enumerate(exprs):
-        values[inside, k] = evaluate(e, x[inside], y[inside])
-    initial = GridField(grid, values)
+    initial = GridField.from_function(
+        grid, lambda x, y: [evaluate(e, x, y) for e in exprs], model.m)
 
     tol = 1e-10 if cfg.tol is None else cfg.tol
     solution, rep = solve_dirichlet(model, initial, tol=tol, max_iter=cfg.max_iter)

@@ -23,15 +23,20 @@ analog of integration by parts,
     <full gradient, delta u> = <interior block, delta u> + boundary pairing,
 
 holds by construction up to float reassociation rather than up to mesh error:
-the pairing functional returned by ``boundary_momentum`` re-sums exactly the
-per-cell corner contributions that land on boundary nodes.  At a discrete
-stationary point with Dirichlet data the interior block vanishes, so the
-boundary pairing alone reproduces the action's first variation.
+one nodal scatter of the per-cell slot gradients gives both the gradient and
+the pairing functional of ``boundary_momentum``, which pairs a variation with
+that scatter's boundary rows.  At a discrete stationary point with Dirichlet
+data the interior block vanishes, so the boundary pairing alone reproduces
+the action's first variation.
 
 Lagrangians must be written in generic arithmetic (as the built-in catalog
 models are): the solver evaluates them on Taylor numbers with array-valued
 channels, one batched pass over all active cells for the slot gradients and
-batched second-order passes over blocks of cells for the slot Hessians.
+batched second-order passes over blocks of cells for the slot Hessians.  The
+nodal element blocks of the Newton matrix lie on the cell lattice, with a
+-0.0 block at each inactive cell, so full and masked grids sum one way.
+``GridField.from_function`` samples a field with one call of its function,
+on the coordinate arrays of the non-outside nodes.
 
 Node (i, j) sits at (i*hx, j*hy).  The mask tags nodes 0 = outside,
 1 = boundary, 2 = interior; cells enter the quadrature when all four corners
@@ -50,7 +55,7 @@ import numpy as np
 # scipy is imported by the functions that build and factor the Newton matrix,
 # so only a solve's first Newton step loads it; the rest needs numpy.
 
-from .autodiff import Taylor, _expand
+from .autodiff import _expand
 from .errors import (
     DomainError,
     GridDomainError,
@@ -225,15 +230,29 @@ class GridField:
 
     @classmethod
     def from_function(cls, grid: Grid, fn: Callable, m: int) -> "GridField":
-        """Sample ``fn(x, y) -> length-m sequence`` at every non-outside node."""
+        """Sample ``fn`` at every non-outside node in one call: ``fn(x, y)``
+        gets the coordinate arrays of those nodes and returns m components,
+        each an array of their length or a number, which every node takes.
+        Outside nodes hold nan."""
+        inside = grid.mask > OUTSIDE
+        x, y = (c[inside] for c in grid.node_coords())
+        columns = fn(x, y)
+        try:
+            count = len(columns)
+        except TypeError:
+            raise InvalidInputError(
+                f"function returned {columns!r}, expected {m} components") from None
+        if count != m:
+            raise InvalidInputError(
+                f"function returned {count} components, expected {m}")
         values = np.full((grid.nx, grid.ny, m), np.nan)
-        x, y = grid.node_coords()
-        for i, j in np.argwhere(grid.mask > OUTSIDE):
-            v = np.asarray(fn(x[i, j], y[i, j]), dtype=float)
-            if v.shape != (m,):
+        for k, column in enumerate(columns):
+            column = np.asarray(column, dtype=float)
+            if column.shape not in ((), x.shape):
                 raise InvalidInputError(
-                    f"function returned shape {v.shape}, expected ({m},)")
-            values[i, j] = v
+                    f"component {k} has shape {column.shape}, expected () "
+                    f"or {x.shape}")
+            values[inside, k] = column
         return cls(grid=grid, values=values)
 
 
@@ -302,17 +321,6 @@ def _cell_jets(grid: Grid, values: np.ndarray):
     return qbar, qdot1, qdot2
 
 
-def _wrap_cell_domain_error(grid: Grid, e: DomainError,
-                            first: int) -> GridDomainError:
-    cells = grid.active_cells
-    cell = None
-    if e.component is not None and 0 <= first + e.component < len(cells):
-        cell = (int(cells[first + e.component, 0]),
-                int(cells[first + e.component, 1]))
-    at = "" if cell is None else f" at cell {cell}"
-    return GridDomainError(f"inadmissible cell jet{at}: {e}", cell=cell)
-
-
 def _cell_slots(grid: Grid, values: np.ndarray) -> np.ndarray:
     """The 3m jet slots (qbar, qdot1, qdot2) over active cells, (3m, ncells)."""
     return np.concatenate(_cell_jets(grid, values), axis=1).T
@@ -325,7 +333,13 @@ def _evaluate_cells(grid: Grid, evaluate: Callable, *args, first: int = 0):
     try:
         return evaluate(*args)
     except DomainError as e:
-        raise _wrap_cell_domain_error(grid, e, first) from e
+        cells = grid.active_cells
+        cell = None
+        if e.component is not None and 0 <= first + e.component < len(cells):
+            cell = (int(cells[first + e.component, 0]),
+                    int(cells[first + e.component, 1]))
+        at = "" if cell is None else f" at cell {cell}"
+        raise GridDomainError(f"inadmissible cell jet{at}: {e}", cell=cell) from e
 
 
 def _cell_values(model: LagrangianModel, grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -334,18 +348,11 @@ def _cell_values(model: LagrangianModel, grid: Grid, values: np.ndarray) -> np.n
     return np.broadcast_to(np.asarray(out, dtype=float), (len(grid.active_cells),))
 
 
-def _cell_expansion(model: LagrangianModel, grid: Grid, slots: np.ndarray,
-                    second: bool, first: int = 0) -> Taylor:
-    """L as one batched Taylor pass seeded on the 3m rows of ``slots``, one
-    column per active cell from ``first`` on."""
-    return _evaluate_cells(grid, _expand, model.L, slots, second, first=first)
-
-
 def _cell_gradients(model: LagrangianModel, grid: Grid,
                     values: np.ndarray) -> np.ndarray:
     """dL/d(slot) at every active cell jet, shape (3m, ncells), from one
     batched first-order pass."""
-    out = _cell_expansion(model, grid, _cell_slots(grid, values), second=False)
+    out = _evaluate_cells(grid, _expand, model.L, _cell_slots(grid, values), False)
     return np.broadcast_to(np.asarray(out.grad, dtype=float),
                            (3 * model.m, len(grid.active_cells)))
 
@@ -369,7 +376,8 @@ def _cell_hessians(model: LagrangianModel, grid: Grid, values: np.ndarray):
     step = max(1, _HESSIAN_BLOCK // (k * k))
     for lo in range(0, ncells, step):
         hi = min(lo + step, ncells)
-        out = _cell_expansion(model, grid, slots[:, lo:hi], True, first=lo)
+        out = _evaluate_cells(grid, _expand, model.L, slots[:, lo:hi], True,
+                              first=lo)
         yield lo, np.moveaxis(np.broadcast_to(out.hess, (k, k, hi - lo)), -1, 0)
 
 
@@ -382,41 +390,32 @@ def discrete_action(model: LagrangianModel, f: GridField) -> float:
     return float(f.grid.hx * f.grid.hy * np.sum(L))
 
 
-def _corner_coefficients(grid: Grid, G: np.ndarray, m: int):
-    """Per-corner nodal contributions of the per-cell slot gradient ``G``.
-
-    Yields (node_i, node_j, contrib (ncells, m)) for each of the four cell
-    corners; ``contrib`` already carries the quadrature weight hx*hy, the
-    quarter weight of the cell average and the signed forward-difference
-    coefficients.  Summing contributions over incident cells is exactly the
-    chain rule for the discrete action.
-    """
+def _nodal_gradient(grid: Grid, G: np.ndarray, m: int) -> np.ndarray:
+    """The nodal scatter of the per-cell slot gradient ``G`` (3m, ncells),
+    shape (nx, ny, m): each cell corner adds hx*hy times the quarter weight
+    of the cell average and the signed forward-difference coefficients
+    applied to ``G``, which is exactly the chain rule for the discrete
+    action.  The sum runs corner by corner, cells in lexicographic order, so
+    it is bitwise reproducible."""
     cells = grid.active_cells
     ci, cj = cells[:, 0], cells[:, 1]
     area = grid.hx * grid.hy
     Gq = G[:m].T
     Gv1 = G[m:2 * m].T
     Gv2 = G[2 * m:].T
+    grad = np.zeros((grid.nx, grid.ny, m))
     for di, dj, sx, sy in _CORNERS:
-        contrib = area * (0.25 * Gq + (sx / (2.0 * grid.hx)) * Gv1
-                          + (sy / (2.0 * grid.hy)) * Gv2)
-        yield ci + di, cj + dj, contrib
+        grad[ci + di, cj + dj] += area * (0.25 * Gq + (sx / (2.0 * grid.hx)) * Gv1
+                                          + (sy / (2.0 * grid.hy)) * Gv2)
+    return grad
 
 
 def discrete_action_gradient(model: LagrangianModel, f: GridField) -> np.ndarray:
     """Exact gradient of ``discrete_action`` with respect to every nodal
-    value, shape (nx, ny, m); rows of outside nodes are zero.
-
-    Accumulation order is fixed (corner by corner, cells in lexicographic
-    order), so repeated evaluation is bitwise reproducible.
-    """
+    value, shape (nx, ny, m); rows of outside nodes are zero.  Repeated
+    evaluation is bitwise reproducible."""
     _require_model_field(model, f)
-    grid = f.grid
-    G = _cell_gradients(model, grid, f.values)
-    grad = np.zeros((grid.nx, grid.ny, model.m))
-    for ni, nj, contrib in _corner_coefficients(grid, G, model.m):
-        grad[ni, nj] += contrib
-    return grad
+    return _nodal_gradient(f.grid, _cell_gradients(model, f.grid, f.values), model.m)
 
 
 def discrete_el_residual(model: LagrangianModel, f: GridField) -> np.ndarray:
@@ -438,10 +437,9 @@ def boundary_momentum(model: LagrangianModel, f: GridField):
     Returns ``(momenta, pairing)``: ``momenta`` holds (p1, p2) =
     (dL/dqdot1, dL/dqdot2) at every active cell jet, and ``pairing(delta)``
     evaluates the boundary-node part of <d(discrete_action), delta> for a
-    nodal variation ``delta`` of shape (nx, ny, m).  The pairing re-sums the
-    same per-cell corner terms the gradient accumulates (momentum flux through
-    the forward differences plus the quarter-weighted dL/dq share of boundary
-    corners), so
+    nodal variation ``delta`` of shape (nx, ny, m).  The pairing is
+    the sum of ``delta`` against the boundary rows of the same nodal scatter
+    the gradient returns, so
 
         <gradient, delta> = <interior block, delta> + pairing(delta)
 
@@ -460,12 +458,8 @@ def boundary_momentum(model: LagrangianModel, f: GridField):
     p1[ci, cj] = G[m:2 * m].T
     p2[ci, cj] = G[2 * m:].T
     momenta = GridMomentum(grid=grid, p1=p1, p2=p2)
-
-    corner_terms = []
-    for ni, nj, contrib in _corner_coefficients(grid, G, m):
-        on_boundary = grid.mask[ni, nj] == BOUNDARY
-        corner_terms.append((ni[on_boundary], nj[on_boundary],
-                             contrib[on_boundary]))
+    boundary = grid.mask == BOUNDARY
+    edge = _nodal_gradient(grid, G, m)[boundary]
 
     def pairing(delta: np.ndarray) -> float:
         delta = np.asarray(delta, dtype=float)
@@ -473,11 +467,7 @@ def boundary_momentum(model: LagrangianModel, f: GridField):
             raise InvalidInputError(
                 f"variation has shape {delta.shape}, expected "
                 f"({grid.nx}, {grid.ny}, {m})")
-        total = 0.0
-        for ni, nj, contrib in corner_terms:
-            if len(ni):
-                total += float(np.sum(contrib * delta[ni, nj]))
-        return total
+        return float(np.sum(edge * delta[boundary]))
 
     return momenta, pairing
 
@@ -512,11 +502,12 @@ def momentum_divergence(mom: GridMomentum) -> tuple[np.ndarray, np.ndarray]:
 
 def _element_blocks(model: LagrangianModel, grid: Grid,
                     values: np.ndarray) -> np.ndarray:
-    """Per-cell nodal Hessian blocks of the discrete action, shape
-    (ncells, 4m, 4m): T H T^t * hx*hy, with H the 3m x 3m slot Hessian and T
-    the (4m x 3m) corner-coefficient matrix.  Each pass's H goes through T
-    into its rows of the output, so no whole-grid H or T H is formed, and
-    the blocks are scaled in place."""
+    """Per-cell nodal Hessian blocks of the discrete action on the cell
+    lattice, shape (nx-1, ny-1, 4m, 4m): T H T^t * hx*hy at each active
+    cell, with H the 3m x 3m slot Hessian and T the (4m x 3m)
+    corner-coefficient matrix, and -0.0 at each inactive cell.  Each pass's
+    H goes through T into its active cells, so no whole-grid H or T H is
+    formed, and the blocks are scaled in place."""
     m = model.m
     coeff = np.array([(0.25, sx / (2.0 * grid.hx), sy / (2.0 * grid.hy))
                       for _, _, sx, sy in _CORNERS])
@@ -525,9 +516,12 @@ def _element_blocks(model: LagrangianModel, grid: Grid,
         for blk in range(3):
             T[c * m:(c + 1) * m, blk * m:(blk + 1) * m] = (
                 coeff[c, blk] * np.eye(m))
-    blocks = np.empty((len(grid.active_cells), 4 * m, 4 * m))
+    blocks = np.empty((grid.nx - 1, grid.ny - 1, 4 * m, 4 * m))
+    blocks[~_active_cell_mask(grid.mask)] = -0.0
+    cells = grid.active_cells
     for lo, H in _cell_hessians(model, grid, values):
-        np.matmul(T @ H, T.T, out=blocks[lo:lo + len(H)])
+        ci, cj = cells[lo:lo + len(H)].T
+        blocks[ci, cj] = T @ H @ T.T
     blocks *= grid.hx * grid.hy
     return blocks
 
@@ -609,30 +603,22 @@ def _newton_matrix(grid: Grid, layout, blocks: np.ndarray):
     For each stencil offset, each node's entries add the blocks of the (at
     most four) cells that hold the node and its neighbour, in increasing
     cell order, left to right, to a -0.0 start, as in-place slice additions
-    over the grid; an inactive cell of a masked grid adds a -0.0 block.
-    x + (-0.0) is x for every x, so the start and the inactive cells drop
-    out exactly, where a +0.0 would turn a -0.0 sum into +0.0.  The stored
-    entries are then gathered.  The function consumes ``blocks``: a caller
-    that passes them inline has them freed before the gather.
+    over the grid; an inactive cell adds its -0.0 block.  x + (-0.0) is x
+    for every x, so the start and the inactive cells drop out exactly,
+    where a +0.0 would turn a -0.0 sum into +0.0.  The stored entries are
+    then gathered.  The function consumes ``blocks``: a caller that passes
+    them inline has them freed before the gather.
     """
     import scipy.sparse
 
     indptr, indices, gather = layout
-    nx, ny, n = grid.nx, grid.ny, blocks.shape[-1]
-    m = n // 4
-    cells = grid.active_cells
-    if len(cells) == (nx - 1) * (ny - 1):
-        dense = blocks.reshape(nx - 1, ny - 1, n, n)
-    else:
-        dense = np.full((nx - 1, ny - 1, n, n), -0.0)
-        dense[cells[:, 0], cells[:, 1]] = blocks
-    del blocks
+    nx, ny, m = grid.nx, grid.ny, blocks.shape[-1] // 4
     sums = np.full((nx, ny, len(_OFFSETS), m, m), -0.0)
     for k, a, b in _CORNER_PAIRS:
         bi, bj = _CORNERS[b][:2]
         sums[bi:bi + nx - 1, bj:bj + ny - 1, k] += (
-            dense[:, :, a * m:(a + 1) * m, b * m:(b + 1) * m])
-    del dense
+            blocks[:, :, a * m:(a + 1) * m, b * m:(b + 1) * m])
+    del blocks
     nfree = len(indptr) - 1
     return scipy.sparse.csc_matrix((sums.reshape(-1)[gather], indices, indptr),
                                    shape=(nfree, nfree))

@@ -157,13 +157,21 @@ def cell_unknowns(grid, free_dof: np.ndarray, m: int) -> np.ndarray:
     return free_dof[dofs]
 
 
+def active_blocks(grid, blocks: np.ndarray) -> np.ndarray:
+    """The blocks of the active cells, in ``active_cells`` order, from
+    element blocks on the cell lattice (nx-1, ny-1, 4m, 4m)."""
+    cells = grid.active_cells
+    return blocks[cells[:, 0], cells[:, 1]]
+
+
 def coo_newton_matrix(grid, blocks: np.ndarray, free_dof: np.ndarray,
                       nfree: int):
-    """The Newton matrix as a COO triplet list of the element blocks
-    (ncells, 4m, 4m), duplicates summed on conversion to CSC.  ``tocsc``
-    adds each entry's summands left to right in the order its unstable
-    row sort leaves them: increasing cell order at m = 1, not in general
-    at m >= 2."""
+    """The Newton matrix as a COO triplet list of the active cells'
+    element blocks, taken from the cell lattice (nx-1, ny-1, 4m, 4m),
+    duplicates summed on conversion to CSC.  ``tocsc`` adds each entry's
+    summands left to right in the order its unstable row sort leaves them:
+    increasing cell order at m = 1, not in general at m >= 2."""
+    blocks = active_blocks(grid, blocks)
     free = cell_unknowns(grid, free_dof, blocks.shape[1] // 4)
     rows = np.broadcast_to(free[:, :, None], blocks.shape)
     cols = np.broadcast_to(free[:, None, :], blocks.shape)
@@ -174,9 +182,11 @@ def coo_newton_matrix(grid, blocks: np.ndarray, free_dof: np.ndarray,
 
 def cell_order_newton_matrix(grid, blocks: np.ndarray, free_dof: np.ndarray,
                              nfree: int):
-    """The Newton matrix summed in plain Python, as CSC: cells in
+    """The Newton matrix summed in plain Python, as CSC, from element blocks
+    on the cell lattice (nx-1, ny-1, 4m, 4m): active cells in
     ``active_cells`` order, each entry's summands added left to right, the
     first one taken as it is."""
+    blocks = active_blocks(grid, blocks)
     entries = {}
     for unknowns, block in zip(cell_unknowns(grid, free_dof, blocks.shape[1] // 4),
                                blocks):

@@ -210,7 +210,7 @@ def test_criterion_4_discrete_variation_is_exact_gradient():
                                  np.array([np.sin(2 * x) + y * y]), 1)),
         (get_lagrangian("nambu"),
          GridField.from_function(g5, lambda x, y:
-                                 np.array([x, y, 0.3 * x * y, 0.0]), 4)),
+                                 (x, y, 0.3 * x * y, 0.0), 4)),
     ]
     worst = 0.0
     for model, f in cases:
@@ -292,7 +292,7 @@ def test_criterion_6_string_boundary_value_problem():
     model = get_lagrangian("nambu")
     g = Grid.square(17, 17)
     f = GridField.from_function(
-        g, lambda x, y: np.array([x, y, 1e-3 * x * y, 0.0]), 4)
+        g, lambda x, y: (x, y, 1e-3 * x * y, 0.0), 4)
     sol, rep = solve_dirichlet(model, f, tol=1e-10, max_iter=50)
     mom, _ = boundary_momentum(model, sol)
     div, _ = momentum_divergence(mom)

@@ -65,7 +65,7 @@ def boundary_rows(field: GridField) -> np.ndarray:
 
 
 def near_flat_sheet(eps: float):
-    return lambda x, y: np.array([x, y, eps * x * y, 0.0])
+    return lambda x, y: (x, y, eps * x * y, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +141,47 @@ def test_grid_field_validation():
 
 
 def test_grid_field_from_function():
+    """``fn`` gets the coordinates of every non-outside node in one call,
+    and a component given as a number is taken at every node."""
     g = Grid.square(5, 5)
     f = GridField.from_function(g, lambda x, y: np.array([x + 2 * y]), m=1)
     assert f.values[4, 0, 0] == pytest.approx(1.0)
     assert f.values[0, 4, 0] == pytest.approx(2.0)
     assert f.m == 1
+    g = Grid.disc_mask(9, 9)
+    calls = []
+
+    def fn(x, y):
+        calls.append((x, y))
+        return (x + 2 * y, 0.5)
+
+    f = GridField.from_function(g, fn, m=2)
+    X, Y = g.node_coords()
+    inside = g.mask > 0
+    (x, y), = calls
+    assert np.array_equal(x, X[inside]) and np.array_equal(y, Y[inside])
+    assert np.array_equal(f.values[inside, 0], X[inside] + 2 * Y[inside])
+    assert np.all(f.values[inside, 1] == 0.5)
+    assert np.all(np.isnan(f.values[~inside]))
 
 
 def test_from_function_rejects_a_value_of_the_wrong_shape():
     g = Grid.square(4, 4)
     with pytest.raises(InvalidInputError,
-                       match=r"^function returned shape \(2,\), expected \(1,\)$"):
+                       match=r"^function returned 2 components, expected 1$"):
         GridField.from_function(g, lambda x, y: np.array([x, y]), m=1)
+    with pytest.raises(InvalidInputError,
+                       match=r"^function returned 1 components, expected 2$"):
+        GridField.from_function(g, lambda x, y: (x + y,), m=2)
+    with pytest.raises(InvalidInputError,
+                       match=r"^function returned 1\.5, expected 1 components$"):
+        GridField.from_function(g, lambda x, y: 1.5, m=1)
+    with pytest.raises(InvalidInputError, match=r"^component 1 has shape "
+                       r"\(15,\), expected \(\) or \(16,\)$"):
+        GridField.from_function(g, lambda x, y: (x, y[1:]), m=2)
+    with pytest.raises(InvalidInputError, match=r"^component 0 has shape "
+                       r"\(2, 16\), expected \(\) or \(16,\)$"):
+        GridField.from_function(g, lambda x, y: (np.stack([x, y]),), m=1)
 
 
 def test_grid_momentum_validation():
@@ -282,8 +311,11 @@ def test_gradient_matches_add_at_accumulation_bitwise(name, m):
                                 lambda x, y: np.array([np.sin(3 * x) * y]), m)
     ref = np.zeros((g.nx, g.ny, m))
     G = grid_module._cell_gradients(model, g, f.values)
-    for ni, nj, contrib in grid_module._corner_coefficients(g, G, m):
-        np.add.at(ref, (ni, nj), contrib)
+    cells = g.active_cells
+    for di, dj, sx, sy in grid_module._CORNERS:
+        contrib = g.hx * g.hy * (0.25 * G[:m].T + (sx / (2.0 * g.hx)) * G[m:2 * m].T
+                                 + (sy / (2.0 * g.hy)) * G[2 * m:].T)
+        np.add.at(ref, (cells[:, 0] + di, cells[:, 1] + dj), contrib)
     grad = discrete_action_gradient(model, f)
     assert np.array_equal(grad.view(np.int64), ref.view(np.int64))
 
@@ -754,7 +786,7 @@ def _record_newton_matrices(monkeypatch):
 
     def recording_matrix(grid, layout, blocks):
         J = newton_matrix(grid, layout, blocks)
-        _, free_dof = _free_dofs(grid, blocks.shape[1] // 4)
+        _, free_dof = _free_dofs(grid, blocks.shape[-1] // 4)
         assembled.append(J)
         reference.append(cell_order_newton_matrix(grid, blocks, free_dof,
                                                   J.shape[0]))
@@ -879,6 +911,29 @@ def test_string_newton_matrix_sums_in_cell_order(grid):
     assert _same_bits(J, cell_order_newton_matrix(grid, blocks, free_dof, nfree))
 
 
+def test_element_blocks_lie_on_the_cell_lattice():
+    """On a masked grid the element blocks fill the cell lattice: each
+    active cell holds T H T^t * hx*hy, and each inactive cell a block of
+    -0.0, sign bit set, which adds nothing to a stencil sum."""
+    grid = Grid.disc_mask(13, 17)
+    m = 2
+    model = get_lagrangian("sigma", m)
+    values = GridField.from_function(grid, lambda x, y: (x * y, np.exp(-x)), m).values
+    blocks = _element_blocks(model, grid, values)
+    assert blocks.shape == (grid.nx - 1, grid.ny - 1, 4 * m, 4 * m)
+    inactive = ~grid_module._active_cell_mask(grid.mask)
+    assert inactive.sum() == 12 * 16 - len(grid.active_cells) > 0
+    assert np.all(blocks[inactive] == 0.0) and np.all(np.signbit(blocks[inactive]))
+    T = np.zeros((4 * m, 3 * m))
+    for c, (_, _, sx, sy) in enumerate(grid_module._CORNERS):
+        for slot, w in enumerate((0.25, sx / (2.0 * grid.hx), sy / (2.0 * grid.hy))):
+            T[c * m:(c + 1) * m, slot * m:(slot + 1) * m] = w * np.eye(m)
+    H = np.concatenate([H for _, H in _cell_hessians(model, grid, values)])
+    cells = grid.active_cells
+    assert np.array_equal(blocks[cells[:, 0], cells[:, 1]],
+                          (T @ H @ T.T) * (grid.hx * grid.hy))
+
+
 def test_newton_matrix_keeps_a_negative_zero_beside_an_inactive_cell():
     """A -0.0 summand stays -0.0 where the other cells that hold the
     entry's nodes are inactive: the sum starts from -0.0 and an inactive
@@ -889,14 +944,16 @@ def test_newton_matrix_keeps_a_negative_zero_beside_an_inactive_cell():
     nfree = len(inodes) * m
     active = np.pad(grid_module._active_cell_mask(grid.mask), 1)
     cells = grid.active_cells
-    blocks = np.random.default_rng(3).standard_normal((len(cells), 4 * m, 4 * m))
-    # Every active cell at an interior node that also touches an inactive
-    # cell gets a -0.0 block.
+    blocks = np.full((grid.nx - 1, grid.ny - 1, 4 * m, 4 * m), -0.0)
+    blocks[cells[:, 0], cells[:, 1]] = np.random.default_rng(3).standard_normal(
+        (len(cells), 4 * m, 4 * m))
+    # Every cell at an interior node that also touches an inactive cell
+    # gets a -0.0 block.
     beside = [k for k, (i, j) in enumerate(inodes)
               if not active[i:i + 2, j:j + 2].all()]
     assert len(beside) == 16
     for i, j in inodes[beside]:
-        blocks[np.isin(cells[:, 0], (i - 1, i)) & np.isin(cells[:, 1], (j - 1, j))] = -0.0
+        blocks[i - 1:i + 1, j - 1:j + 1] = -0.0
     J = _newton_matrix(grid, _newton_layout(grid, free_dof, m), blocks)
     assert _same_bits(J, cell_order_newton_matrix(grid, blocks, free_dof, nfree))
     for u in beside:
@@ -1219,7 +1276,7 @@ def test_nan_start_residual_is_named(monkeypatch):
 def test_string_affine_boundary_is_exact_solution():
     g = Grid.square(9, 9)
     sol, rep = _solve_with_bc(NAMBU, g, lambda x, y:
-                              np.array([x, y, 0.0, 0.0]), m=4)
+                              (x, y, 0.0, 0.0), m=4)
     assert rep.converged
     assert rep.iterations == 0
     assert rep.final_residual == 0.0
@@ -1274,7 +1331,7 @@ def test_solver_rejects_a_lagrangian_that_drops_taylor_numbers():
 def test_solver_rejects_inadmissible_initial_cell():
     g = Grid.square(9, 9)
     f = GridField.from_function(g, lambda x, y:
-                                np.array([0.0, 0.0, x, y]), m=4)
+                                (0.0, 0.0, x, y), m=4)
     with pytest.raises(GridDomainError) as exc:
         solve_dirichlet(NAMBU, f)
     assert "cell" in str(exc.value)

@@ -282,6 +282,15 @@ def test_catalog_rejects_bad_requests():
         nambu_legendre_inverse_closed_form(Phase([0.0], [[1.0], [0.0]]))
 
 
+@pytest.mark.parametrize("lookup", [get_lagrangian, get_hamiltonian])
+@pytest.mark.parametrize("m", [0, -1])
+def test_catalog_refuses_a_sigma_m_below_1(lookup, m):
+    """The catalog checks m before it builds the sigma metric, which at
+    m = -1 would raise numpy's ValueError for a negative dimension."""
+    with pytest.raises(InvalidParameterError, match=f"^m must be >= 1, got {m}$"):
+        lookup("sigma", m)
+
+
 def test_nambu_lagrangian_raises_exactly_outside_admissible():
     rng = np.random.default_rng(41)
     outcomes = set()
