@@ -14,9 +14,11 @@ phase-check  Velocity-side vs momentum-side phase residual agreement on
 action       Evaluate the discrete action of a field read from CSV.
 
 Configuration is accepted both as command-line flags and as a single JSON
-file (``--config``); explicit flags override file values.  All randomness is
-drawn from ``numpy.random.default_rng(seed)``, so identical configurations
-produce byte-identical outputs.
+file (``--config``); explicit flags override file values.  A config file
+holds only its verb's flags as keys (``max_iter`` for ``--max-iter``), each
+of the flag's type, and an optional ``command`` naming the verb.  All
+randomness is drawn from ``numpy.random.default_rng(seed)``, so identical
+configurations produce byte-identical outputs.
 
 File formats
 ------------
@@ -25,7 +27,8 @@ row-major order, every float printed with 17 significant digits; nodes
 outside a masked domain carry ``nan`` values so the file stays rectangular.
 Momentum CSV: header ``cell_i,cell_j,p1_0..p1_{m-1},p2_0..p2_{m-1}``, one row
 per active cell in row-major order.  JSON reports are emitted with sorted
-keys.  All file I/O is UTF-8.
+keys.  All file I/O is UTF-8; an input file that is not is refused as one
+that cannot be read.
 
 Exit codes: 0 success, 2 configuration/validation failure (a path that
 cannot be read or written included), 3 numerical failure (non-convergence
@@ -43,8 +46,10 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,7 +107,6 @@ from .models import (
 
 __all__ = ["RunConfig", "run", "main"]
 
-_COMMANDS = ("solve", "check-maps", "legendre", "phase-check", "action")
 _DOMAINS = ("square", "disc-mask")
 _THREADS_VAR = "FIELD_TRIPLE_THREADS"
 
@@ -131,7 +135,7 @@ class RunConfig:
     field: str | None = None
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _VERBS:
             raise InvalidParameterError(f"unknown command {self.command!r}")
         if self.domain not in _DOMAINS:
             raise InvalidParameterError(
@@ -141,14 +145,11 @@ class RunConfig:
             raise InvalidParameterError(f"grid must be at least 3x3, got {nx}x{ny}")
         if self.tol is not None and not self.tol > 0.0:
             raise InvalidParameterError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.points < 1:
-            raise InvalidParameterError(f"points must be >= 1, got {self.points}")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.m is not None and self.m < 1:
-            raise InvalidParameterError(f"m must be >= 1, got {self.m}")
+        for name, option in _OPTIONS.items():
+            least, value = option.get("least"), getattr(self, name)
+            if least is not None and value is not None and value < least:
+                raise InvalidParameterError(
+                    f"{name} must be >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,31 +161,40 @@ def _grid_str(grid: Grid) -> str:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2 or not all(p.isdigit() and p for p in parts):
+    match = re.fullmatch(r"([0-9]+)x([0-9]+)", text.lower())
+    if match is None:
         raise InvalidParameterError(
             f"grid must look like '33x33', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return int(match[1]), int(match[2])
 
 
 def _report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _open(path: str, mode: str):
-    """``path`` opened as UTF-8 text for reading ("r") or writing ("w"); an
-    ``OSError`` becomes an ``InvalidParameterError`` naming the path."""
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; an ``OSError`` or a byte that is not
+    UTF-8 becomes an ``InvalidParameterError`` naming the path."""
     try:
-        return open(path, mode, encoding="utf-8",
-                    newline="" if mode == "w" else None)
-    except OSError as exc:
-        what = "read" if mode == "r" else "write"
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(
-            f"cannot {what} {path}: {exc.strerror or exc}") from None
+            f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _open(path: str):
+    """``path`` opened for writing UTF-8 text; an ``OSError`` becomes an
+    ``InvalidParameterError`` naming the path."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InvalidParameterError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
-    with _open(path, "w") as fh:
+    with _open(path) as fh:
         fh.write(text)
 
 
@@ -199,7 +209,7 @@ def _write_table(path: str, header: str, lead: list[str],
     keeps peak memory flat; the leading columns are numbers, so they hold
     no ``%`` of their own."""
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with _open(path, "w") as fh:
+    with _open(path) as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), _TABLE_CHUNK):
             stop = start + _TABLE_CHUNK
@@ -227,8 +237,7 @@ def read_field_csv(path: str, grid: Grid, m: int) -> GridField:
     comma count shows a row with extra columns, the rows are parsed one by
     one with ``float``, which names the first faulty row.
     """
-    with _open(path, "r") as fh:
-        text = fh.read()
+    text = _read_text(path)
     lines = text.splitlines()
     expect_header = "x,y," + ",".join(f"comp{k}" for k in range(m))
     if not lines or lines[0] != expect_header:
@@ -314,8 +323,7 @@ def _run_solve(cfg: RunConfig) -> dict:
     initial = GridField.from_function(
         grid, lambda x, y: [evaluate(e, x, y) for e in exprs], model.m)
 
-    tol = 1e-10 if cfg.tol is None else cfg.tol
-    solution, rep = solve_dirichlet(model, initial, tol=tol, max_iter=cfg.max_iter)
+    solution, rep = solve_dirichlet(model, initial, tol=cfg.tol, max_iter=cfg.max_iter)
     mom, _ = boundary_momentum(model, solution)
 
     max_error = float(np.max(np.abs(solution.values[inside] - initial.values[inside])))
@@ -339,7 +347,6 @@ def _run_solve(cfg: RunConfig) -> dict:
 
 def _run_check_maps(cfg: RunConfig) -> dict:
     dims = (cfg.m,) if cfg.m is not None else (1, 2, 4)
-    tol = 1e-12 if cfg.tol is None else cfg.tol
     rng = np.random.default_rng(cfg.seed)
     alpha_max = 0.0
     omega_max = 0.0
@@ -358,7 +365,7 @@ def _run_check_maps(cfg: RunConfig) -> dict:
         gap2 = pair_phase_covector(beta(w), u) - omega2_pair(w, u)
         omega_max = max(omega_max, _max_abs(gap2))
         beta_equal = beta_equal and beta(w) == beta_tilde(w)
-    passed = beta_equal and alpha_max <= tol and omega_max <= tol
+    passed = beta_equal and alpha_max <= cfg.tol and omega_max <= cfg.tol
     return {
         "command": cfg.command,
         "dims": list(dims),
@@ -367,7 +374,7 @@ def _run_check_maps(cfg: RunConfig) -> dict:
         "alpha_pairing_max": alpha_max,
         "beta_tilde_equal": beta_equal,
         "omega2_pairing_max": omega_max,
-        "tol": tol,
+        "tol": cfg.tol,
         "pass": bool(passed),
     }
 
@@ -409,7 +416,6 @@ def _joined(a, b):
 def _run_legendre(cfg: RunConfig) -> dict:
     lag = get_lagrangian(cfg.model, cfg.m)
     ham = get_hamiltonian(cfg.model, cfg.m)
-    tol = 1e-9 if cfg.tol is None else cfg.tol
     k = len(_layout(lag))
     draws = draw_points(np.random.default_rng(cfg.seed), cfg.points,
                         _layout(lag) + _layout(ham))
@@ -419,7 +425,7 @@ def _run_legendre(cfg: RunConfig) -> dict:
     fwd_max = _max_abs(psi[..., :cfg.points] - j.qdot)
     ph1 = legendre(lag, Jet(ph0.q, psi[..., cfg.points:]))
     inv_max = _max_abs(ph1.p - ph0.p)
-    passed = fwd_max <= tol and inv_max <= tol
+    passed = fwd_max <= cfg.tol and inv_max <= cfg.tol
     return {
         "command": cfg.command,
         "model": lag.name,
@@ -427,7 +433,7 @@ def _run_legendre(cfg: RunConfig) -> dict:
         "seed": cfg.seed,
         "forward_roundtrip_max": fwd_max,
         "inverse_roundtrip_max": inv_max,
-        "tol": tol,
+        "tol": cfg.tol,
         "pass": bool(passed),
     }
 
@@ -435,7 +441,6 @@ def _run_legendre(cfg: RunConfig) -> dict:
 def _run_phase_check(cfg: RunConfig) -> dict:
     lag = get_lagrangian(cfg.model, cfg.m)
     ham = get_hamiltonian(cfg.model, cfg.m)
-    tol = 1e-8 if cfg.tol is None else cfg.tol
     # Per point a jet, a member's free parameters, a phase point and the
     # other member's free parameters.
     k = len(_layout(lag))
@@ -453,7 +458,7 @@ def _run_phase_check(cfg: RunConfig) -> dict:
     lag_max = _max_abs(rl)
     ham_max = _max_abs(rh)
     agree_max = _max_abs(rl - rh)
-    passed = lag_max <= tol and ham_max <= tol and agree_max <= tol
+    passed = lag_max <= cfg.tol and ham_max <= cfg.tol and agree_max <= cfg.tol
     return {
         "command": cfg.command,
         "model": lag.name,
@@ -462,7 +467,7 @@ def _run_phase_check(cfg: RunConfig) -> dict:
         "lagrangian_residual_max": lag_max,
         "hamiltonian_residual_max": ham_max,
         "agreement_max": agree_max,
-        "tol": tol,
+        "tol": cfg.tol,
         "pass": bool(passed),
     }
 
@@ -483,12 +488,29 @@ def _run_action(cfg: RunConfig) -> dict:
     }
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "check-maps": _run_check_maps,
-    "legendre": _run_legendre,
-    "phase-check": _run_phase_check,
-    "action": _run_action,
+class _Verb(NamedTuple):
+    help: str
+    tol: float | None  # the default tol
+    options: tuple[str, ...]  # beyond --config, --m, --seed and --out
+    run: Callable[[RunConfig], dict]
+
+    @property
+    def keys(self) -> tuple[str, ...]:  # its flags' names and config keys
+        return ("m",) + self.options + ("seed", "out")
+
+
+_VERBS = {
+    "solve": _Verb("Dirichlet boundary-value solve", 1e-10,
+                   ("model", "grid", "domain", "bc", "tol", "max_iter"),
+                   _run_solve),
+    "check-maps": _Verb("canonical-map identity suite", 1e-12,
+                        ("tol", "points"), _run_check_maps),
+    "legendre": _Verb("Legendre round-trip report", 1e-9,
+                      ("model", "tol", "points"), _run_legendre),
+    "phase-check": _Verb("velocity-side vs momentum-side residuals", 1e-8,
+                         ("model", "tol", "points"), _run_phase_check),
+    "action": _Verb("discrete action of a field CSV", None,
+                    ("model", "grid", "domain", "field"), _run_action),
 }
 
 
@@ -504,11 +526,33 @@ def run(cfg: RunConfig) -> dict:
         if not os.path.isdir(folder):
             raise InvalidParameterError(
                 f"cannot write {cfg.out}: no directory {folder}")
-    return _RUNNERS[cfg.command](cfg)
+    verb = _VERBS[cfg.command]
+    if cfg.tol is None:
+        cfg = replace(cfg, tol=verb.tol)
+    return verb.run(cfg)
 
 
 # ---------------------------------------------------------------------------
 # Argument and config-file handling
+
+# Each option's argparse keyword arguments, and its least value if it has
+# one.  A config value must be of the flag's type, except that grid and bc
+# also take their list forms.
+_OPTIONS = {
+    "model": {"type": str, "choices": MODEL_NAMES},
+    "m": {"type": int, "least": 1, "help": "number of field components"},
+    "grid": {"type": str, "metavar": "NXxNY"},
+    "domain": {"type": str, "choices": _DOMAINS},
+    "bc": {"type": str, "action": "append", "metavar": "EXPR",
+           "help": "boundary expression in x,y (repeat per component)"},
+    "tol": {"type": float},
+    "max_iter": {"type": int, "least": 1},
+    "points": {"type": int, "least": 1},
+    "seed": {"type": int, "least": 0},
+    "out": {"type": str, "metavar": "PATH"},
+    "field": {"type": str, "metavar": "PATH", "help": "input field CSV"},
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 @functools.cache
@@ -520,112 +564,68 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Canonical maps, phase dynamics, and variational grid "
                     "solves for fields on two-parameter domains.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, model=False, grid=False, bc=False, solveopts=False,
-                   sample=False, field=False):
-        p.add_argument("--config", default=None, metavar="PATH",
+    for command, verb in _VERBS.items():
+        p = sub.add_parser(command, help=verb.help)
+        p.add_argument("--config", metavar="PATH",
                        help="JSON config file; explicit flags override it")
-        p.add_argument("--m", type=int, default=None,
-                       help="number of field components")
-        if model:
-            p.add_argument("--model", default=None, choices=MODEL_NAMES)
-        if grid:
-            p.add_argument("--grid", default=None, metavar="NXxNY")
-            p.add_argument("--domain", default=None, choices=_DOMAINS)
-        if bc:
-            p.add_argument("--bc", action="append", default=None,
-                           metavar="EXPR",
-                           help="boundary expression in x,y (repeat per component)")
-        if solveopts:
-            p.add_argument("--tol", type=float, default=None)
-            p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-        if sample:
-            p.add_argument("--tol", type=float, default=None)
-            p.add_argument("--points", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, metavar="PATH")
-        if field:
-            p.add_argument("--field", default=None, metavar="PATH",
-                           help="input field CSV")
-
-    add_common(sub.add_parser("solve", help="Dirichlet boundary-value solve"),
-               model=True, grid=True, bc=True, solveopts=True)
-    add_common(sub.add_parser("check-maps", help="canonical-map identity suite"),
-               sample=True)
-    add_common(sub.add_parser("legendre", help="Legendre round-trip report"),
-               model=True, sample=True)
-    add_common(sub.add_parser("phase-check",
-                              help="velocity-side vs momentum-side residuals"),
-               model=True, sample=True)
-    add_common(sub.add_parser("action", help="discrete action of a field CSV"),
-               model=True, grid=True, field=True)
+        for name in verb.keys:
+            kwargs = {k: v for k, v in _OPTIONS[name].items() if k != "least"}
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
     return parser
 
 
 def _load_config_file(path: str, command: str) -> dict:
-    with _open(path, "r") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"malformed config JSON: {exc}") from None
+    """The checked values of a JSON config file for ``command``."""
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidParameterError(f"malformed config JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidParameterError("config JSON must be an object")
-    allowed = {f.name for f in fields(RunConfig)}
+    keys = _VERBS[command].keys
     for key in data:
-        if key not in allowed:
-            raise InvalidParameterError(f"unknown config key {key!r}")
-    if "command" in data and data["command"] != command:
+        if key != "command" and key not in keys:
+            raise InvalidParameterError(
+                f"{command} takes no config key {key!r}")
+    other = data.pop("command", command)
+    if other != command:
         raise InvalidParameterError(
-            f"config file is for command {data['command']!r}, not {command!r}")
-    data.pop("command", None)
-    return data
+            f"config file is for command {other!r}, not {command!r}")
+    return {key: _coerce(key, value) for key, value in data.items()}
 
 
 def _coerce(name: str, value):
+    """A flag or config value of option ``name``, checked for its type."""
     if name == "grid" and isinstance(value, str):
         return _parse_grid(value)
     if name == "grid":
-        if (not isinstance(value, (list, tuple)) or len(value) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           for v in value)):
+        if not (isinstance(value, list) and len(value) == 2
+                and all(type(v) is int for v in value)):
             raise InvalidParameterError(
                 f"grid must be 'NXxNY' or [nx, ny], got {value!r}")
         return tuple(value)
     if name == "bc":
-        if isinstance(value, str):
-            return (value,)
-        if (not isinstance(value, (list, tuple))
-                or not all(isinstance(v, str) for v in value)):
+        value = [value] if isinstance(value, str) else value
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
             raise InvalidParameterError("bc must be a list of expression strings")
         return tuple(value)
-    if name in ("m", "max_iter", "seed", "points"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        return value
-    if name == "tol":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InvalidParameterError(f"tol must be a number, got {value!r}")
-        return float(value)
-    # the rest, model, domain, out and field, are strings
-    if not isinstance(value, str):
-        raise InvalidParameterError(f"{name} must be a string, got {value!r}")
-    return value
+    kind = _OPTIONS[name]["type"]
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise InvalidParameterError(
+            f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
 
 
 def build_config(argv: list[str]) -> RunConfig:
     """Resolve argv (+ optional JSON config file) into a RunConfig."""
     args = vars(_build_parser().parse_args(argv))
     command = args.pop("command")
-    config_path = args.pop("config", None)
-
-    merged: dict = {}
-    if config_path is not None:
-        for key, value in _load_config_file(config_path, command).items():
-            merged[key] = _coerce(key, value)
+    config_path = args.pop("config")
+    merged = ({} if config_path is None
+              else _load_config_file(config_path, command))
     for key, value in args.items():
-        if value is None:
-            continue
-        merged[key] = _coerce(key, value)
+        if value is not None:
+            merged[key] = _coerce(key, value)
     return RunConfig(command=command, **merged)
 
 

@@ -57,7 +57,8 @@ class SingularJacobianError(FieldTripleError, RuntimeError):
 
 
 class ExprSyntaxError(FieldTripleError, ValueError):
-    """Expression parse failure; ``offset`` is the byte offset of the problem."""
+    """Expression parse failure; ``offset`` is the offset of the problem in
+    the source, in characters and, since all before it is ASCII, in bytes."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")

@@ -12,12 +12,14 @@ Precedence, loosest to tightest: ``+ -`` then ``* /`` then unary minus then
 ``^``; ``^`` associates to the right, everything else to the left.  So
 ``-x^2`` means ``-(x^2)`` and ``a^b^c`` means ``a^(b^c)``.
 
-The parser is a hand-rolled precedence climber over a scanner that tracks
-byte offsets; syntax problems raise :class:`ExprSyntaxError` carrying the
-offset of the offending token (the length of the source for an unexpected
-end of input).  Printing with :func:`expr_to_text` inserts only the
-parentheses needed to preserve the tree, and reparsing the printed form
-reproduces the original tree exactly.
+The language is ASCII: blanks are ASCII whitespace, and any other character,
+a non-ASCII letter, digit or blank included, is unexpected.  The parser is a
+hand-rolled precedence climber over a one-pattern scanner; syntax problems
+raise :class:`ExprSyntaxError` carrying the offset of the offending token
+(the length of the source for an unexpected end of input), which counts
+bytes, since all before it is ASCII.  Printing with :func:`expr_to_text`
+inserts only the parentheses needed to preserve the tree, and reparsing the
+printed form reproduces the original tree exactly.
 
 Evaluation is array evaluation: elementwise over arrays of one shape, with
 host-math values (IEEE ``+ - * /``, the ``math`` module's functions and pow),
@@ -126,47 +128,35 @@ _RIGHT_ASSOCIATIVE = frozenset("^")
 # ---------------------------------------------------------------------------
 # Scanner
 
-_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token after ASCII blanks; where no token starts, the blanks alone.
+_TOKEN = re.compile(r"""\s*(?:
+      (?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+    | (?P<name>[A-Za-z_]\w*)
+    | (?P<op>[-+*/^])
+    | (?P<paren>[()])
+)?""", re.ASCII | re.VERBOSE)
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "num", "name", "op", "(", ")", "end"
+    kind: str  # "num", "name", "op", "paren", "end"
     text: str
     pos: int
 
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            match = _NUMBER.match(src, i)
-            if match is None:
-                raise ExprSyntaxError("malformed number", i)
-            tokens.append(_Token("num", match.group(), i))
-            i = match.end()
-            continue
-        if c.isalpha() or c == "_":
-            match = _NAME.match(src, i)
-            tokens.append(_Token("name", match.group(), i))
-            i = match.end()
-            continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c in "()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+    match = _TOKEN.match(src)
+    while match.lastgroup:
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match[kind], match.start(kind)))
+        match = _TOKEN.match(src, match.end())
+    pos = match.end()
+    if pos < len(src):
+        c = src[pos]
+        raise ExprSyntaxError(
+            "malformed number" if c == "." else f"unexpected character {c!r}", pos)
+    tokens.append(_Token("end", "", pos))
     return tokens
 
 
@@ -213,7 +203,7 @@ class _Parser:
         """An expression and the ')' after it."""
         inner = self.parse_at(0)
         closer = self.advance()
-        if closer.kind != ")":
+        if closer.text != ")":
             raise ExprSyntaxError("expected ')'", closer.pos)
         return inner
 
@@ -233,12 +223,12 @@ class _Parser:
                 return Var(tok.text)
             if tok.text in _FUNCTIONS:
                 opener = self.advance()
-                if opener.kind != "(":
+                if opener.text != "(":
                     raise ExprSyntaxError(
                         f"function {tok.text!r} needs parentheses", opener.pos)
                 return Call(tok.text, self.parse_closed())
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.pos)
-        if tok.kind == "(":
+        if tok.text == "(":
             return self.parse_closed()
         if tok.kind == "end":
             raise ExprSyntaxError("unexpected end of input", tok.pos)

@@ -9,11 +9,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fieldtriple import cli as cli_module
 from fieldtriple import grid as grid_module
 from fieldtriple.cli import main, read_field_csv, write_field_csv, write_momentum_csv
-from fieldtriple.errors import InvalidInputError, InvalidParameterError
+from fieldtriple.errors import (
+    ExprSyntaxError,
+    InvalidInputError,
+    InvalidParameterError,
+)
+from fieldtriple.expr import parse_expr
 from fieldtriple.grid import Grid, GridField, GridMomentum, discrete_action
 from fieldtriple.models import get_lagrangian
 
@@ -517,6 +524,7 @@ def test_config_file_command_mismatch_rejected(tmp_path, capsys):
     ["solve", "--model", "harmonic", "--grid", "9", "--bc", "x"],
     ["solve", "--model", "harmonic", "--grid", "9x9", "--bc", "x +"],
     ["solve", "--model", "harmonic", "--grid", "9x9", "--bc", "tan(x)"],
+    ["solve", "--model", "harmonic", "--grid", "9x9", "--bc", "é"],
     ["solve", "--model", "nambu", "--m", "3", "--grid", "9x9", "--bc", "x"],
     ["check-maps", "--points", "0"],
     ["legendre", "--model", "nambu", "--tol", "-1"],
@@ -547,17 +555,29 @@ def test_invalid_requests_exit_2(tmp_path, capsys, argv):
     (["legendre"], {"model": 5}, "model must be a string, got 5"),
     (["solve"], {"grid": [True, 17]},
      "grid must be 'NXxNY' or [nx, ny], got [True, 17]"),
+    # a config file holds only its own verb's keys
+    (["legendre"], {"bc": ["x"]}, "legendre takes no config key 'bc'"),
+    (["check-maps"], {"model": "nambu"},
+     "check-maps takes no config key 'model'"),
+    (["action"], {"points": 5}, "action takes no config key 'points'"),
+    (["solve"], {"points": 5}, "solve takes no config key 'points'"),
+    (["action", "--grid", "²x3", "--field", "f.csv"], None,
+     "grid must look like '33x33', got '²x3'"),
+    (["legendre"], b'{"seed": 1}\xff',
+     "cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
+     "position 11: invalid start byte"),
 ])
 def test_invalid_configs_exit_2_with_message(tmp_path, capsys, argv, config,
                                              message):
+    path = tmp_path / "c.json"
     if config is not None:
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
+        path.write_bytes(config if isinstance(config, bytes)
+                         else json.dumps(config).encode())
         argv = argv + ["--config", str(path)]
     code, stdout, stderr = run(capsys, *argv)
     assert code == 2
     assert stdout == ""
-    assert stderr == f"fieldtriple: error: {message}\n"
+    assert stderr == f"fieldtriple: error: {message.format(path=path)}\n"
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -609,6 +629,15 @@ def test_unreadable_field_exits_2(tmp_path, capsys):
     assert code == 2
     assert stderr == (f"fieldtriple: error: cannot read {missing}: "
                       "No such file or directory\n")
+    # a field file that is not UTF-8
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"x,y,comp0\n\xff\n")
+    code, _, stderr = run(capsys, "action", "--model", "harmonic", "--grid",
+                          "9x9", "--field", str(latin))
+    assert code == 2
+    assert stderr == (f"fieldtriple: error: cannot read {latin}: 'utf-8' "
+                      "codec can't decode byte 0xff in position 10: "
+                      "invalid start byte\n")
 
 
 def test_out_in_missing_directory_exits_2_before_solving(tmp_path, capsys,
@@ -687,6 +716,24 @@ def test_expression_error_reports_offset(tmp_path, capsys):
         tmp_path / "o.csv", bc=("x +",)))
     assert code == 2
     assert "3" in stderr
+
+
+@given(st.text())
+@example("é")
+@example("²x3")
+def test_any_text_parses_or_raises_the_typed_error(text):
+    """--bc and --grid text either parses or raises the one error the CLI
+    maps to exit 2, and an expression is ASCII up to its error offset."""
+    try:
+        parse_expr(text)
+        scanned = len(text)
+    except ExprSyntaxError as exc:
+        scanned = exc.offset
+    assert text[:scanned].isascii()
+    try:
+        cli_module._parse_grid(text)
+    except InvalidParameterError:
+        pass
 
 
 def test_repeated_calls_share_one_parser_and_print_the_same(capsys):

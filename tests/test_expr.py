@@ -114,6 +114,10 @@ def test_known_function_names():
     ("sin x", 4),          # call needs parentheses
     (".", 0),              # a point alone is no number
     ("sin(x", 5),          # unclosed call
+    ("é", 0),              # the language is ASCII: no other letter,
+    ("xé", 1),
+    ("٣", 0),              # digit
+    ("x\u00a0+y", 1),      # or blank (a no-break space)
 ])
 def test_syntax_error_offsets(src, offset):
     with pytest.raises(ExprSyntaxError) as exc:
