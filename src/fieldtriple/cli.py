@@ -78,6 +78,7 @@ from .errors import (
     InvalidParameterError,
     NoConvergenceError,
     SingularJacobianError,
+    _max_norm,
 )
 from .expr import evaluate, parse_expr
 from .grid import (
@@ -161,7 +162,7 @@ def _grid_str(grid: Grid) -> str:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"([0-9]+)x([0-9]+)", text.lower())
+    match = re.fullmatch(r"([0-9]{1,6})x([0-9]{1,6})", text.lower())
     if match is None:
         raise InvalidParameterError(
             f"grid must look like '33x33', got {text!r}")
@@ -361,9 +362,9 @@ def _run_check_maps(cfg: RunConfig) -> dict:
         v = JetTangent(project_to_jet(w), x[9], x[10:12])
         u = PhaseTangent(project_to_phase(w), x[12], x[13:15])
         gap = pair_covector(alpha(w), v) - pair_jet(w, kappa(v))
-        alpha_max = max(alpha_max, _max_abs(gap))
+        alpha_max = max(alpha_max, _max_norm(gap))
         gap2 = pair_phase_covector(beta(w), u) - omega2_pair(w, u)
-        omega_max = max(omega_max, _max_abs(gap2))
+        omega_max = max(omega_max, _max_norm(gap2))
         beta_equal = beta_equal and beta(w) == beta_tilde(w)
     passed = beta_equal and alpha_max <= cfg.tol and omega_max <= cfg.tol
     return {
@@ -396,10 +397,6 @@ def _points(model, cls, draws):
     return sample_admissible_string_phase(draws=draws)
 
 
-def _max_abs(a) -> float:
-    return float(np.max(np.abs(a)))
-
-
 def _joined(a, b):
     """One batch of ``a``'s points followed by ``b``'s, for two Phases or
     two PhaseJets: each block joined along its last, the point, axis.
@@ -422,9 +419,9 @@ def _run_legendre(cfg: RunConfig) -> dict:
     j, ph0 = _points(lag, Jet, draws[:k]), _points(ham, Phase, draws[k:])
     # One dH pass over the forward images, then the drawn phase points.
     psi = dH(ham, _joined(legendre(lag, j), ph0)).psi
-    fwd_max = _max_abs(psi[..., :cfg.points] - j.qdot)
+    fwd_max = _max_norm(psi[..., :cfg.points] - j.qdot)
     ph1 = legendre(lag, Jet(ph0.q, psi[..., cfg.points:]))
-    inv_max = _max_abs(ph1.p - ph0.p)
+    inv_max = _max_norm(ph1.p - ph0.p)
     passed = fwd_max <= cfg.tol and inv_max <= cfg.tol
     return {
         "command": cfg.command,
@@ -455,9 +452,9 @@ def _run_phase_check(cfg: RunConfig) -> dict:
     w = _joined(w_l, w_h)
     rl = phase_relation_residual(lag, w)
     rh = ham_phase_residual(ham, w)
-    lag_max = _max_abs(rl)
-    ham_max = _max_abs(rh)
-    agree_max = _max_abs(rl - rh)
+    lag_max = _max_norm(rl)
+    ham_max = _max_norm(rh)
+    agree_max = _max_norm(rl - rh)
     passed = lag_max <= cfg.tol and ham_max <= cfg.tol and agree_max <= cfg.tol
     return {
         "command": cfg.command,
@@ -576,9 +573,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config_file(path: str, command: str) -> dict:
     """The checked values of a JSON config file for ``command``."""
+    text = _read_text(path)
     try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        data = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int past int's digit limit
         raise InvalidParameterError(f"malformed config JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidParameterError("config JSON must be an object")
@@ -600,7 +598,7 @@ def _coerce(name: str, value):
         return _parse_grid(value)
     if name == "grid":
         if not (isinstance(value, list) and len(value) == 2
-                and all(type(v) is int for v in value)):
+                and all(type(v) is int and v < 10 ** 6 for v in value)):
             raise InvalidParameterError(
                 f"grid must be 'NXxNY' or [nx, ny], got {value!r}")
         return tuple(value)
@@ -667,6 +665,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except FieldTripleError as exc:
         print(f"fieldtriple: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("fieldtriple: error: not enough memory for grid "
+              f"{cfg.grid[0]}x{cfg.grid[1]}", file=sys.stderr)
         return 2
 
     if not report["pass"]:

@@ -17,7 +17,8 @@ a non-ASCII letter, digit or blank included, is unexpected.  The parser is a
 hand-rolled precedence climber over a one-pattern scanner; syntax problems
 raise :class:`ExprSyntaxError` carrying the offset of the offending token
 (the length of the source for an unexpected end of input), which counts
-bytes, since all before it is ASCII.  Printing with :func:`expr_to_text`
+bytes, since all before it is ASCII; so does nesting more than 100 levels
+deep, or a tree more than 600 levels deep.  Printing with :func:`expr_to_text`
 inserts only the parentheses needed to preserve the tree, and reparsing the
 printed form reproduces the original tree exactly.
 
@@ -124,6 +125,11 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _UNARY_PRECEDENCE = 3
 _RIGHT_ASSOCIATIVE = frozenset("^")
 
+# The parser recurses up to four times per level of nesting, the printer and
+# the evaluator once per level of the tree: the bounds keep both well inside
+# Python's default recursion limit.
+_MAX_NESTING, _MAX_DEPTH = 100, 600
+
 
 # ---------------------------------------------------------------------------
 # Scanner
@@ -168,6 +174,7 @@ class _Parser:
     def __init__(self, src: str):
         self.tokens = _tokenize(src)
         self.index = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -178,14 +185,17 @@ class _Parser:
         return tok
 
     def parse(self) -> Expr:
-        tree = self.parse_at(0)
+        tree, _ = self.parse_at(0)
         tail = self.peek()
         if tail.kind != "end":
             raise ExprSyntaxError(f"unexpected {tail.text!r}", tail.pos)
         return tree
 
-    def parse_at(self, min_prec: int) -> Expr:
-        lhs = self.parse_prefix()
+    def parse_at(self, min_prec: int) -> tuple[Expr, int]:
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", self.peek().pos)
+        lhs, depth = self.parse_prefix()
         while True:
             tok = self.peek()
             if tok.kind != "op" or tok.text not in _PRECEDENCE:
@@ -195,11 +205,13 @@ class _Parser:
                 break
             self.advance()
             next_min = prec if tok.text in _RIGHT_ASSOCIATIVE else prec + 1
-            rhs = self.parse_at(next_min)
+            rhs, rhs_depth = self.parse_at(next_min)
             lhs = Binary(tok.text, lhs, rhs)
-        return lhs
+            depth = _over(max(depth, rhs_depth), tok)
+        self.nesting -= 1
+        return lhs, depth
 
-    def parse_closed(self) -> Expr:
+    def parse_closed(self) -> tuple[Expr, int]:
         """An expression and the ')' after it."""
         inner = self.parse_at(0)
         closer = self.advance()
@@ -207,26 +219,28 @@ class _Parser:
             raise ExprSyntaxError("expected ')'", closer.pos)
         return inner
 
-    def parse_prefix(self) -> Expr:
+    def parse_prefix(self) -> tuple[Expr, int]:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.parse_at(_UNARY_PRECEDENCE))
+            arg, depth = self.parse_at(_UNARY_PRECEDENCE)
+            return Neg(arg), _over(depth, tok)
         return self.parse_atom()
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "name":
             if tok.text in _VARIABLES:
-                return Var(tok.text)
+                return Var(tok.text), 1
             if tok.text in _FUNCTIONS:
                 opener = self.advance()
                 if opener.text != "(":
                     raise ExprSyntaxError(
                         f"function {tok.text!r} needs parentheses", opener.pos)
-                return Call(tok.text, self.parse_closed())
+                arg, depth = self.parse_closed()
+                return Call(tok.text, arg), _over(depth, tok)
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.pos)
         if tok.text == "(":
             return self.parse_closed()
@@ -235,11 +249,20 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.pos)
 
 
+def _over(depth: int, tok: _Token) -> int:
+    """The depth of a node, made by ``tok``, over a subtree ``depth`` deep;
+    the parse methods return each subtree with its depth, a leaf's being 1."""
+    if depth >= _MAX_DEPTH:
+        raise ExprSyntaxError("expression too deep", tok.pos)
+    return depth + 1
+
+
 def parse_expr(src: str) -> Expr:
     """Parse source text into an expression tree.
 
     Raises ExprSyntaxError (with the byte offset of the problem) on any
-    malformed input, including trailing junk after a complete expression.
+    malformed input, including trailing junk after a complete expression
+    and nesting or depth past the bounds.
     """
     if not isinstance(src, str):
         raise InvalidInputError(f"expression source must be str, got {type(src).__name__}")

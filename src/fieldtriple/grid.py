@@ -178,10 +178,8 @@ class Grid:
 
     def node_coords(self) -> tuple[np.ndarray, np.ndarray]:
         """(X, Y) arrays of shape (nx, ny) with node coordinates."""
-        x = np.arange(self.nx) * self.hx
-        y = np.arange(self.ny) * self.hy
-        return (np.broadcast_to(x[:, None], (self.nx, self.ny)).copy(),
-                np.broadcast_to(y[None, :], (self.nx, self.ny)).copy())
+        return tuple(np.meshgrid(np.arange(self.nx) * self.hx,
+                                 np.arange(self.ny) * self.hy, indexing="ij"))
 
     @cached_property
     def interior_nodes(self) -> np.ndarray:
@@ -278,9 +276,9 @@ class GridMomentum:
             object.__setattr__(self, name, arr)
         if self.p1.shape != self.p2.shape:
             raise InvalidInputError("p1 and p2 must have the same shape")
-        cells = self.grid.active_cells
-        if not (np.isfinite(self.p1[cells[:, 0], cells[:, 1]]).all()
-                and np.isfinite(self.p2[cells[:, 0], cells[:, 1]]).all()):
+        active = _active_cell_mask(self.grid.mask)
+        if not (np.isfinite(self.p1[active]).all()
+                and np.isfinite(self.p2[active]).all()):
             raise InvalidInputError("non-finite momentum on an active cell")
 
     @property
@@ -307,23 +305,14 @@ def _require_model_field(model: LagrangianModel, f: GridField) -> None:
         raise InvalidInputError(f"field has m={f.m}, model has m={model.m}")
 
 
-def _cell_jets(grid: Grid, values: np.ndarray):
-    """Cell-jet blocks (qbar, qdot1, qdot2), each (ncells, m), over active cells."""
-    cells = grid.active_cells
-    ci, cj = cells[:, 0], cells[:, 1]
-    u00 = values[ci, cj]
-    u10 = values[ci + 1, cj]
-    u01 = values[ci, cj + 1]
-    u11 = values[ci + 1, cj + 1]
-    qbar = 0.25 * (u00 + u10 + u01 + u11)
-    qdot1 = (u10 + u11 - u00 - u01) / (2.0 * grid.hx)
-    qdot2 = (u01 + u11 - u00 - u10) / (2.0 * grid.hy)
-    return qbar, qdot1, qdot2
-
-
 def _cell_slots(grid: Grid, values: np.ndarray) -> np.ndarray:
     """The 3m jet slots (qbar, qdot1, qdot2) over active cells, (3m, ncells)."""
-    return np.concatenate(_cell_jets(grid, values), axis=1).T
+    ci, cj = grid.active_cells.T
+    u00, u10 = values[ci, cj], values[ci + 1, cj]
+    u01, u11 = values[ci, cj + 1], values[ci + 1, cj + 1]
+    return np.concatenate([0.25 * (u00 + u10 + u01 + u11),
+                           (u10 + u11 - u00 - u01) / (2.0 * grid.hx),
+                           (u01 + u11 - u00 - u10) / (2.0 * grid.hy)], axis=1).T
 
 
 def _evaluate_cells(grid: Grid, evaluate: Callable, *args, first: int = 0):
@@ -450,14 +439,10 @@ def boundary_momentum(model: LagrangianModel, f: GridField):
     grid = f.grid
     m = model.m
     G = _cell_gradients(model, grid, f.values)
-    cells = grid.active_cells
-    ci, cj = cells[:, 0], cells[:, 1]
-    nan_shape = (grid.nx - 1, grid.ny - 1, m)
-    p1 = np.full(nan_shape, np.nan)
-    p2 = np.full(nan_shape, np.nan)
-    p1[ci, cj] = G[m:2 * m].T
-    p2[ci, cj] = G[2 * m:].T
-    momenta = GridMomentum(grid=grid, p1=p1, p2=p2)
+    ci, cj = grid.active_cells.T
+    p = np.full((2, grid.nx - 1, grid.ny - 1, m), np.nan)
+    p[:, ci, cj] = G[m:].reshape(2, m, -1).transpose(0, 2, 1)
+    momenta = GridMomentum(grid=grid, p1=p[0], p2=p[1])
     boundary = grid.mask == BOUNDARY
     edge = _nodal_gradient(grid, G, m)[boundary]
 
@@ -477,27 +462,21 @@ def momentum_divergence(mom: GridMomentum) -> tuple[np.ndarray, np.ndarray]:
     interior node whose four incident cells are all active.
 
     Returns ``(div, nodes)`` with ``div`` of shape (k, m) and ``nodes`` the
-    (k, 2) node indices.  Cell differences are averaged over the transverse
-    pair exactly as the action gradient accumulates them: for a Lagrangian
+    (k, 2) node indices.  The divergence is the momentum part of the nodal
+    scatter the action gradient makes, divided by -hx*hy: for a Lagrangian
     with no explicit q dependence the Euler-Lagrange residual at such a node
     equals -hx*hy times this divergence, so the conservation form of the
     field equations reads div = 0 at a discrete stationary point.
     """
-    grid = mom.grid
-    cell_active = _active_cell_mask(grid.mask)
+    grid, m = mom.grid, mom.m
+    ci, cj = grid.active_cells.T
+    G = np.concatenate([np.zeros((m, len(ci))), mom.p1[ci, cj].T, mom.p2[ci, cj].T])
     # Node (i, j) touches cells (i-1..i, j-1..j).
-    eligible = np.zeros((grid.nx, grid.ny), dtype=bool)
-    eligible[1:-1, 1:-1] = ((grid.mask == INTERIOR)[1:-1, 1:-1]
-                            & cell_active[:-1, :-1] & cell_active[1:, :-1]
-                            & cell_active[:-1, 1:] & cell_active[1:, 1:])
-    nodes = np.argwhere(eligible)
-    ni, nj = nodes[:, 0], nodes[:, 1]
-    p1, p2 = mom.p1, mom.p2
-    d1 = ((p1[ni, nj - 1] + p1[ni, nj] - p1[ni - 1, nj - 1] - p1[ni - 1, nj])
-          / (2.0 * grid.hx))
-    d2 = ((p2[ni - 1, nj] + p2[ni, nj] - p2[ni - 1, nj - 1] - p2[ni, nj - 1])
-          / (2.0 * grid.hy))
-    return d1 + d2, nodes
+    active = np.pad(_active_cell_mask(grid.mask), 1)
+    eligible = ((grid.mask == INTERIOR) & active[:-1, :-1] & active[1:, :-1]
+                & active[:-1, 1:] & active[1:, 1:])
+    div = _nodal_gradient(grid, G, m)[eligible] / -(grid.hx * grid.hy)
+    return div, np.argwhere(eligible)
 
 
 def _element_blocks(model: LagrangianModel, grid: Grid,
@@ -511,11 +490,7 @@ def _element_blocks(model: LagrangianModel, grid: Grid,
     m = model.m
     coeff = np.array([(0.25, sx / (2.0 * grid.hx), sy / (2.0 * grid.hy))
                       for _, _, sx, sy in _CORNERS])
-    T = np.zeros((4 * m, 3 * m))
-    for c in range(4):
-        for blk in range(3):
-            T[c * m:(c + 1) * m, blk * m:(blk + 1) * m] = (
-                coeff[c, blk] * np.eye(m))
+    T = np.kron(coeff, np.eye(m))
     blocks = np.empty((grid.nx - 1, grid.ny - 1, 4 * m, 4 * m))
     blocks[~_active_cell_mask(grid.mask)] = -0.0
     cells = grid.active_cells
@@ -540,15 +515,16 @@ _CORNER_PAIRS = tuple(
     for b in (3, 1, 2, 0) for a in range(4))
 
 
-def _newton_layout(grid: Grid, free_dof: np.ndarray, m: int):
+def _newton_layout(grid: Grid, dofs: np.ndarray, m: int):
     """The CSC structure of a solve's Newton matrices, built once per solve.
 
-    Returns ``(indptr, indices, gather)``, int32.  Entry (row, col) is
-    stored, zeros included, when both dofs are unknowns (``free_dof`` >= 0)
-    and an active cell holds both of their nodes.  ``gather`` holds each
-    stored entry's position in the flattened stencil sums of
-    ``_newton_matrix``, shape (nx, ny, 9, m, m): the column node, the
-    offset of the row node from it, the row component and the column
+    ``dofs`` holds the flat dof (i*ny + j)*m + c of each unknown, as
+    ``_free_dofs`` numbers them; unknown u heads row and column u.  Returns
+    ``(indptr, indices, gather)``, int32.  Entry (row, col) is stored,
+    zeros included, when an active cell holds the nodes of both unknowns.
+    ``gather`` holds each stored entry's position in the flattened stencil
+    sums of ``_newton_matrix``, shape (nx, ny, 9, m, m): the column node,
+    the offset of the row node from it, the row component and the column
     component.  The temporaries hold one int32 candidate row per stencil
     offset and component of each unknown, so the build stays within a few
     copies of the stored indices.
@@ -561,15 +537,12 @@ def _newton_layout(grid: Grid, free_dof: np.ndarray, m: int):
         bi, bj = _CORNERS[b][:2]
         shared[:, :, k] |= active[1 - bi:1 - bi + nx, 1 - bj:1 - bj + ny]
     shared = shared.reshape(nx * ny, -1)
-    padded = np.pad(free_dof.reshape(nx, ny, m), ((1, 1), (1, 1), (0, 0)),
-                    constant_values=-1).reshape(-1, m)
-    # dofs[u] is the flat dof of unknown u, the column it heads.
-    known = np.flatnonzero(free_dof >= 0)
-    dofs = np.empty(len(known), dtype=np.int32)
-    dofs[free_dof[known]] = known
     node, comp = np.divmod(dofs, m)
     i, j = np.divmod(node, ny)
     centre = (i + 1) * (ny + 2) + j + 1
+    # The unknown of each dof of the grid padded by one node, -1 if fixed.
+    padded = np.full(((nx + 2) * (ny + 2), m), -1, dtype=np.int32)
+    padded[centre, comp] = np.arange(len(dofs), dtype=np.int32)
     # Slot k * m + c of a column holds the row of component c of the node at
     # offset k, or -1 for none, shifted up past the slot number it carries:
     # sorting the keys of a column sorts its rows and keeps their slots.
@@ -745,16 +718,13 @@ def _definite_step(J, rhs):
     return step
 
 
-def _free_dofs(grid: Grid, m: int):
-    """Numbering of the unknowns: ``(inodes, free_dof)`` with ``inodes`` the
-    interior nodes in nested-dissection order and ``free_dof`` mapping the
-    flat dof (i*ny + j)*m + c to its unknown, -1 where the dof is fixed."""
+def _free_dofs(grid: Grid, m: int) -> np.ndarray:
+    """Numbering of the unknowns: the int32 flat dofs (i*ny + j)*m + c of
+    the interior nodes, nodes in nested-dissection order, each node's m
+    components contiguous; unknown u is dof ``dofs[u]``."""
     inodes = grid.interior_nodes[_dissection_order(grid.interior_nodes)]
-    free_dof = np.full(grid.nx * grid.ny * m, -1, dtype=np.int32)
     node_flat = inodes[:, 0] * grid.ny + inodes[:, 1]
-    for c in range(m):
-        free_dof[node_flat * m + c] = np.arange(len(inodes)) * m + c
-    return inodes, free_dof
+    return (node_flat[:, None] * m + np.arange(m)).ravel().astype(np.int32)
 
 
 def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
@@ -790,8 +760,11 @@ def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
     ``SingularJacobianError`` when a Newton system is singular or its step
     is not finite.
 
-    Factorization policy: the interior nodes are numbered in geometric
-    nested-dissection order, and each Newton matrix is summed once per step
+    Factorization policy: the unknowns are the one array ``dofs`` of flat
+    dof indices (i*ny + j)*m + c from ``_free_dofs``, interior nodes in
+    geometric nested-dissection order with each node's components
+    contiguous; the field, the residual and the step index the flattened
+    nodal values with it.  Each Newton matrix is summed once per step
     on a structure built once per solve (``_newton_layout``,
     ``_newton_matrix``).  While the diagonal is positive, a step first
     factors each decoupled block of the matrix on its own, in natural order
@@ -806,12 +779,11 @@ def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
     """
     _require_model_field(model, initial)
     grid, m = initial.grid, model.m
-    inodes, free_dof = _free_dofs(grid, m)
-    ii, jj = inodes[:, 0], inodes[:, 1]
+    dofs = _free_dofs(grid, m)
 
     def field(x: np.ndarray) -> np.ndarray:
         u = initial.values.copy()
-        u[ii, jj] = x
+        u.reshape(-1)[dofs] = x
         return u
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -821,9 +793,10 @@ def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
         # benchmark, seeds 1-5, it turned away 274 of 645 trials, at 0.35 ms
         # a pass against 1.78 ms for a gradient pass (means, 2-vCPU host).
         _cell_values(model, grid, u)
-        return discrete_action_gradient(model, GridField(grid=grid, values=u))[ii, jj]
+        return discrete_action_gradient(
+            model, GridField(grid=grid, values=u)).reshape(-1)[dofs]
 
-    layout = _newton_layout(grid, free_dof, m)
+    layout = _newton_layout(grid, dofs, m)
     fallback = None
 
     def newton_step(x: np.ndarray, F: np.ndarray, iterations: int) -> np.ndarray:
@@ -836,18 +809,18 @@ def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
         try:
             step, fallback = _solve_jacobian(
                 _newton_matrix(grid, layout, _element_blocks(model, grid, field(x))),
-                -F.ravel(), fallback)
+                -F, fallback)
         except RuntimeError as e:
             raise SingularJacobianError(
                 f"Newton system is singular at iteration {iterations}: {e}") from e
         if not np.isfinite(step).all():
             raise SingularJacobianError(
                 f"Newton step is non-finite at iteration {iterations}")
-        return step.reshape(len(inodes), m)
+        return step
 
     x, res_norm, iterations, stop = _damped_newton(
-        residual, newton_step, initial.values[ii, jj],
-        discrete_action_gradient(model, initial)[ii, jj], tol, max_iter)
+        residual, newton_step, initial.values.reshape(-1)[dofs],
+        discrete_action_gradient(model, initial).reshape(-1)[dofs], tol, max_iter)
     if stop == "inadmissible":
         raise GridDomainError(
             f"line search could not restore admissibility at iteration {iterations}")

@@ -186,34 +186,35 @@ def _require_string_m(point) -> None:
         raise InvalidParameterError(f"string model needs m=4, got m={point.m}")
 
 
+def _gram_dual(v1, v2, domain: str) -> np.ndarray:
+    """((B w2 - C w1) / s, (B w1 - A w2) / s), with (A, B, C, det) the Gram
+    entries of v1, v2, s = sqrt(-det) and w their index moved by eta: the
+    string's momenta of velocities, and velocities of momenta."""
+    A, B, C, det = _gram(v1, v2)
+    _require_domain(det < 0.0, domain)
+    s = np.sqrt(-det)
+    w1, w2 = _lower(v1), _lower(v2)
+    return np.array([(B * w2 - C * w1) / s, (B * w1 - A * w2) / s])
+
+
 def nambu_legendre_closed_form(j: Jet) -> Phase:
     """Closed-form string momenta (see module docstring for the formulas),
     per point of a batch: each point rounds as it would alone."""
     _require_string_m(j)
-    v1, v2 = j.qdot
-    A, B, C, det = _gram(v1, v2)
-    _require_domain(det < 0.0, _WORLDSHEET_DOMAIN)
-    s = np.sqrt(-det)
-    w1, w2 = _lower(v1), _lower(v2)
-    return Phase(q=j.q, p=np.array([(B * w2 - C * w1) / s, (B * w1 - A * w2) / s]))
+    return Phase(q=j.q, p=_gram_dual(*j.qdot, _WORLDSHEET_DOMAIN))
 
 
 def nambu_legendre_inverse_closed_form(ph: Phase) -> Jet:
     """Closed-form inverse of the string Legendre map, per point of a batch.
 
-    Same structure as the forward map with indices raised instead of
-    lowered; the overall sign is +1/sqrt(-det gd), which is what direct
+    The forward map's formula on the momenta, with (P11, P12, P22) for
+    (A, B, C); the overall sign is +1/sqrt(-det gd), which is what direct
     linear inversion of the momentum formulas gives (and what the
     round-trip tests enforce).
     """
     _require_string_m(ph)
-    p1, p2 = ph.p
-    P11, P12, P22, det_d = _gram(p1, p2)
-    _require_domain(det_d < 0.0, "dual-side Gram determinant must be negative")
-    s = np.sqrt(-det_d)
-    r1, r2 = _lower(p1), _lower(p2)
-    return Jet(q=ph.q, qdot=np.array([(P12 * r2 - P22 * r1) / s,
-                                      (P12 * r1 - P11 * r2) / s]))
+    return Jet(q=ph.q, qdot=_gram_dual(
+        *ph.p, "dual-side Gram determinant must be negative"))
 
 
 _DUAL_DET_MARGIN = 1e-8

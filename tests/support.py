@@ -146,15 +146,18 @@ def symmetry_generators(name: str, m: int) -> list[tuple[np.ndarray, np.ndarray]
     return out
 
 
-def cell_unknowns(grid, free_dof: np.ndarray, m: int) -> np.ndarray:
+def cell_unknowns(grid, dofs: np.ndarray, m: int) -> np.ndarray:
     """The unknown of each active cell's 4m corner dofs, in element-block
-    order, shape (ncells, 4m); -1 marks a fixed dof."""
+    order, shape (ncells, 4m), where unknown u is the flat dof ``dofs[u]``;
+    -1 marks a fixed dof."""
+    unknown = np.full(grid.nx * grid.ny * m, -1, dtype=np.int32)
+    unknown[dofs] = np.arange(len(dofs))
     cells = grid.active_cells
     ci, cj = cells[:, 0], cells[:, 1]
     corner_flat = np.stack([(ci + di) * grid.ny + (cj + dj)
                             for di, dj, _, _ in _CORNERS], axis=1)
-    dofs = (corner_flat[:, :, None] * m + np.arange(m)).reshape(len(cells), 4 * m)
-    return free_dof[dofs]
+    corner_dofs = corner_flat[:, :, None] * m + np.arange(m)
+    return unknown[corner_dofs.reshape(len(cells), 4 * m)]
 
 
 def active_blocks(grid, blocks: np.ndarray) -> np.ndarray:
@@ -164,31 +167,30 @@ def active_blocks(grid, blocks: np.ndarray) -> np.ndarray:
     return blocks[cells[:, 0], cells[:, 1]]
 
 
-def coo_newton_matrix(grid, blocks: np.ndarray, free_dof: np.ndarray,
-                      nfree: int):
+def coo_newton_matrix(grid, blocks: np.ndarray, dofs: np.ndarray):
     """The Newton matrix as a COO triplet list of the active cells'
     element blocks, taken from the cell lattice (nx-1, ny-1, 4m, 4m),
     duplicates summed on conversion to CSC.  ``tocsc`` adds each entry's
     summands left to right in the order its unstable row sort leaves them:
     increasing cell order at m = 1, not in general at m >= 2."""
     blocks = active_blocks(grid, blocks)
-    free = cell_unknowns(grid, free_dof, blocks.shape[1] // 4)
+    free = cell_unknowns(grid, dofs, blocks.shape[1] // 4)
     rows = np.broadcast_to(free[:, :, None], blocks.shape)
     cols = np.broadcast_to(free[:, None, :], blocks.shape)
     valid = (rows >= 0) & (cols >= 0)
     return scipy.sparse.coo_matrix(
-        (blocks[valid], (rows[valid], cols[valid])), shape=(nfree, nfree)).tocsc()
+        (blocks[valid], (rows[valid], cols[valid])),
+        shape=(len(dofs), len(dofs))).tocsc()
 
 
-def cell_order_newton_matrix(grid, blocks: np.ndarray, free_dof: np.ndarray,
-                             nfree: int):
+def cell_order_newton_matrix(grid, blocks: np.ndarray, dofs: np.ndarray):
     """The Newton matrix summed in plain Python, as CSC, from element blocks
     on the cell lattice (nx-1, ny-1, 4m, 4m): active cells in
     ``active_cells`` order, each entry's summands added left to right, the
     first one taken as it is."""
     blocks = active_blocks(grid, blocks)
     entries = {}
-    for unknowns, block in zip(cell_unknowns(grid, free_dof, blocks.shape[1] // 4),
+    for unknowns, block in zip(cell_unknowns(grid, dofs, blocks.shape[1] // 4),
                                blocks):
         for r, row in enumerate(unknowns.tolist()):
             for c, col in enumerate(unknowns.tolist()):
@@ -199,4 +201,4 @@ def cell_order_newton_matrix(grid, blocks: np.ndarray, free_dof: np.ndarray,
     rows, cols = np.array(list(entries), dtype=np.int64).reshape(-1, 2).T
     # No entry repeats, so the conversion adds nothing to any value.
     return scipy.sparse.csc_matrix((list(entries.values()), (rows, cols)),
-                                   shape=(nfree, nfree))
+                                   shape=(len(dofs), len(dofs)))

@@ -21,7 +21,7 @@ from fieldtriple.errors import (
     InvalidInputError,
     InvalidParameterError,
 )
-from fieldtriple.grid import Grid, GridField, _cell_hessians, _cell_jets
+from fieldtriple.grid import Grid, GridField, _cell_hessians, _cell_slots
 from fieldtriple.hamiltonian import hamiltonian_from_lagrangian
 from fieldtriple.models import (
     get_lagrangian,
@@ -223,7 +223,7 @@ def test_cell_hessians_match_pointwise_hessian():
     f = GridField.from_function(g, lambda x, y: np.array(
         [x, y, 0.1 * x * y, 0.1 * np.sin(np.pi * x) * np.sin(np.pi * y)]), 4)
     H = np.concatenate([H for _, H in _cell_hessians(model, g, f.values)])
-    jets = np.concatenate(_cell_jets(g, f.values), axis=1)
+    jets = _cell_slots(g, f.values).T
     assert H.shape == (len(jets), 12, 12)
     for Hc, z in zip(H, jets):
         ref = hessian(model.L, z)

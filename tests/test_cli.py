@@ -566,6 +566,13 @@ def test_invalid_requests_exit_2(tmp_path, capsys, argv):
     (["legendre"], b'{"seed": 1}\xff',
      "cannot read {path}: 'utf-8' codec can't decode byte 0xff in "
      "position 11: invalid start byte"),
+    # a count past six digits, as in --grid, and an int past int's limit
+    (["action", "--field", "f.csv"], {"grid": [10 ** 30, 3]},
+     f"grid must be 'NXxNY' or [nx, ny], got [{10 ** 30}, 3]"),
+    (["legendre"], b'{"seed": ' + b"9" * 4400 + b"}",
+     "malformed config JSON: Exceeds the limit (4300 digits) for integer "
+     "string conversion: value has 4400 digits; use "
+     "sys.set_int_max_str_digits() to increase the limit"),
 ])
 def test_invalid_configs_exit_2_with_message(tmp_path, capsys, argv, config,
                                              message):
@@ -716,6 +723,49 @@ def test_expression_error_reports_offset(tmp_path, capsys):
         tmp_path / "o.csv", bc=("x +",)))
     assert code == 2
     assert "3" in stderr
+
+
+@pytest.mark.parametrize("bc,code,message", [
+    ("(" * 400 + "x" + ")" * 400, 2,
+     "expression nested too deeply (at offset 100)"),
+    ("+".join(["x"] * 1201), 2, "expression too deep (at offset 1199)"),
+    ("+".join(["x"] * 500), 0, None),
+], ids=["400-parentheses", "1201-term-sum", "500-term-sum"])
+def test_deep_boundary_expressions_exit_without_a_traceback(tmp_path, capsys, bc,
+                                                             code, message):
+    got, _, stderr = run(capsys, *solve_args(tmp_path / "o.csv", bc=(bc,)))
+    assert got == code
+    assert stderr == ("" if message is None else f"fieldtriple: error: {message}\n")
+
+
+def test_grid_count_past_six_digits_exits_2(tmp_path, capsys):
+    text = "9" * 4400 + "x3"
+    code, stdout, stderr = run(capsys, "action", "--grid", text,
+                               "--field", str(tmp_path / "f.csv"))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"fieldtriple: error: grid must look like '33x33', got {text!r}\n"
+    assert cli_module._parse_grid("100000x999999") == (100000, 999999)
+    with pytest.raises(InvalidParameterError):
+        cli_module._parse_grid("1000000x3")
+
+
+def test_grid_that_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypatch):
+    """numpy's refusal of a huge array becomes exit 2 naming the grid.  The
+    allocation is refused by a stand-in, so the test allocates nothing
+    large even where memory would allow it."""
+    full = np.full
+
+    def refusing_full(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e8:
+            raise MemoryError("Unable to allocate 9.31 GiB")
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "full", refusing_full)
+    code, stdout, stderr = run(capsys, *solve_args(tmp_path / "o.csv",
+                                                   grid="100000x100000"))
+    assert (code, stdout) == (2, "")
+    assert stderr == "fieldtriple: error: not enough memory for grid 100000x100000\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 @given(st.text())

@@ -136,6 +136,37 @@ def test_syntax_error_messages(src, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("src,offset,message", [
+    ("(" * 400 + "x" + ")" * 400, 100,
+     "expression nested too deeply (at offset 100)"),
+    ("-" * 100 + "x", 100,
+     "expression nested too deeply (at offset 100)"),
+    ("+".join(["x"] * 1201), 1199,
+     "expression too deep (at offset 1199)"),
+    ("sqrt(" + "+".join(["x"] * 600) + ")", 0,
+     "expression too deep (at offset 0)"),
+], ids=["400-parentheses", "100-minus-signs", "1201-term-sum", "call-over-600"])
+def test_nesting_and_depth_past_the_bounds_are_syntax_errors(src, offset, message):
+    """The parser refuses what the recursive parser, printer or evaluator
+    could not take, at the token that crosses the bound."""
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(src)
+    assert exc.value.offset == offset
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("src,want", [
+    ("(" * 99 + "x" + ")" * 99, 0.5),
+    ("-" * 99 + "x", -0.5),
+    ("+".join(["x"] * 500), 250.0),
+    ("+".join(["x"] * 600), 300.0),
+], ids=["99-parentheses", "99-minus-signs", "500-term-sum", "600-term-sum"])
+def test_nesting_and_depth_at_the_bounds_evaluate_and_print(src, want):
+    e = parse_expr(src)
+    assert evaluate(e, 0.5, 0.25) == want
+    assert expr_to_text(parse_expr(expr_to_text(e))) == expr_to_text(e)
+
+
 def test_non_expression_inputs_are_invalid_input():
     with pytest.raises(InvalidInputError,
                        match="^expression source must be str, got bytes$"):

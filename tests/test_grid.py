@@ -282,11 +282,9 @@ def test_newton_jacobian_matches_residual_differences(name, m, fn):
     g = Grid.square(9, 9)
     f = GridField.from_function(g, fn, m)
     inodes = g.interior_nodes
-    free_dof = np.full(g.nx * g.ny * m, -1, dtype=np.int64)
     node_flat = inodes[:, 0] * g.ny + inodes[:, 1]
-    for c in range(m):
-        free_dof[node_flat * m + c] = np.arange(len(inodes)) * m + c
-    J = _newton_matrix(g, _newton_layout(g, free_dof, m),
+    dofs = (node_flat[:, None] * m + np.arange(m)).ravel()
+    J = _newton_matrix(g, _newton_layout(g, dofs, m),
                        _element_blocks(model, g, f.values))
     delta = np.random.default_rng(5).standard_normal((len(inodes), m))
 
@@ -357,18 +355,29 @@ def test_momenta_of_linear_ramp():
 
 
 def test_conservation_form_relates_divergence_and_residual():
-    g = Grid.square(11, 11)
-    f = GridField.from_function(
-        g, lambda x, y: np.array([x ** 3 * y + np.sin(2 * y)]), m=1)
-    res = discrete_el_residual(HARM1, f)
-    mom, _ = boundary_momentum(HARM1, f)
-    div, nodes = momentum_divergence(mom)
-    area = g.hx * g.hy
-    lookup = {tuple(n): r for n, r in zip(g.interior_nodes, res)}
-    assert len(nodes) == len(g.interior_nodes)
-    for n, d in zip(nodes, div):
-        r = lookup[tuple(n)]
-        assert np.max(np.abs(d + r / area)) <= 1e-10
+    """With no explicit q dependence the residual is -hx*hy times the
+    momentum divergence, bit for bit, at every interior node whose four
+    cells are active: all of them on a square."""
+    for name, m, grid, fn in [
+        ("harmonic", 1, Grid.square(11, 11),
+         lambda x, y: np.array([x ** 3 * y + np.sin(2 * y)])),
+        ("harmonic", 1, Grid.square(17, 23),
+         lambda x, y: np.array([np.exp(x) * np.cos(3 * y)])),
+        ("sigma", 3, Grid.square(13, 13),
+         lambda x, y: np.array([x * y, np.cos(x + y), x - y ** 2])),
+        ("harmonic", 2, Grid.disc_mask(19, 23),
+         lambda x, y: np.array([x * x - y, np.sinh(x * y)])),
+    ]:
+        model = get_lagrangian(name, m)
+        f = GridField.from_function(grid, fn, m)
+        res = discrete_el_residual(model, f)
+        mom, _ = boundary_momentum(model, f)
+        div, nodes = momentum_divergence(mom)
+        area = grid.hx * grid.hy
+        lookup = {tuple(n): r for n, r in zip(grid.interior_nodes, res)}
+        k = len(grid.interior_nodes)
+        assert len(nodes) == k if grid.mask.all() else 0 < len(nodes) < k
+        assert np.array_equal(div, np.array([-lookup[tuple(n)] / area for n in nodes]))
 
 
 @pytest.mark.parametrize("name,m", [("harmonic", 1), ("harmonic", 3),
@@ -696,6 +705,25 @@ def test_dissection_order_numbers_separators_after_their_halves(grid):
     _check_dissection(rank, 0, rank.shape[0], 0, rank.shape[1])
 
 
+@pytest.mark.parametrize("grid,m", [(Grid.square(9, 7), 1), (Grid.square(13, 13), 3),
+                                    (Grid.disc_mask(19, 23), 2)],
+                         ids=["9x7-m1", "13x13-m3", "disc-19x23-m2"])
+def test_free_dofs_number_interior_nodes_in_dissection_order(grid, m):
+    """The unknowns are int32 flat dofs (i*ny + j)*m + c: every interior
+    dof once, nodes in nested-dissection order, each node's components
+    contiguous and in order."""
+    dofs = _free_dofs(grid, m)
+    assert dofs.dtype == np.int32 and dofs.shape == (len(grid.interior_nodes) * m,)
+    interior = np.flatnonzero(np.repeat((grid.mask == 2).ravel(), m))
+    assert np.array_equal(np.sort(dofs), interior)
+    node, comp = np.divmod(dofs, m)
+    assert np.array_equal(comp, np.tile(np.arange(m), len(grid.interior_nodes)))
+    assert np.array_equal(node.reshape(-1, m), np.repeat(node[::m, None], m, axis=1))
+    inodes = grid.interior_nodes
+    ordered = inodes[_dissection_order(inodes)]
+    assert np.array_equal(np.stack(np.divmod(node[::m], grid.ny), axis=1), ordered)
+
+
 def test_solve_without_interior_nodes_is_converged():
     g = Grid(hx=0.5, hy=1 / 3, mask=np.ones((3, 4)))
     sol, rep = _solve_with_bc(HARM1, g, lambda x, y: np.array([x + y]), m=1)
@@ -786,10 +814,10 @@ def _record_newton_matrices(monkeypatch):
 
     def recording_matrix(grid, layout, blocks):
         J = newton_matrix(grid, layout, blocks)
-        _, free_dof = _free_dofs(grid, blocks.shape[-1] // 4)
+        dofs = _free_dofs(grid, blocks.shape[-1] // 4)
+        assert len(dofs) == J.shape[0]
         assembled.append(J)
-        reference.append(cell_order_newton_matrix(grid, blocks, free_dof,
-                                                  J.shape[0]))
+        reference.append(cell_order_newton_matrix(grid, blocks, dofs))
         return J
 
     def recording_solve(J, rhs, fallback):
@@ -849,14 +877,13 @@ def _check_fallback_reuse(calls, assembled, reference, factored, first):
 
 
 def _perturbed_blocks(name, m, grid, fn, seed=11):
-    """The element blocks, the free dofs and the unknown count at a
-    perturbed state (at the bilinear start summation orders can agree by
-    accident)."""
-    inodes, free_dof = _free_dofs(grid, m)
+    """The element blocks and the free dofs at a perturbed state (at the
+    bilinear start summation orders can agree by accident)."""
+    dofs = _free_dofs(grid, m)
     values = GridField.from_function(grid, fn, m).values
-    bump = np.random.default_rng(seed).standard_normal((len(inodes), m))
-    values[inodes[:, 0], inodes[:, 1]] += 0.01 * bump
-    return _element_blocks(get_lagrangian(name, m), grid, values), free_dof, len(inodes) * m
+    bump = np.random.default_rng(seed).standard_normal(len(dofs))
+    values.reshape(-1)[dofs] += 0.01 * bump
+    return _element_blocks(get_lagrangian(name, m), grid, values), dofs
 
 
 def _same_structure(J, ref):
@@ -890,9 +917,9 @@ def test_newton_matrix_is_the_coo_assembly_bitwise(name, m, grid, fn):
     Hessian in every cell, so every summand of an entry is the same value
     and any order gives the same bits at m = 2-3 too.  The structure, int32
     and with its stored zeros, is the COO one."""
-    blocks, free_dof, nfree = _perturbed_blocks(name, m, grid, fn)
-    ref = coo_newton_matrix(grid, blocks, free_dof, nfree)
-    J = _newton_matrix(grid, _newton_layout(grid, free_dof, m), blocks)
+    blocks, dofs = _perturbed_blocks(name, m, grid, fn)
+    ref = coo_newton_matrix(grid, blocks, dofs)
+    J = _newton_matrix(grid, _newton_layout(grid, dofs, m), blocks)
     assert _same_structure(J, ref)
     assert np.array_equal(J.data.view(np.int64), ref.data.view(np.int64))
 
@@ -904,11 +931,10 @@ def test_string_newton_matrix_sums_in_cell_order(grid):
     an entry's summands shows in its bits: they are added in increasing
     cell order, left to right, as a plain Python sum over the cells adds
     them.  The structure is the COO one."""
-    blocks, free_dof, nfree = _perturbed_blocks("nambu", 4, grid,
-                                                near_flat_sheet(0.1))
-    J = _newton_matrix(grid, _newton_layout(grid, free_dof, 4), blocks)
-    assert _same_structure(J, coo_newton_matrix(grid, blocks, free_dof, nfree))
-    assert _same_bits(J, cell_order_newton_matrix(grid, blocks, free_dof, nfree))
+    blocks, dofs = _perturbed_blocks("nambu", 4, grid, near_flat_sheet(0.1))
+    J = _newton_matrix(grid, _newton_layout(grid, dofs, 4), blocks)
+    assert _same_structure(J, coo_newton_matrix(grid, blocks, dofs))
+    assert _same_bits(J, cell_order_newton_matrix(grid, blocks, dofs))
 
 
 def test_element_blocks_lie_on_the_cell_lattice():
@@ -940,8 +966,8 @@ def test_newton_matrix_keeps_a_negative_zero_beside_an_inactive_cell():
     cell adds -0.0, since x + (-0.0) is x, where +0.0 would give +0.0."""
     grid = Grid.disc_mask(13, 17)
     m = 2
-    inodes, free_dof = _free_dofs(grid, m)
-    nfree = len(inodes) * m
+    dofs = _free_dofs(grid, m)
+    inodes = np.stack(np.divmod(dofs[::m] // m, grid.ny), axis=1)
     active = np.pad(grid_module._active_cell_mask(grid.mask), 1)
     cells = grid.active_cells
     blocks = np.full((grid.nx - 1, grid.ny - 1, 4 * m, 4 * m), -0.0)
@@ -954,8 +980,8 @@ def test_newton_matrix_keeps_a_negative_zero_beside_an_inactive_cell():
     assert len(beside) == 16
     for i, j in inodes[beside]:
         blocks[i - 1:i + 1, j - 1:j + 1] = -0.0
-    J = _newton_matrix(grid, _newton_layout(grid, free_dof, m), blocks)
-    assert _same_bits(J, cell_order_newton_matrix(grid, blocks, free_dof, nfree))
+    J = _newton_matrix(grid, _newton_layout(grid, dofs, m), blocks)
+    assert _same_bits(J, cell_order_newton_matrix(grid, blocks, dofs))
     for u in beside:
         for c in range(m * u, m * u + m):
             column = J.data[J.indptr[c]:J.indptr[c + 1]]
