@@ -114,8 +114,8 @@ def spanning_surfaces(n, seed):
         f = GridField.from_function(
             grid, lambda x, y: (x, y, eps * x * y, 0.0), 4)
         sol, rep = solve_dirichlet(model, f, tol=1e-10, max_iter=50)
-        mom, _ = boundary_momentum(model, sol)
-        div, _ = momentum_divergence(mom)
+        momenta, _ = boundary_momentum(model, sol)
+        div, _ = momentum_divergence(grid, momenta)
         conservation = float(np.max(np.abs(div))) if len(div) else 0.0
         print(f"  {eps:7.1e}  {str(rep.converged):9s}  {rep.iterations:4d}"
               f"  {rep.final_residual:.6e}  {conservation:.6e}"

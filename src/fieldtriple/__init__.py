@@ -15,10 +15,10 @@ from .errors import (DomainError, ExprSyntaxError, FieldTripleError,
                      GridDomainError, IncompatiblePointsError,
                      InvalidInputError, InvalidParameterError,
                      NoConvergenceError, SingularJacobianError)
-from .grid import (Grid, GridField, GridMomentum, SolveReport,
-                   boundary_momentum, discrete_action,
-                   discrete_action_gradient, discrete_el_residual,
-                   momentum_divergence, solve_dirichlet)
+from .grid import (Grid, GridField, SolveReport, boundary_momentum,
+                   discrete_action, discrete_action_gradient,
+                   discrete_el_residual, momentum_divergence,
+                   solve_dirichlet)
 from .hamiltonian import (HamiltonianModel, dH, ham_dynamics_member,
                           ham_phase_residual, hamiltonian_from_lagrangian,
                           legendre_invert)

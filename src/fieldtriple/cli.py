@@ -84,7 +84,6 @@ from .expr import evaluate, parse_expr
 from .grid import (
     Grid,
     GridField,
-    GridMomentum,
     OUTSIDE,
     boundary_momentum,
     discrete_action,
@@ -280,19 +279,18 @@ def _parse_rows(rows: list[str], m: int) -> np.ndarray:
     return table
 
 
-def write_momentum_csv(path: str, mom: GridMomentum) -> None:
+def write_momentum_csv(path: str, grid: Grid, momenta: Phase) -> None:
     """Momentum CSV: cell_i,cell_j,p1_*,p2_* rows over the active cells of
-    ``mom.grid``; each cell index is formatted once."""
-    m, grid = mom.m, mom.grid
-    cells = grid.active_cells
-    ci, cj = cells[:, 0], cells[:, 1]
+    ``grid``, one per point of ``momenta`` (as ``boundary_momentum`` returns
+    them); each cell index is formatted once."""
+    m = momenta.m
     label = [f"{k}," for k in range(max(grid.nx, grid.ny))]
     header = ("cell_i,cell_j,"
               + ",".join(f"p1_{k}" for k in range(m)) + ","
               + ",".join(f"p2_{k}" for k in range(m)))
+    ci, cj = grid.active_cells.T
     lead = [label[i] + label[j] for i, j in zip(ci.tolist(), cj.tolist())]
-    _write_table(path, header, lead,
-                 np.column_stack([mom.p1[ci, cj], mom.p2[ci, cj]]))
+    _write_table(path, header, lead, momenta.p.reshape(2 * m, -1).T)
 
 
 def _sibling(path: str, suffix: str) -> str:
@@ -325,12 +323,12 @@ def _run_solve(cfg: RunConfig) -> dict:
         grid, lambda x, y: [evaluate(e, x, y) for e in exprs], model.m)
 
     solution, rep = solve_dirichlet(model, initial, tol=cfg.tol, max_iter=cfg.max_iter)
-    mom, _ = boundary_momentum(model, solution)
+    momenta, _ = boundary_momentum(model, solution)
 
     max_error = float(np.max(np.abs(solution.values[inside] - initial.values[inside])))
 
     write_field_csv(cfg.out, solution)
-    write_momentum_csv(_sibling(cfg.out, ".momenta.csv"), mom)
+    write_momentum_csv(_sibling(cfg.out, ".momenta.csv"), grid, momenta)
     report = {
         "command": cfg.command,
         "model": model.name,
@@ -667,8 +665,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fieldtriple: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        print("fieldtriple: error: not enough memory for grid "
-              f"{cfg.grid[0]}x{cfg.grid[1]}", file=sys.stderr)
+        size = (f"grid {cfg.grid[0]}x{cfg.grid[1]}"
+                if "grid" in _VERBS[cfg.command].options else f"--points {cfg.points}")
+        print(f"fieldtriple: error: not enough memory for {size}", file=sys.stderr)
         return 2
 
     if not report["pass"]:

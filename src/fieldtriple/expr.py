@@ -18,7 +18,7 @@ hand-rolled precedence climber over a one-pattern scanner; syntax problems
 raise :class:`ExprSyntaxError` carrying the offset of the offending token
 (the length of the source for an unexpected end of input), which counts
 bytes, since all before it is ASCII; so does nesting more than 100 levels
-deep, or a tree more than 600 levels deep.  Printing with :func:`expr_to_text`
+deep, or a tree more than 250 levels deep.  Printing with :func:`expr_to_text`
 inserts only the parentheses needed to preserve the tree, and reparsing the
 printed form reproduces the original tree exactly.
 
@@ -126,9 +126,11 @@ _UNARY_PRECEDENCE = 3
 _RIGHT_ASSOCIATIVE = frozenset("^")
 
 # The parser recurses up to four times per level of nesting, the printer and
-# the evaluator once per level of the tree: the bounds keep both well inside
-# Python's default recursion limit.
-_MAX_NESTING, _MAX_DEPTH = 100, 600
+# the evaluator once per level of the tree, and the ==, hash and repr that
+# dataclasses generate up to three times: a tree at the depth bound compares,
+# hashes and prints from a caller 200 frames deep within Python's default
+# recursion limit of 1000 (trees fail from 266 levels on Python 3.10-3.11).
+_MAX_NESTING, _MAX_DEPTH = 100, 250
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ one nodal scatter of the per-cell slot gradients gives both the gradient and
 the pairing functional of ``boundary_momentum``, which pairs a variation with
 that scatter's boundary rows.  At a discrete stationary point with Dirichlet
 data the interior block vanishes, so the boundary pairing alone reproduces
-the action's first variation.
+the action's first variation.  The per-cell momenta are the triple's phase
+points: the Legendre image ``Phase`` of the cell jets.
 
 Lagrangians must be written in generic arithmetic (as the built-in catalog
 models are): the solver evaluates them on Taylor numbers with array-valued
@@ -56,6 +57,7 @@ import numpy as np
 # so only a solve's first Newton step loads it; the rest needs numpy.
 
 from .autodiff import _expand
+from .bundles import Jet, Phase, project_to_phase
 from .errors import (
     DomainError,
     GridDomainError,
@@ -64,12 +66,11 @@ from .errors import (
     SingularJacobianError,
     _damped_newton,
 )
-from .lagrangian import LagrangianModel
+from .lagrangian import LagrangianModel, dL
 
 __all__ = [
     "Grid",
     "GridField",
-    "GridMomentum",
     "SolveReport",
     "discrete_action",
     "discrete_action_gradient",
@@ -254,38 +255,6 @@ class GridField:
         return cls(grid=grid, values=values)
 
 
-@dataclass(frozen=True, eq=False)
-class GridMomentum:
-    """Per-cell momenta (p1, p2) = (dL/dqdot1, dL/dqdot2) at the cell jets.
-
-    ``p1`` and ``p2`` have shape (nx-1, ny-1, m); entries are finite on
-    active cells and nan elsewhere.
-    """
-
-    grid: Grid
-    p1: np.ndarray
-    p2: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.grid.nx - 1, self.grid.ny - 1)
-        for name in ("p1", "p2"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 3 or arr.shape[:2] != shape:
-                raise InvalidInputError(
-                    f"{name} has shape {arr.shape}, expected {shape} + (m,)")
-            object.__setattr__(self, name, arr)
-        if self.p1.shape != self.p2.shape:
-            raise InvalidInputError("p1 and p2 must have the same shape")
-        active = _active_cell_mask(self.grid.mask)
-        if not (np.isfinite(self.p1[active]).all()
-                and np.isfinite(self.p2[active]).all()):
-            raise InvalidInputError("non-finite momentum on an active cell")
-
-    @property
-    def m(self) -> int:
-        return self.p1.shape[2]
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of a Dirichlet solve: accepted Newton steps, final max-norm
@@ -423,28 +392,28 @@ def discrete_el_residual(model: LagrangianModel, f: GridField) -> np.ndarray:
 def boundary_momentum(model: LagrangianModel, f: GridField):
     """Per-cell momenta and the boundary part of the action's first variation.
 
-    Returns ``(momenta, pairing)``: ``momenta`` holds (p1, p2) =
-    (dL/dqdot1, dL/dqdot2) at every active cell jet, and ``pairing(delta)``
-    evaluates the boundary-node part of <d(discrete_action), delta> for a
-    nodal variation ``delta`` of shape (nx, ny, m).  The pairing is
-    the sum of ``delta`` against the boundary rows of the same nodal scatter
-    the gradient returns, so
+    Returns ``(momenta, pairing)``.  ``momenta`` is the ``Phase`` batch
+    ``legendre(model, Jet(qbar, qdot))`` of the cell jets, one point per
+    active cell in ``grid.active_cells`` order: q is the cell average and
+    p = (dL/dqdot1, dL/dqdot2), bit for bit the momentum rows of the slot
+    gradient the action gradient scatters.  ``pairing(delta)`` evaluates the
+    boundary-node part of <d(discrete_action), delta> for a nodal variation
+    ``delta`` of shape (nx, ny, m): the sum of ``delta`` against the
+    boundary rows of that nodal scatter, made when it is called, so
 
         <gradient, delta> = <interior block, delta> + pairing(delta)
 
     holds up to float reassociation.  For Lagrangians with no explicit q
-    dependence the pairing is the pure flux of (p1, p2).
+    dependence the pairing is the pure flux of the momenta.
     """
     _require_model_field(model, f)
-    grid = f.grid
-    m = model.m
-    G = _cell_gradients(model, grid, f.values)
-    ci, cj = grid.active_cells.T
-    p = np.full((2, grid.nx - 1, grid.ny - 1, m), np.nan)
-    p[:, ci, cj] = G[m:].reshape(2, m, -1).transpose(0, 2, 1)
-    momenta = GridMomentum(grid=grid, p1=p[0], p2=p[1])
+    grid, m = f.grid, model.m
+    slots = _cell_slots(grid, f.values)
+    c = _evaluate_cells(grid, dL, model, Jet(slots[:m], slots[m:].reshape(2, m, -1)))
+    # The pairing keeps its own copy of the slot gradient, so writing to
+    # momenta.p leaves it as it was.
+    G = np.concatenate([c.a, *c.b])
     boundary = grid.mask == BOUNDARY
-    edge = _nodal_gradient(grid, G, m)[boundary]
 
     def pairing(delta: np.ndarray) -> float:
         delta = np.asarray(delta, dtype=float)
@@ -452,25 +421,35 @@ def boundary_momentum(model: LagrangianModel, f: GridField):
             raise InvalidInputError(
                 f"variation has shape {delta.shape}, expected "
                 f"({grid.nx}, {grid.ny}, {m})")
-        return float(np.sum(edge * delta[boundary]))
+        return float(np.sum(_nodal_gradient(grid, G, m)[boundary] * delta[boundary]))
 
-    return momenta, pairing
+    return project_to_phase(c), pairing
 
 
-def momentum_divergence(mom: GridMomentum) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete divergence D1 p1 + D2 p2 of per-cell momenta, one value per
-    interior node whose four incident cells are all active.
+def momentum_divergence(grid: Grid, momenta: Phase) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete divergence D1 p[0] + D2 p[1] of per-cell momenta, one value
+    per interior node whose four incident cells are all active.
 
-    Returns ``(div, nodes)`` with ``div`` of shape (k, m) and ``nodes`` the
-    (k, 2) node indices.  The divergence is the momentum part of the nodal
-    scatter the action gradient makes, divided by -hx*hy: for a Lagrangian
-    with no explicit q dependence the Euler-Lagrange residual at such a node
-    equals -hx*hy times this divergence, so the conservation form of the
-    field equations reads div = 0 at a discrete stationary point.
+    ``momenta`` is a ``Phase`` batch with one finite point per active cell of
+    ``grid``, in ``grid.active_cells`` order, as ``boundary_momentum``
+    returns it; only its p is read.  Returns ``(div, nodes)`` with ``div``
+    of shape (k, m) and ``nodes`` the (k, 2) node indices.  The divergence
+    is the momentum part of the nodal scatter the action gradient makes,
+    divided by -hx*hy: for a Lagrangian with no explicit q dependence the
+    Euler-Lagrange residual at such a node equals -hx*hy times this
+    divergence, so the conservation form of the field equations reads
+    div = 0 at a discrete stationary point.
     """
-    grid, m = mom.grid, mom.m
-    ci, cj = grid.active_cells.T
-    G = np.concatenate([np.zeros((m, len(ci))), mom.p1[ci, cj].T, mom.p2[ci, cj].T])
+    if not isinstance(momenta, Phase):
+        raise InvalidInputError("momenta must be a Phase")
+    ncells, m = len(grid.active_cells), momenta.m
+    if momenta.p.shape != (2, m, ncells):
+        raise InvalidInputError(
+            f"momenta have batch shape {momenta.p.shape[2:]}, expected "
+            f"({ncells},), one point per active cell")
+    if not np.isfinite(momenta.p).all():
+        raise InvalidInputError("non-finite momentum")
+    G = np.concatenate([np.zeros((m, ncells)), *momenta.p])
     # Node (i, j) touches cells (i-1..i, j-1..j).
     active = np.pad(_active_cell_mask(grid.mask), 1)
     eligible = ((grid.mask == INTERIOR) & active[:-1, :-1] & active[1:, :-1]

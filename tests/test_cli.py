@@ -1,19 +1,24 @@
 """Command-line interface: subcommands, exit codes, artifacts, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fieldtriple import cli as cli_module
 from fieldtriple import grid as grid_module
+from fieldtriple.bundles import Phase
 from fieldtriple.cli import main, read_field_csv, write_field_csv, write_momentum_csv
 from fieldtriple.errors import (
     ExprSyntaxError,
@@ -21,7 +26,7 @@ from fieldtriple.errors import (
     InvalidParameterError,
 )
 from fieldtriple.expr import parse_expr
-from fieldtriple.grid import Grid, GridField, GridMomentum, discrete_action
+from fieldtriple.grid import Grid, GridField, discrete_action
 from fieldtriple.models import get_lagrangian
 
 
@@ -374,7 +379,9 @@ def test_csv_writers_match_per_value_reference(tmp_path):
     p2 = np.resize(_FINITE_EXTREMES[2:], shape)
     cells = grid.active_cells
     path = tmp_path / "momenta.csv"
-    write_momentum_csv(str(path), GridMomentum(grid, p1, p2))
+    ci, cj = cells.T
+    write_momentum_csv(str(path), grid, Phase(np.zeros((2, len(cells))),
+                                              np.stack([p1[ci, cj].T, p2[ci, cj].T])))
     want = _reference_rows(
         [["cell_i,cell_j,p1_0,p1_1,p2_0,p2_1"]]
         + [[str(ci), str(cj), *p1[ci, cj], *p2[ci, cj]] for ci, cj in cells])
@@ -728,9 +735,10 @@ def test_expression_error_reports_offset(tmp_path, capsys):
 @pytest.mark.parametrize("bc,code,message", [
     ("(" * 400 + "x" + ")" * 400, 2,
      "expression nested too deeply (at offset 100)"),
-    ("+".join(["x"] * 1201), 2, "expression too deep (at offset 1199)"),
-    ("+".join(["x"] * 500), 0, None),
-], ids=["400-parentheses", "1201-term-sum", "500-term-sum"])
+    ("+".join(["x"] * 1201), 2, "expression too deep (at offset 499)"),
+    ("+".join(["x"] * 500), 2, "expression too deep (at offset 499)"),
+    ("+".join(["x"] * 250), 0, None),
+], ids=["400-parentheses", "1201-term-sum", "500-term-sum", "250-term-sum"])
 def test_deep_boundary_expressions_exit_without_a_traceback(tmp_path, capsys, bc,
                                                              code, message):
     got, _, stderr = run(capsys, *solve_args(tmp_path / "o.csv", bc=(bc,)))
@@ -749,23 +757,47 @@ def test_grid_count_past_six_digits_exits_2(tmp_path, capsys):
         cli_module._parse_grid("1000000x3")
 
 
+_FULL = np.full
+
+
+def _refusing_full(shape, *args, **kwargs):
+    """``np.full`` that refuses arrays over 1e8 entries, as numpy does when
+    memory runs out: a test of a huge grid allocates nothing large, even
+    where memory would allow it."""
+    if np.prod(shape, dtype=float) > 1e8:
+        raise MemoryError("Unable to allocate 9.31 GiB")
+    return _FULL(shape, *args, **kwargs)
+
+
 def test_grid_that_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypatch):
-    """numpy's refusal of a huge array becomes exit 2 naming the grid.  The
-    allocation is refused by a stand-in, so the test allocates nothing
-    large even where memory would allow it."""
-    full = np.full
-
-    def refusing_full(shape, *args, **kwargs):
-        if np.prod(shape, dtype=float) > 1e8:
-            raise MemoryError("Unable to allocate 9.31 GiB")
-        return full(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "full", refusing_full)
+    """numpy's refusal of a huge array becomes exit 2 naming the grid."""
+    monkeypatch.setattr(np, "full", _refusing_full)
     code, stdout, stderr = run(capsys, *solve_args(tmp_path / "o.csv",
                                                    grid="100000x100000"))
     assert (code, stdout) == (2, "")
     assert stderr == "fieldtriple: error: not enough memory for grid 100000x100000\n"
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("verb,host,name", [
+    ("legendre", cli_module, "draw_points"),
+    ("phase-check", cli_module, "draw_points"),
+    ("check-maps", np.random, "default_rng"),
+])
+def test_pointwise_verb_out_of_memory_names_its_points(capsys, monkeypatch, verb,
+                                                       host, name):
+    """A pointwise verb has no grid, so running out of memory names the
+    --points it was given.  The draws are refused by a stand-in, so nothing
+    large is allocated."""
+
+    def refusing(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB")
+
+    monkeypatch.setattr(host, name, refusing)
+    model = [] if verb == "check-maps" else ["--model", "nambu"]
+    code, stdout, stderr = run(capsys, verb, *model, "--points", "999999999")
+    assert (code, stdout) == (2, "")
+    assert stderr == "fieldtriple: error: not enough memory for --points 999999999\n"
 
 
 @given(st.text())
@@ -784,6 +816,87 @@ def test_any_text_parses_or_raises_the_typed_error(text):
         cli_module._parse_grid(text)
     except InvalidParameterError:
         pass
+
+
+# Text that never reads as a number, in any script: no decimal digits.
+_MALFORMED = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+
+# Per option, small values it takes, then values out of range: at most 0,
+# malformed or non-ASCII text, never large.  --out and --field name files
+# in the test's temporary directory.
+_OPTION_VALUES = {
+    "model": (st.sampled_from(cli_module.MODEL_NAMES), st.text(max_size=6)),
+    "m": (st.integers(1, 4).map(str), st.integers(-1, 0).map(str) | _MALFORMED),
+    "grid": (st.builds("{}x{}".format, st.integers(3, 9), st.integers(3, 9)),
+             st.builds("{}x{}".format, st.integers(0, 2), st.integers(0, 9))
+             | _MALFORMED),
+    "domain": (st.sampled_from(cli_module._DOMAINS), st.text(max_size=6)),
+    "bc": (st.sampled_from(["x", "y", "x*y", "sin(x) - y^2", "1 + x/4", "1/(x - x)",
+                            "sqrt(x - 2)", "1e160*x*y"]),
+           st.sampled_from(["x +", "é", ""]) | st.text(max_size=8)),
+    "tol": (st.sampled_from(["1e-10", "1e-300", "1", "inf"]),
+            st.sampled_from(["0", "-1", "nan"]) | _MALFORMED),
+    "max_iter": (st.integers(1, 3).map(str), st.integers(-1, 0).map(str) | _MALFORMED),
+    "points": (st.integers(1, 20).map(str), st.integers(-1, 0).map(str) | _MALFORMED),
+    "seed": (st.integers(0, 9).map(str), st.just("-1") | _MALFORMED),
+    "out": (st.just("out.csv"), st.sampled_from(["no-such-dir/out.csv", ""])),
+    "field": (st.just("field.csv"), st.just("missing.csv")),
+}
+# Options always given: the sizes, so no default (a 17x17 grid, 1000
+# points, 50 Newton steps) makes an example slow, and those solve and
+# action need.
+_GIVEN = ("grid", "points", "max_iter", "out", "field", "bc")
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one verb from ``cli._VERBS`` with options from
+    ``cli._OPTIONS``, --config aside.  One value in eight is out of range,
+    so that many argvs get past the parser, and --bc is mostly repeated
+    once per component of the model."""
+    verb = draw(st.sampled_from(sorted(cli_module._VERBS)))
+    argv, given = [verb], {}
+    for name in cli_module._VERBS[verb].keys:
+        if name not in _GIVEN and not draw(st.booleans()):
+            continue
+        count = 1
+        if name == "bc":
+            m = "4" if given.get("model") == "nambu" else given.get("m", "1")
+            count = (int(m) if m.isdigit() and draw(st.integers(0, 7))
+                     else draw(st.integers(1, 4)))
+        for _ in range(count):
+            good, bad = _OPTION_VALUES[name]
+            given[name] = draw(bad if draw(st.integers(0, 7)) == 0 else good)
+            argv += ["--" + name.replace("_", "-"), given[name]]
+    return argv
+
+
+_FIELD_TEXTS = st.sampled_from(["x,y,comp0\n" + "0,0,1\n" * 9, ""]) | st.text(max_size=30)
+
+
+# numpy warns as 1e160*x*y overflows the start residual, before the exit 3
+# that test_overflowing_start_residual_exits_3 checks.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_argvs(), _FIELD_TEXTS)
+@example(["solve", "--grid", "5x5", "--out", "out.csv",
+          "--bc", "(" * 400 + "x" + ")" * 400], "")
+@example(["solve", "--grid", "5x5", "--out", "out.csv",
+          "--bc", "+".join(["x"] * 1201)], "")
+@example(["action", "--grid", "9" * 4400 + "x3", "--field", "field.csv"], "")
+@example(["solve", "--grid", "100000x100000", "--out", "out.csv", "--bc", "x"], "")
+def test_every_argv_exits_0_2_or_3(argv, field_text):
+    """``main`` returns 0, 2 or 3 and raises nothing, for any argv of small
+    or out-of-range values.  The huge grid runs under ``_refusing_full``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "field.csv").write_text(field_text, encoding="utf-8")
+        argv = [os.path.join(tmp, value) if flag in ("--out", "--field") else value
+                for flag, value in zip([None] + argv, argv)]
+        with mock.patch.object(np, "full", _refusing_full), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3)
 
 
 def test_repeated_calls_share_one_parser_and_print_the_same(capsys):

@@ -1,6 +1,7 @@
 """Boundary-expression language: parsing, printing, and evaluation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -141,11 +142,16 @@ def test_syntax_error_messages(src, message):
      "expression nested too deeply (at offset 100)"),
     ("-" * 100 + "x", 100,
      "expression nested too deeply (at offset 100)"),
-    ("+".join(["x"] * 1201), 1199,
-     "expression too deep (at offset 1199)"),
-    ("sqrt(" + "+".join(["x"] * 600) + ")", 0,
+    ("+".join(["x"] * 1201), 499,
+     "expression too deep (at offset 499)"),
+    ("+".join(["x"] * 251), 499,
+     "expression too deep (at offset 499)"),
+    ("sqrt(" + "+".join(["x"] * 600) + ")", 504,
+     "expression too deep (at offset 504)"),
+    ("sqrt(" + "+".join(["x"] * 250) + ")", 0,
      "expression too deep (at offset 0)"),
-], ids=["400-parentheses", "100-minus-signs", "1201-term-sum", "call-over-600"])
+], ids=["400-parentheses", "100-minus-signs", "1201-term-sum", "251-term-sum",
+        "call-over-600", "call-over-250"])
 def test_nesting_and_depth_past_the_bounds_are_syntax_errors(src, offset, message):
     """The parser refuses what the recursive parser, printer or evaluator
     could not take, at the token that crosses the bound."""
@@ -158,13 +164,37 @@ def test_nesting_and_depth_past_the_bounds_are_syntax_errors(src, offset, messag
 @pytest.mark.parametrize("src,want", [
     ("(" * 99 + "x" + ")" * 99, 0.5),
     ("-" * 99 + "x", -0.5),
-    ("+".join(["x"] * 500), 250.0),
-    ("+".join(["x"] * 600), 300.0),
-], ids=["99-parentheses", "99-minus-signs", "500-term-sum", "600-term-sum"])
+    ("+".join(["x"] * 200), 100.0),
+    ("+".join(["x"] * 250), 125.0),
+], ids=["99-parentheses", "99-minus-signs", "200-term-sum", "250-term-sum"])
 def test_nesting_and_depth_at_the_bounds_evaluate_and_print(src, want):
     e = parse_expr(src)
     assert evaluate(e, 0.5, 0.25) == want
     assert expr_to_text(parse_expr(expr_to_text(e))) == expr_to_text(e)
+
+
+def _at_stack_depth(frames, fn):
+    """``fn()``, called with at least ``frames`` frames on the stack."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return fn() if depth >= frames else _at_stack_depth(frames, fn)
+
+
+@pytest.mark.parametrize("src", [
+    "+".join(["x"] * 250),
+    "sqrt(" + "*".join(["y"] * 249) + ")",
+    "(" * 99 + "x" + ")" * 99,
+], ids=["250-term-sum", "call-over-249", "99-parentheses"])
+def test_trees_at_the_bounds_compare_hash_and_print_from_a_deep_stack(src):
+    """The ==, hash and repr that the node dataclasses generate recurse
+    about three frames per tree level; every tree the parser accepts takes
+    them from a caller 200 frames deep."""
+    a, b = parse_expr(src), parse_expr(src)
+    assert a is not b
+    assert _at_stack_depth(200, lambda: a == b)
+    assert _at_stack_depth(200, lambda: hash(a) == hash(b))
+    assert _at_stack_depth(200, lambda: repr(a) == repr(b))
 
 
 def test_non_expression_inputs_are_invalid_input():
