@@ -16,9 +16,10 @@ action       Evaluate the discrete action of a field read from CSV.
 Configuration is accepted both as command-line flags and as a single JSON
 file (``--config``); explicit flags override file values.  A config file
 holds only its verb's flags as keys (``max_iter`` for ``--max-iter``), each
-of the flag's type, and an optional ``command`` naming the verb.  All
-randomness is drawn from ``numpy.random.default_rng(seed)``, so identical
-configurations produce byte-identical outputs.
+of the flag's type, and an optional ``command`` naming the verb.  Only
+check-maps, legendre and phase-check draw random numbers, all from
+``numpy.random.default_rng(seed)``, so only they take ``--seed``.
+Identical configurations produce byte-identical outputs.
 
 File formats
 ------------
@@ -33,11 +34,6 @@ that cannot be read.
 Exit codes: 0 success, 2 configuration/validation failure (a path that
 cannot be read or written included), 3 numerical failure (non-convergence
 or a domain violation).
-
-The environment variable FIELD_TRIPLE_THREADS, when set, must be a positive
-integer and is accepted as an upper bound on worker threads; the current
-implementation is single-threaded throughout, so any valid cap is honoured
-trivially and never affects output bytes.
 """
 
 from __future__ import annotations
@@ -45,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -108,7 +105,6 @@ from .models import (
 __all__ = ["RunConfig", "run", "main"]
 
 _DOMAINS = ("square", "disc-mask")
-_THREADS_VAR = "FIELD_TRIPLE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -145,6 +141,8 @@ class RunConfig:
             raise InvalidParameterError(f"grid must be at least 3x3, got {nx}x{ny}")
         if self.tol is not None and not self.tol > 0.0:
             raise InvalidParameterError(f"tol must be positive, got {self.tol}")
+        if self.tol == math.inf:
+            raise InvalidParameterError(f"tol must be finite, got {self.tol}")
         for name, option in _OPTIONS.items():
             least, value = option.get("least"), getattr(self, name)
             if least is not None and value is not None and value < least:
@@ -486,12 +484,12 @@ def _run_action(cfg: RunConfig) -> dict:
 class _Verb(NamedTuple):
     help: str
     tol: float | None  # the default tol
-    options: tuple[str, ...]  # beyond --config, --m, --seed and --out
+    options: tuple[str, ...]  # beyond --config, --m and --out
     run: Callable[[RunConfig], dict]
 
     @property
     def keys(self) -> tuple[str, ...]:  # its flags' names and config keys
-        return ("m",) + self.options + ("seed", "out")
+        return ("m",) + self.options + ("out",)
 
 
 _VERBS = {
@@ -499,11 +497,12 @@ _VERBS = {
                    ("model", "grid", "domain", "bc", "tol", "max_iter"),
                    _run_solve),
     "check-maps": _Verb("canonical-map identity suite", 1e-12,
-                        ("tol", "points"), _run_check_maps),
+                        ("tol", "points", "seed"), _run_check_maps),
     "legendre": _Verb("Legendre round-trip report", 1e-9,
-                      ("model", "tol", "points"), _run_legendre),
+                      ("model", "tol", "points", "seed"), _run_legendre),
     "phase-check": _Verb("velocity-side vs momentum-side residuals", 1e-8,
-                         ("model", "tol", "points"), _run_phase_check),
+                         ("model", "tol", "points", "seed"),
+                         _run_phase_check),
     "action": _Verb("discrete action of a field CSV", None,
                     ("model", "grid", "domain", "field"), _run_action),
 }
@@ -625,26 +624,11 @@ def build_config(argv: list[str]) -> RunConfig:
     return RunConfig(command=command, **merged)
 
 
-def _check_threads_var() -> None:
-    raw = os.environ.get(_THREADS_VAR)
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"{_THREADS_VAR} must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise InvalidParameterError(
-            f"{_THREADS_VAR} must be >= 1, got {cap}")
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        _check_threads_var()
         cfg = build_config(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -653,7 +637,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        report = run(cfg)
+        # Every numerical failure reaches exit 3 as an exception, so numpy's
+        # warnings would only repeat it on stderr.
+        with np.errstate(all="ignore"):
+            report = run(cfg)
         text = _report_json(report)
         sys.stdout.write(text)
         if cfg.out is not None and cfg.command != "solve":

@@ -67,9 +67,12 @@ class ExprSyntaxError(FieldTripleError, ValueError):
 
 def _require_newton_options(tol, max_iter) -> None:
     """The Newton loop's test of its tolerance and iteration cap; a nan
-    tolerance fails it."""
+    tolerance fails it, and so does an infinite one, which every residual
+    would meet."""
     if not tol > 0.0:
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    if not math.isfinite(tol):
+        raise InvalidParameterError(f"tolerance must be finite, got {tol}")
     if max_iter < 1:
         raise InvalidParameterError(f"max_iter must be >= 1, got {max_iter}")
 

@@ -732,7 +732,7 @@ def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
 
     Errors: ``InvalidInputError`` when ``initial`` is not a ``GridField``, its
     m is not the model's, or L drops Taylor numbers; ``InvalidParameterError``
-    for a ``tol`` that is not positive or a ``max_iter`` below 1;
+    for a ``tol`` that is not positive and finite or a ``max_iter`` below 1;
     ``GridDomainError`` naming the cell when a start cell is inadmissible,
     and without one when no step length restores admissibility;
     ``DomainError`` when the start residual is not finite; and

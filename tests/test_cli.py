@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -580,6 +581,9 @@ def test_invalid_requests_exit_2(tmp_path, capsys, argv):
      "malformed config JSON: Exceeds the limit (4300 digits) for integer "
      "string conversion: value has 4400 digits; use "
      "sys.set_int_max_str_digits() to increase the limit"),
+    # only the verbs that draw random numbers take a seed
+    (["solve"], {"seed": 1}, "solve takes no config key 'seed'"),
+    (["action"], {"seed": 1}, "action takes no config key 'seed'"),
 ])
 def test_invalid_configs_exit_2_with_message(tmp_path, capsys, argv, config,
                                              message):
@@ -600,13 +604,6 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert code == 2
     assert stderr == (f"fieldtriple: error: cannot read {missing}: "
                       "No such file or directory\n")
-
-
-def test_zero_threads_variable_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("FIELD_TRIPLE_THREADS", "0")
-    code, _, stderr = run(capsys, "check-maps", "--points", "1")
-    assert code == 2
-    assert stderr == "fieldtriple: error: FIELD_TRIPLE_THREADS must be >= 1, got 0\n"
 
 
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
@@ -634,6 +631,32 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("fieldtriple: error: seed must be >= 0")
+
+
+@pytest.mark.parametrize("verb", ["solve", "action"])
+def test_seed_on_a_verb_that_draws_nothing_exits_2(tmp_path, capsys, verb):
+    argv = solve_args(tmp_path / "o.csv") if verb == "solve" else [
+        "action", "--grid", "9x9", "--field", str(tmp_path / "f.csv")]
+    code, stdout, stderr = run(capsys, *argv, "--seed", "1")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.endswith("error: unrecognized arguments: --seed 1\n")
+    assert "--seed" not in run(capsys, verb, "--help")[1]
+
+
+@pytest.mark.parametrize("verb", ["solve", "check-maps", "legendre", "phase-check"])
+@pytest.mark.parametrize("tol,message", [
+    ("inf", "tol must be finite, got inf"),
+    ("-inf", "tol must be positive, got -inf"),
+])
+def test_tol_that_is_not_finite_exits_2(tmp_path, capsys, verb, tol, message):
+    """An infinite tolerance would pass every residual."""
+    argv = (solve_args(tmp_path / "o.csv") if verb == "solve"
+            else [verb, "--points", "2"])
+    code, stdout, stderr = run(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"fieldtriple: error: {message}\n"
 
 
 def test_unreadable_field_exits_2(tmp_path, capsys):
@@ -695,19 +718,6 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "mode" in stderr
 
 
-def test_bad_threads_variable_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FIELD_TRIPLE_THREADS", "many")
-    code, _, stderr = run(capsys, "check-maps", "--points", "1")
-    assert code == 2
-    assert "FIELD_TRIPLE_THREADS" in stderr
-
-
-def test_valid_threads_variable_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("FIELD_TRIPLE_THREADS", "2")
-    code, _, _ = run(capsys, "check-maps", "--points", "1")
-    assert code == 0
-
-
 @pytest.mark.parametrize("bc", ["sin(1e400)", "x*1e200*1e200", "1e400"])
 def test_non_finite_boundary_value_exits_3(tmp_path, capsys, bc):
     code, _, stderr = run(capsys, *solve_args(tmp_path / "o.csv", bc=(bc,)))
@@ -716,9 +726,9 @@ def test_non_finite_boundary_value_exits_3(tmp_path, capsys, bc):
     assert "Traceback" not in stderr
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_start_residual_exits_3(tmp_path, capsys):
-    """Finite boundary data whose start residual overflows to nan."""
+    """Finite boundary data whose start residual overflows to nan: one
+    stderr line, and no numpy warning (the suite makes warnings errors)."""
     code, _, stderr = run(capsys, *solve_args(tmp_path / "o.csv", bc=("1e160*x*y",)))
     assert code == 3
     assert stderr == ("fieldtriple: numerical failure: residual at the "
@@ -834,8 +844,8 @@ _OPTION_VALUES = {
     "bc": (st.sampled_from(["x", "y", "x*y", "sin(x) - y^2", "1 + x/4", "1/(x - x)",
                             "sqrt(x - 2)", "1e160*x*y"]),
            st.sampled_from(["x +", "é", ""]) | st.text(max_size=8)),
-    "tol": (st.sampled_from(["1e-10", "1e-300", "1", "inf"]),
-            st.sampled_from(["0", "-1", "nan"]) | _MALFORMED),
+    "tol": (st.sampled_from(["1e-10", "1e-300", "1"]),
+            st.sampled_from(["0", "-1", "nan", "inf"]) | _MALFORMED),
     "max_iter": (st.integers(1, 3).map(str), st.integers(-1, 0).map(str) | _MALFORMED),
     "points": (st.integers(1, 20).map(str), st.integers(-1, 0).map(str) | _MALFORMED),
     "seed": (st.integers(0, 9).map(str), st.just("-1") | _MALFORMED),
@@ -874,9 +884,6 @@ def _argvs(draw):
 _FIELD_TEXTS = st.sampled_from(["x,y,comp0\n" + "0,0,1\n" * 9, ""]) | st.text(max_size=30)
 
 
-# numpy warns as 1e160*x*y overflows the start residual, before the exit 3
-# that test_overflowing_start_residual_exits_3 checks.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_argvs(), _FIELD_TEXTS)
 @example(["solve", "--grid", "5x5", "--out", "out.csv",
@@ -913,6 +920,14 @@ def test_repeated_calls_share_one_parser_and_print_the_same(capsys):
     assert "invalid choice: 'no-such-model'" in first[2][2]
     assert second == first
     assert cli_module._build_parser() is cli_module._build_parser()
+
+
+def test_main_module_runs_the_cli_only_as_main(capsys):
+    """``fieldtriple/__main__.py`` run under another module name calls
+    nothing; ``python -m fieldtriple`` is what runs the CLI."""
+    namespace = runpy.run_module("fieldtriple", run_name="fieldtriple.__main__")
+    assert namespace["main"] is main
+    assert capsys.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

@@ -1536,6 +1536,10 @@ def test_solver_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError,
                        match="^tolerance must be positive, got nan$"):
         solve_dirichlet(HARM1, f, tol=float("nan"))
+    # an infinite tolerance would call the start converged
+    with pytest.raises(InvalidParameterError,
+                       match="^tolerance must be finite, got inf$"):
+        solve_dirichlet(HARM1, f, tol=float("inf"))
     with pytest.raises(InvalidParameterError):
         solve_dirichlet(HARM1, f, max_iter=0)
     with pytest.raises(InvalidInputError, match="^expected a GridField$"):

@@ -354,10 +354,14 @@ def test_invert_wrong_dimension_rejected():
                        match=r"^guess has q shape \(1, 3\), expected \(1,\)$"):
         legendre_invert(HARM_L, ph, Jet(np.zeros((1, 3)), np.zeros((2, 1, 3))))
     guess = Jet([0.7], [[0.0], [0.0]])
-    for tol, text in ((float("nan"), "nan"), (-1.0, "-1.0")):
+    for tol, text in ((float("nan"), "nan"), (-1.0, "-1.0"),
+                      (-float("inf"), "-inf")):
         with pytest.raises(InvalidParameterError,
                            match=f"^tolerance must be positive, got {text}$"):
             legendre_invert(HARM_L, ph, guess, tol=tol)
+    with pytest.raises(InvalidParameterError,
+                       match="^tolerance must be finite, got inf$"):
+        legendre_invert(HARM_L, ph, guess, tol=float("inf"))
     with pytest.raises(InvalidParameterError, match="^max_iter must be >= 1, got 0$"):
         legendre_invert(HARM_L, ph, guess, max_iter=0)
 
