@@ -132,6 +132,9 @@ class Grid:
         if not (self.hx > 0.0 and self.hy > 0.0):
             raise InvalidParameterError(
                 f"grid spacings must be positive, got hx={self.hx}, hy={self.hy}")
+        if not np.isfinite([self.hx, self.hy]).all():
+            raise InvalidParameterError(
+                f"grid spacings must be finite, got hx={self.hx}, hy={self.hy}")
         if not np.isin(mask, (OUTSIDE, BOUNDARY, INTERIOR)).all():
             raise InvalidInputError("mask entries must be 0, 1 or 2")
         mask = mask.astype(np.int8)
@@ -504,48 +507,36 @@ def _newton_layout(grid: Grid, dofs: np.ndarray, m: int):
     ``gather`` holds each stored entry's position in the flattened stencil
     sums of ``_newton_matrix``, shape (nx, ny, 9, m, m): the column node,
     the offset of the row node from it, the row component and the column
-    component.  The temporaries hold one int32 candidate row per stencil
-    offset and component of each unknown, so the build stays within a few
-    copies of the stored indices.
+    component.
     """
     nx, ny = grid.nx, grid.ny
-    slots = len(_OFFSETS) * m
     active = np.pad(_active_cell_mask(grid.mask), 1)
     shared = np.zeros((nx, ny, len(_OFFSETS)), dtype=bool)
     for k, _, b in _CORNER_PAIRS:
         bi, bj = _CORNERS[b][:2]
         shared[:, :, k] |= active[1 - bi:1 - bi + nx, 1 - bj:1 - bj + ny]
-    shared = shared.reshape(nx * ny, -1)
     node, comp = np.divmod(dofs, m)
     i, j = np.divmod(node, ny)
-    centre = (i + 1) * (ny + 2) + j + 1
     # The unknown of each dof of the grid padded by one node, -1 if fixed.
-    padded = np.full(((nx + 2) * (ny + 2), m), -1, dtype=np.int32)
-    padded[centre, comp] = np.arange(len(dofs), dtype=np.int32)
+    unknown = np.full((nx + 2, ny + 2, m), -1, dtype=np.int32)
+    unknown[i + 1, j + 1, comp] = np.arange(len(dofs), dtype=np.int32)
     # Slot k * m + c of a column holds the row of component c of the node at
-    # offset k, or -1 for none, shifted up past the slot number it carries:
-    # sorting the keys of a column sorts its rows and keeps their slots.
-    shift = (slots - 1).bit_length()
-    key = np.empty((len(dofs), len(_OFFSETS), m), dtype=np.int32)
-    for k, (di, dj) in enumerate(_OFFSETS):
-        key[:, k] = np.where(shared[node, k, None],
-                             padded[centre + di * (ny + 2) + dj], -1)
-    key = key.reshape(len(dofs), slots)
-    key <<= shift
-    key |= np.arange(slots, dtype=np.int32)
-    key.sort(axis=1)
-    stored = key >= 0
+    # offset k, or -1 for none.
+    di, dj = np.array(_OFFSETS, dtype=np.int32).T
+    rows = unknown[i[:, None] + 1 + di, j[:, None] + 1 + dj]
+    rows[~shared[i, j]] = -1
+    rows = rows.reshape(len(dofs), len(_OFFSETS) * m)
+    # Each column's slots in row order, the -1 rows first.
+    slot = np.argsort(rows, axis=1, kind="stable").astype(np.int32)
+    rows = np.take_along_axis(rows, slot, axis=1)
+    stored = rows >= 0
     indptr = np.zeros(len(dofs) + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
     # The entry in slot k * m + c of column (node, comp) sums at
-    # [node, k, c, comp].
-    at = key & ((1 << shift) - 1)
-    at *= m
-    at += (node * (slots * m) + comp).astype(np.int32)[:, None]
-    gather = at[stored]
-    del at
-    key >>= shift
-    return indptr, key[stored], gather
+    # [node, k, c, comp]; the slots become those positions in place.
+    slot *= m
+    slot += (node * (len(_OFFSETS) * m * m) + comp)[:, None]
+    return indptr, rows[stored], slot[stored]
 
 
 def _newton_matrix(grid: Grid, layout, blocks: np.ndarray):

@@ -180,19 +180,18 @@ def el_residual_pointwise(model: LagrangianModel, s: SecondJet) -> np.ndarray:
       D_i(dL/dqdot[i]^a) = sum_b [ H[q^b, qdot[i]^a] qdot[i]^b
                                  + sum_j H[qdot[j]^b, qdot[i]^a] d[i, j]^b ],
 
-    where H is the Hessian of L at the jet, computed by one second-order
-    Taylor pass; the terms of each D_i add in that order, and the D_i are
-    subtracted in direction order.  An inadmissible jet raises L's own
-    ``DomainError`` from the first pass.
+    where H is the Hessian of L at the jet.  One second-order Taylor pass
+    gives both dL/dq and H; the terms of each D_i add in that order, and
+    the D_i are subtracted in direction order.  An inadmissible jet raises
+    L's own ``DomainError`` from that pass.
     """
     j = s.jet
     _require_m(model, j)
     m = model.m
-    z = _flat(j)
-    g = autodiff.grad(model.L, z)
+    t = autodiff._expand(model.L, _flat(j), second=True)
     # H[k, :, l] is the block of slots k, l of the flat jet: q, then qdot[i]
-    H = autodiff.hessian(model.L, z).reshape(3, m, 3, m)
-    r = g[:m]
+    H = np.broadcast_to(t.hess, (3 * m, 3 * m)).reshape(3, m, 3, m)
+    r = t.grad[:m]
     for i, qd in enumerate(j.qdot):
         term = H[0, :, i + 1].T @ qd
         for k, dk in enumerate(s.d[i], start=1):

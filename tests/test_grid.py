@@ -94,6 +94,9 @@ def test_grid_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError, match=r"^grid spacings must be "
                        r"positive, got hx=0\.5, hy=nan$"):
         Grid(hx=0.5, hy=float("nan"), mask=np.ones((3, 3)))
+    with pytest.raises(InvalidParameterError, match=r"^grid spacings must be "
+                       r"finite, got hx=inf, hy=1\.0$"):
+        Grid(hx=float("inf"), hy=1.0, mask=np.ones((3, 3)))
     with pytest.raises(InvalidInputError):
         Grid(hx=0.5, hy=0.5, mask=np.full((3, 3), 7))
     with pytest.raises(InvalidInputError):
@@ -1037,15 +1040,18 @@ def _same_structure(J, ref):
      lambda x, y: np.array([x * y, np.exp(-x)])),
     ("sigma", 3, Grid.square(14, 19),
      lambda x, y: np.array([x, y ** 1.5, np.cosh(x * y)])),
+    ("sigma", 2, Grid.disc_mask(3, 4),
+     lambda x, y: np.array([x * y, np.exp(-x)])),
 ], ids=["harmonic-33", "harmonic-disc-19x23", "harmonic-21x17",
         "harmonic-m2-disc-21", "harmonic-m3-14x19", "sigma-m2-disc-21",
-        "sigma-m3-14x19"])
+        "sigma-m3-14x19", "sigma-m2-disc-3x4-no-unknowns"])
 def test_newton_matrix_is_the_coo_assembly_bitwise(name, m, grid, fn):
     """At m = 1 the COO conversion adds each entry's summands in cell
     order, as the stencil sum does.  Harmonic and sigma have the same slot
     Hessian in every cell, so every summand of an entry is the same value
     and any order gives the same bits at m = 2-3 too.  The structure, int32
-    and with its stored zeros, is the COO one."""
+    and with its stored zeros, is the COO one, also on a grid with no
+    unknowns."""
     blocks, dofs = _perturbed_blocks(name, m, grid, fn)
     ref = coo_newton_matrix(grid, blocks, dofs)
     J = _newton_matrix(grid, _newton_layout(grid, dofs, m), blocks)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldtriple import autodiff
 from fieldtriple.autodiff import ScalarField
 from fieldtriple.bundles import Jet, Phase, PhaseJet, project_to_jet
 from fieldtriple.errors import DomainError, InvalidInputError
@@ -19,6 +20,7 @@ from fieldtriple.lagrangian import (
     phase_relation_residual,
 )
 from fieldtriple.models import (
+    get_lagrangian,
     harmonic_lagrangian,
     nambu_lagrangian,
     nambu_legendre_closed_form,
@@ -255,3 +257,34 @@ def test_el_residual_nambu_flat_sheet_vanishes():
     # an affine worldsheet solves the minimal-surface equations
     s = SecondJet(STANDARD_JET, np.zeros((2, 2, 4)))
     assert np.max(np.abs(el_residual_pointwise(NAMBU, s))) <= 1e-14
+
+
+def test_el_residual_takes_one_second_order_pass(monkeypatch):
+    """dL/dq comes from the gradient channel of the Hessian pass: one
+    ``_expand`` call per residual.  That channel performs the float
+    operations of a first-order pass, so it is ``autodiff.grad`` bit for
+    bit."""
+    rng = np.random.default_rng(8)
+    jets = [(NAMBU, sample_admissible_string_jet(rng)) for _ in range(5)]
+    jets += [(HALFPLANE, Jet(sample_halfplane_q(rng), rng.standard_normal((2, 2))))
+             for _ in range(5)]
+    sigma = get_lagrangian("sigma", 3)
+    jets += [(sigma, Jet(rng.standard_normal(3), rng.standard_normal((2, 3))))
+             for _ in range(5)]
+    for model, j in jets:
+        z = np.concatenate([j.q, *j.qdot])
+        one_pass = autodiff._expand(model.L, z, second=True).grad
+        assert np.array_equal(one_pass.view(np.int64),
+                              autodiff.grad(model.L, z).view(np.int64))
+    calls = []
+    expand = autodiff._expand
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "_expand", counting)
+    for model, j in jets:
+        d = rng.standard_normal((2, 2, model.m))
+        el_residual_pointwise(model, SecondJet(j, d + d.swapaxes(0, 1)))
+    assert calls == [{"second": True}] * len(jets)
