@@ -607,39 +607,61 @@ def _dissection_order(inodes: np.ndarray) -> np.ndarray:
     return np.argsort(labels[inodes[:, 0] - lo[0], inodes[:, 1] - lo[1]])
 
 
-def _solve_jacobian(J, rhs, fallback):
-    """The Newton step ``x`` with ``J x = rhs``; returns ``(x, fallback)``.
+def _solve_jacobian(J, rhs):
+    """The Newton step ``x`` with ``J x = rhs``.
 
-    ``fallback`` is the solve's state: None until a step has needed partial
-    pivoting, then the column order of that first fallback.  While it is
-    None and every diagonal entry of ``J`` is positive (a positive definite
+    While every diagonal entry of ``J`` is positive (a positive definite
     matrix has a positive diagonal), ``J`` first goes to the definite trial
-    of ``_definite_step``.  When the trial fails, ``J`` itself, stored zeros
-    included, is factored with partial pivoting in the MMD(J^T J) column
-    order, and ``fallback`` becomes its final column order
-    ``argsort(lu.perm_c)``.  Every later step factors ``J[:, fallback]`` in
-    its natural order with the same pivoting and solves for ``x[fallback]``.
-    That is exact: ``J``'s stored pattern depends only on the grid and the
-    free dofs, so MMD(J^T J) would give the same order again, and the
-    factors, row pivots and step are bitwise those of a fresh ``MMD_ATA``
-    factorization.  ``J`` is rebound to its permuted copy, so a caller that
-    passes ``J`` inline has one Newton matrix alive in that ``splu``.  A
-    ``RuntimeError`` from a fallback propagates.  No factors outlive the
-    call.
+    of ``_definite_step``.  Otherwise, or when the trial fails, the step is
+    ``_refined_step``'s; only if that refuses it is ``J``, stored zeros
+    included, factored with partial pivoting in the MMD(J^T J) column
+    order, and a ``RuntimeError`` from that propagates.  No state is kept
+    between calls, and no factors outlive one.
     """
     import scipy.sparse.linalg
 
-    if fallback is not None:
-        J = J[:, fallback]
-        step = np.empty(len(rhs))
-        step[fallback] = scipy.sparse.linalg.splu(J, permc_spec="NATURAL").solve(rhs)
-        return step, fallback
     if np.all(J.diagonal() > 0.0):
         step = _definite_step(J, rhs)
         if step is not None:
-            return step, None
-    lu = scipy.sparse.linalg.splu(J, permc_spec="MMD_ATA")
-    return lu.solve(rhs), np.argsort(lu.perm_c)
+            return step
+    step = _refined_step(J, rhs)
+    if step is not None:
+        return step
+    return scipy.sparse.linalg.splu(J, permc_spec="MMD_ATA").solve(rhs)
+
+
+def _refined_step(J, rhs):
+    """The step of ``J x = rhs`` by diagonal pivots and iterative
+    refinement, or None if that is refused.
+
+    ``J`` is factored whole, in its own (nested-dissection) order, with
+    diagonal pivots; a singular factorization refuses the step.  Each solve
+    is followed by the componentwise backward error max_i |r_i| /
+    (|J||x| + |rhs|)_i of r = rhs - J x, a zero denominator counting 0,
+    and then by a correction solve of r unless, by LAPACK xGERFS's rule,
+    the error is at most eps, has not halved, or 5 corrections were made.
+    The step is kept if it is finite and its last error is at most 8 eps.
+    """
+    import scipy.sparse.linalg
+
+    try:
+        lu = scipy.sparse.linalg.splu(J, permc_spec="NATURAL",
+                                      diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError:
+        return None
+    eps, absJ, absb = np.finfo(float).eps, abs(J), np.abs(rhs)
+    x, last = lu.solve(rhs), np.inf
+    for corrections in range(6):
+        if not np.isfinite(x).all():
+            return None
+        r = rhs - J @ x
+        scale = absJ @ np.abs(x) + absb
+        error = np.divide(np.abs(r), scale, out=np.zeros(len(r)),
+                          where=scale > 0.0).max(initial=0.0)
+        if error <= eps or 2.0 * error > last or corrections == 5:
+            return x if error <= 8.0 * eps else None
+        x, last = x + lu.solve(r), error
 
 
 def _definite_step(J, rhs):
@@ -740,11 +762,12 @@ def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
     factors each decoupled block of the matrix on its own, in natural order
     with diagonal pivots, and keeps the step only if no row was swapped and
     every pivot is positive, which proves the matrix positive definite (the
-    harmonic and sigma models).  Otherwise the matrix is factored with
-    partial pivoting in the MMD(J^T J) column order (the string), and every
-    later step of the solve reuses that column order, which its stored
-    pattern would give again, so the step is bit for bit that of a fresh
-    factorization.  One factorization is alive at a time, and none outlives
+    harmonic and sigma models).  Otherwise (the string) the matrix is
+    factored once, whole, in the same order with diagonal pivots, and its
+    step is refined to a componentwise backward error of at most 8 machine
+    epsilons (``_refined_step``); only a refused step is solved again with
+    partial pivoting in the MMD(J^T J) column order.  No step depends on an
+    earlier one, one factorization is alive at a time, and none outlives
     its step.
     """
     _require_model_field(model, initial)
@@ -767,7 +790,6 @@ def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
             model, GridField(grid=grid, values=u)).reshape(-1)[dofs]
 
     layout = _newton_layout(grid, dofs, m)
-    fallback = None
 
     def newton_step(x: np.ndarray, F: np.ndarray, iterations: int) -> np.ndarray:
         # The field, its element blocks and the Newton matrix are passed on,
@@ -775,11 +797,9 @@ def solve_dirichlet(model: LagrangianModel, initial: GridField, *,
         # (binding the field put harmonic-257 peak RSS at 170 MB in 7 of 10
         # seeded runs, 2-vCPU host, against 158-162 MB); _solve_jacobian
         # returns the step alone, so no factors reach here.
-        nonlocal fallback
         try:
-            step, fallback = _solve_jacobian(
-                _newton_matrix(grid, layout, _element_blocks(model, grid, field(x))),
-                -F, fallback)
+            step = _solve_jacobian(_newton_matrix(
+                grid, layout, _element_blocks(model, grid, field(x))), -F)
         except RuntimeError as e:
             raise SingularJacobianError(
                 f"Newton system is singular at iteration {iterations}: {e}") from e

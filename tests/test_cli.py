@@ -107,9 +107,9 @@ def test_solve_disc_domain(tmp_path, capsys):
 
 def test_solve_stall_exits_3_but_writes_artifacts(tmp_path, capsys):
     # The same off-solution string solve stops at the cap with 4 steps and
-    # stalls in the line search after 26 steps with 50 allowed.
+    # stalls in the line search after 25 steps with 50 allowed.
     stops = {"4": ("iteration cap 4 reached", 4),
-             "50": ("line search stalled: no step decreased the residual", 26)}
+             "50": ("line search stalled: no step decreased the residual", 25)}
     for max_iter, (reason, steps) in stops.items():
         out = tmp_path / f"stall{max_iter}.csv"
         code, stdout, stderr = run(capsys, *solve_args(
@@ -284,7 +284,7 @@ def test_pointwise_stdout_is_pinned(capsys, argv, seed, digest):
 # solves (numpy 2.4.6, scipy 1.17.1, x86-64): a one-step harmonic solve kept
 # by the definite trial, a harmonic m=3 solve whose Newton matrix splits into
 # six decoupled blocks, a sigma solve on a disc mask, and a string solve
-# stopped by its iteration cap after pivoting fallbacks and plan fills.  The
+# stopped by its iteration cap after four refined indefinite steps.  The
 # report is written as it is printed, so stdout shares its digest.
 SOLVE_SHA256 = [
     ("harmonic", "21x17", ("sin(3*x)*cosh(y) + x^2*y",), (), 0,
@@ -301,9 +301,9 @@ SOLVE_SHA256 = [
       "225745f1055d8767d58ebee5e3792f1059348ff6edb456a04539be3f1a773c42",
       "e57c681e373cc2625ae591b1ef7e65bfd1061f62e064e57ec0630b42bbb2a7f0")),
     ("nambu", "9x9", ("x", "y", "0.1*x*y", "0"), ("--max-iter", "4"), 3,
-     ("4a726610d05d719018922c0589e0309cecc31e724a23bf1b36f957d0d7f50ad9",
-      "df258e698d616799a4557db29af033fc62af2eee994289faed3deaf220bad34f",
-      "de7f20f24d25c0f95d7b0a875e889d7fbc20bd9a26a41d5067fc9b0bf86833ed")),
+     ("87568c5cfe7f9fc346212590d1afeff7109f1b7902e4d324eec78446715ce82c",
+      "65e294bbad22038aa015cc8c51d42455f9556a6584b41afe4e4ae2f670bc8b76",
+      "3771688458f3e519c33fbb2c2377b1938ed2a4b7e4c510c50ec15d6191a24f19")),
 ]
 
 

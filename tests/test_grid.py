@@ -764,33 +764,6 @@ def test_solve_builds_no_coo_matrix_and_frees_the_blocks_before_splu(monkeypatch
     assert coo_builds == []
 
 
-def test_reused_order_factors_with_the_assembled_matrix_freed(monkeypatch):
-    """A string solve's steps after its first fallback factor the permuted
-    copy of the Newton matrix alone: the assembled matrix is garbage when
-    that splu runs."""
-    matrices = []
-    reused = []
-    newton_matrix = grid_module._newton_matrix
-    splu = scipy.sparse.linalg.splu
-
-    def tracked_matrix(*args):
-        out = newton_matrix(*args)
-        matrices.append(weakref.ref(out))
-        return out
-
-    def tracked_splu(A, permc_spec=None, **kwargs):
-        if permc_spec == "NATURAL" and not kwargs:
-            reused.append(all(ref() is None for ref in matrices))
-        return splu(A, permc_spec=permc_spec, **kwargs)
-
-    monkeypatch.setattr(grid_module, "_newton_matrix", tracked_matrix)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
-    _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
-                            m=4, tol=1e-10, max_iter=4)
-    assert rep.iterations == 4 and len(matrices) == 4
-    assert reused == [True] * 3
-
-
 # ---------------------------------------------------------------------------
 # Newton factorization: nested-dissection order and the definiteness trial
 
@@ -864,10 +837,12 @@ def test_solve_without_interior_nodes_is_converged():
 
 
 class _RecordedLU:
-    """A SuperLU factorization that records its solves."""
+    """A SuperLU factorization that records its solves and the keyword
+    arguments of its splu call."""
 
-    def __init__(self, lu):
+    def __init__(self, lu, kwargs):
         self.lu = lu
+        self.kwargs = kwargs
         self.solves = []
 
     def __getattr__(self, name):
@@ -891,7 +866,7 @@ def _record_factorizations(monkeypatch):
     def recording_splu(J, **kwargs):
         lu = None
         try:
-            lu = _RecordedLU(splu(J, **kwargs))
+            lu = _RecordedLU(splu(J, **kwargs), kwargs)
             return lu
         finally:
             calls.append((J, kwargs.get("permc_spec"), lu))
@@ -921,8 +896,7 @@ def test_definite_newton_systems_keep_the_diagonal_pivot_trial(
     _, rep = _solve_with_bc(model, grid, fn, m,
                             interior=lambda x, y: np.full(m, 0.3))
     assert rep.converged and rep.iterations >= 1
-    assert len(assembled) == rep.iterations
-    assert all(fallback is None for _, _, fallback in factored)
+    assert len(assembled) == rep.iterations == len(factored)
     assert len(calls) == sum(_components(J)[0] for J in assembled)
     assert all(spec == "NATURAL" and len(lu.solves) == 1
                for _, spec, lu in calls)
@@ -938,7 +912,7 @@ def _components(J):
 def _record_newton_matrices(monkeypatch):
     """Wrap the Newton matrix sum and the solve; returns the list of Newton
     matrices, the list of test-side plain Python sums of the same element
-    blocks in cell order and the list of ``(rhs, step, fallback)`` of each
+    blocks in cell order and the list of ``(rhs, step)`` of each
     ``_solve_jacobian`` call."""
     assembled, reference, factored = [], [], []
     newton_matrix = grid_module._newton_matrix
@@ -952,10 +926,10 @@ def _record_newton_matrices(monkeypatch):
         reference.append(cell_order_newton_matrix(grid, blocks, dofs))
         return J
 
-    def recording_solve(J, rhs, fallback):
-        out = solve(J, rhs, fallback)
-        factored.append((rhs, *out))
-        return out
+    def recording_solve(J, rhs):
+        step = solve(J, rhs)
+        factored.append((rhs, step))
+        return step
 
     monkeypatch.setattr(grid_module, "_newton_matrix", recording_matrix)
     monkeypatch.setattr(grid_module, "_solve_jacobian", recording_solve)
@@ -970,42 +944,36 @@ def _same_bits(A, B):
             and np.array_equal(A.data.view(np.int64), B.data.view(np.int64)))
 
 
-def _check_fallback_reuse(calls, assembled, reference, factored, first):
-    """Every Newton matrix is bit for bit the cell-order sum of its element
-    blocks, stored zeros included.  Step ``first`` of the solve is its first fallback and every
-    later step reuses that fallback's column order: it factors
-    ``J_asm[:, cols]`` (stored zeros included) in its natural order, and its
-    factors, row pivots and step are bitwise those of a fresh ``MMD_ATA``
-    factorization of the assembled matrix.  Each fallback solves the
-    right-hand side as given, unpermuted."""
-    for J_asm, ref in zip(assembled, reference, strict=True):
-        assert J_asm is not ref and _same_bits(J_asm, ref)
-    fallbacks = calls[len(calls) - len(assembled) + first:]
-    assert [spec for _, spec, _ in fallbacks] == (
-        ["MMD_ATA"] + ["NATURAL"] * (len(assembled) - first - 1))
-    _, _, cols = factored[first]
-    assert np.array_equal(np.sort(cols), np.arange(len(cols)))
-    for k, ((J, _, lu), J_asm, (rhs, step, fallback)) in enumerate(
-            zip(fallbacks, assembled[first:], factored[first:], strict=True)):
-        n = J_asm.shape[0]
-        assert fallback is cols
-        (b, x), = lu.solves
-        assert b is rhs
-        if k == 0:
-            assert J is J_asm
-            assert np.array_equal(step.view(np.int64), x.view(np.int64))
-        else:
-            assert _same_bits(J, J_asm[:, cols])
-            assert J.nnz == J_asm.nnz
-            assert np.count_nonzero(J.data) == np.count_nonzero(J_asm.data)
-            assert np.array_equal(lu.perm_c, np.arange(n))
-            assert np.array_equal(step[cols].view(np.int64), x.view(np.int64))
-        fresh = _ORIGINAL_SPLU(J_asm, permc_spec="MMD_ATA")
-        assert np.array_equal(cols, np.argsort(fresh.perm_c))
-        assert _same_bits(lu.L, fresh.L) and _same_bits(lu.U, fresh.U)
-        assert np.array_equal(lu.perm_r, fresh.perm_r)
-        ref = fresh.solve(b)
-        assert np.array_equal(step.view(np.int64), ref.view(np.int64))
+_MACHINE_EPS = np.finfo(float).eps
+
+# The splu arguments of the definite trial and of the refined step: the
+# matrix's own order, diagonal pivots.
+_DIAGONAL_PIVOTS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+                    "options": {"SymmetricMode": True}}
+
+
+def _backward_error(J, x, b):
+    """Componentwise backward error max_i |b - J x|_i / (|J| |x| + |b|)_i,
+    a row with a zero denominator counting 0."""
+    r = np.abs(b - J @ x)
+    scale = abs(J) @ np.abs(x) + np.abs(b)
+    return max((ri / si for ri, si in zip(r, scale) if si > 0.0), default=0.0)
+
+
+def _check_refined(J, rhs, step, lu):
+    """``lu`` factored ``J`` itself with diagonal pivots; ``step`` is its
+    solve of ``rhs`` plus, in turn, its solve of each residual
+    ``rhs - J x`` of the step so far, and its backward error is at most
+    8 eps.  Returns the number of corrections."""
+    assert lu.kwargs == _DIAGONAL_PIVOTS
+    (b, x), *corrections = lu.solves
+    assert b is rhs
+    for r, d in corrections:
+        assert np.array_equal(r, rhs - J @ x)
+        x = x + d
+    assert np.array_equal(step.view(np.int64), x.view(np.int64))
+    assert _backward_error(J, step, rhs) <= 8 * _MACHINE_EPS
+    return len(corrections)
 
 
 def _perturbed_blocks(name, m, grid, fn, seed=11):
@@ -1125,22 +1093,25 @@ def test_newton_matrix_keeps_a_negative_zero_beside_an_inactive_cell():
             assert len(own) == m and np.all(own == 0.0) and np.all(np.signbit(own))
 
 
-def test_string_newton_skips_the_trial_and_factors_with_mmd_ata(monkeypatch):
-    """The string's Newton matrix has a negative diagonal, so no diagonal
-    pivot trial runs.  The first step factors the matrix as assembled, its
-    stored zeros included, with partial pivoting in the MMD(J^T J) order;
-    every later step factors the assembled matrix in that column order."""
+def test_string_newton_step_is_one_refined_diagonal_pivot_factorization(monkeypatch):
+    """The string's Newton matrix has a negative diagonal, so no definite
+    trial runs.  Each step factors the matrix as assembled, stored zeros
+    included, once, in its own order with diagonal pivots, and refines its
+    step against that matrix to a backward error of at most 8 eps; the
+    first step takes all 5 corrections."""
     calls = _record_factorizations(monkeypatch)
     assembled, reference, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(NAMBU, Grid.square(9, 9), near_flat_sheet(0.1),
                             m=4, tol=1e-10, max_iter=4)
-    assert rep.iterations == 4
-    assert [spec for _, spec, _ in calls] == (
-        ["MMD_ATA"] + ["NATURAL"] * (rep.iterations - 1))
-    assert [len(lu.solves) for _, _, lu in calls] == [1] * rep.iterations
+    assert rep.iterations == len(calls) == len(assembled) == 4
     assert np.all(assembled[0].diagonal() < 0.0)
     assert np.any(assembled[0].data == 0.0)
-    _check_fallback_reuse(calls, assembled, reference, factored, 0)
+    corrections = []
+    for (J, _, lu), J_asm, ref, (rhs, step) in zip(
+            calls, assembled, reference, factored, strict=True):
+        assert J is J_asm and J_asm is not ref and _same_bits(J_asm, ref)
+        corrections.append(_check_refined(J, rhs, step, lu))
+    assert corrections == [5, 1, 2, 1]
 
 
 def _double_hump_model():
@@ -1155,28 +1126,34 @@ def _double_hump_model():
     return LagrangianModel(L=ScalarField(arity=3, eval=eval_L), name="double-hump")
 
 
-def test_trial_rejected_mid_solve_fixes_the_column_order(monkeypatch):
-    """The first step keeps the definite trial; the second step's trial is
-    rejected and falls back to MMD_ATA, and every later step reuses that
-    fallback's column order without running the trial again."""
+def test_trial_rejected_mid_solve_takes_the_refined_step(monkeypatch):
+    """The first step keeps the definite trial.  From the second step on the
+    matrix keeps its positive diagonal but the trial is rejected, and the
+    step is the refined one: the same matrix factored again, whole, with
+    diagonal pivots.  Nothing carries over from one step to the next."""
     calls = _record_factorizations(monkeypatch)
-    assembled, reference, factored = _record_newton_matrices(monkeypatch)
+    assembled, _, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(_double_hump_model(), Grid.square(9, 9),
                             lambda x, y: np.array([2.5 + 0.0 * x]), m=1,
                             interior=lambda x, y: np.array([1.0]), max_iter=4)
     assert rep.iterations == 4
-    assert [spec for _, spec, _ in calls] == [
-        "NATURAL", "NATURAL", "MMD_ATA", "NATURAL", "NATURAL"]
-    assert all(np.all(J.diagonal() > 0.0) for J in assembled[:2])
-    assert all(_components(J)[0] == 1 for J in assembled[:2])
-    (rhs, step, fallback) = factored[0]
-    assert fallback is None
-    assert calls[0][0] is assembled[0]
+    assert all(np.all(J.diagonal() > 0.0) and _components(J)[0] == 1
+               for J in assembled)
+    assert [J is assembled[k] for k, (J, _, _) in zip(
+        [0, 1, 1, 2, 2, 3, 3], calls, strict=True)] == [True] * 7
+    assert all(lu.kwargs == _DIAGONAL_PIVOTS for _, _, lu in calls)
+    (rhs, step) = factored[0]
     (b, x), = calls[0][2].solves
     assert np.array_equal(b, rhs)
     assert np.array_equal(step.view(np.int64), x.view(np.int64))
-    assert len(calls[1][2].solves) == 0
-    _check_fallback_reuse(calls, assembled, reference, factored, 1)
+    corrections = []
+    for (_, _, trial), (J, _, lu), (rhs, step) in zip(
+            calls[1::2], calls[2::2], factored[1:], strict=True):
+        assert trial.solves == []
+        assert not (np.array_equal(trial.perm_r, trial.perm_c)
+                    and np.all(trial.U.diagonal() > 0.0))
+        corrections.append(_check_refined(J, rhs, step, lu))
+    assert corrections == [0, 0, 1]
 
 
 @pytest.mark.parametrize("name,m,grid,fn,components", [
@@ -1203,8 +1180,7 @@ def test_definite_newton_step_matches_partial_pivoting(monkeypatch, name, m,
     calls = _record_factorizations(monkeypatch)
     assembled, _, factored = _record_newton_matrices(monkeypatch)
     _solve_with_bc(get_lagrangian(name, m), grid, fn, m)
-    (J_asm,), ((rhs, step, fallback),) = assembled, factored
-    assert fallback is None
+    (J_asm,), ((rhs, step),) = assembled, factored
     ncomp, labels = _components(J_asm)
     assert ncomp == components and len(calls) == components
     if components == 1:
@@ -1267,8 +1243,8 @@ def test_blockwise_step_is_the_block_diagonal_factorization_bitwise(
     assembled, _, factored = _record_newton_matrices(monkeypatch)
     _, rep = _solve_with_bc(get_lagrangian(name, m), grid, fn, m)
     assert rep.converged
-    (J,), ((rhs, step, fallback),) = assembled, factored
-    assert fallback is None and _components(J)[0] == components
+    (J,), ((rhs, step),) = assembled, factored
+    assert _components(J)[0] == components
     ref = _block_diagonal_step(J, rhs)
     assert np.array_equal(step.view(np.int64), ref.view(np.int64))
 
@@ -1284,34 +1260,93 @@ _SWAMPED = [[1e-20, 1.0, -2.0], [1.0, 2.0, 1.0], [-2.0, 1.0, 0.0]]
 _SWAMPED_POSITIVE = [[2.0 ** -53, 3.0, 2.0], [3.0, 1.0, -2.0], [2.0, -2.0, 2.0]]
 
 
-@pytest.mark.parametrize("A,trial", [
-    ([[0.0, 1.0], [1.0, 0.0]], None),
-    ([[1.0, 0.0], [0.0, -1.0]], None),
-    (_SWAMPED, None),
-    ([[1.0, 2.0], [2.0, 1.0]], "rejected"),
-    ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "rejected"),
-    (_SWAMPED_POSITIVE, "raises"),
+# Negative diagonal, condition number 4.3: the tiny first pivot swamps the
+# trailing 2x2 block without cancelling it to an exact zero, and refining
+# with those factors stops when the backward error fails to halve.
+_STAGNATING = [[-1e-17, 1.0, -2.0], [1.0, -2.0, 1.0], [-2.0, 1.0, -1.0]]
+
+
+# Negative diagonal, condition number 1.0: the tiny first pivot overflows
+# the second, so the first solve with diagonal pivots is not finite.
+_OVERFLOWING = [[-1e-300, 1e10], [1e10, 1.0]]
+
+
+@pytest.mark.parametrize("A,trial,refined", [
+    ([[0.0, 1.0], [1.0, 0.0]], None, "accepted"),
+    ([[1.0, 0.0], [0.0, -1.0]], None, "accepted"),
+    (_SWAMPED, None, "raises"),
+    ([[1.0, 2.0], [2.0, 1.0]], "rejected", "accepted"),
+    ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], "rejected", "accepted"),
+    (_SWAMPED_POSITIVE, "raises", "raises"),
+    (_STAGNATING, None, "stagnates"),
+    (_OVERFLOWING, None, "non-finite"),
 ], ids=["zero-diagonal", "negative-pivot", "exact-zero-pivot",
         "positive-diagonal-negative-pivot", "positive-diagonal-row-swap",
-        "positive-diagonal-exact-zero-pivot"])
-def test_indefinite_matrix_falls_back_to_partial_pivoting(monkeypatch, A, trial):
+        "positive-diagonal-exact-zero-pivot", "stagnating-refinement",
+        "non-finite-refinement"])
+def test_indefinite_matrix_falls_back_to_partial_pivoting(monkeypatch, A, trial,
+                                                         refined):
     """A diagonal entry <= 0 skips the trial; a positive diagonal reaches
     it, and a negative pivot, a swapped row or an exact zero pivot rejects
-    it."""
+    it.  The matrix is then factored whole with diagonal pivots and its
+    step refined.  Only when that factorization raises, or its refinement
+    stagnates above 8 eps or is not finite, does the matrix as given go to
+    partial pivoting in the MMD(J^T J) order.  Every path solves to 1e-14."""
     calls = _record_factorizations(monkeypatch)
     J = scipy.sparse.csc_matrix(np.array(A))
     b = np.arange(1.0, len(A) + 1.0)
-    step, fallback = _solve_jacobian(J, b, None)
-    assert [spec for _, spec, _ in calls] == (
-        ["MMD_ATA"] if trial is None else ["NATURAL", "MMD_ATA"])
+    step = _solve_jacobian(J, b)
+    specs = ["NATURAL"] * (1 + (trial is not None))
+    if refined != "accepted":
+        specs.append("MMD_ATA")
+    assert [spec for _, spec, _ in calls] == specs
     if trial is not None:
         assert (calls[0][2] is None) == (trial == "raises")
-    J_fallback, _, lu = calls[-1]
-    assert J_fallback is J
-    (rhs, x), = lu.solves
-    assert rhs is b and np.array_equal(step.view(np.int64), x.view(np.int64))
-    assert np.array_equal(fallback, np.argsort(lu.perm_c))
+    J_refined, _, lu = calls[len(specs) - 1 - (refined != "accepted")]
+    assert J_refined is J
+    if refined == "accepted":
+        _check_refined(J, b, step, lu)
+    elif refined == "raises":
+        assert lu is None
+    else:
+        assert lu.kwargs == _DIAGONAL_PIVOTS
+        (_, x), *corrections = lu.solves
+        errors = [_backward_error(J, x, b)]
+        for _, d in corrections:
+            x = x + d
+            errors.append(_backward_error(J, x, b))
+        if refined == "non-finite":
+            assert corrections == [] and not np.isfinite(x).all()
+        else:
+            assert 1 <= len(corrections) < 5 and np.isfinite(x).all()
+            assert errors[-1] > 8 * _MACHINE_EPS and 2 * errors[-1] > errors[-2]
+    if refined != "accepted":
+        J_fallback, _, lu = calls[-1]
+        assert J_fallback is J
+        (rhs, x), = lu.solves
+        assert rhs is b and np.array_equal(step.view(np.int64), x.view(np.int64))
     assert np.allclose(step, np.linalg.solve(A, b), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("A", [_STAGNATING, _OVERFLOWING],
+                         ids=["stagnating-refinement", "non-finite-refinement"])
+def test_refined_factors_are_freed_before_the_fallback(monkeypatch, A):
+    """The refused refinement's factors are garbage when the fallback's
+    splu runs, so one factorization is alive at a time."""
+    factors = []
+    alive = []
+    splu = scipy.sparse.linalg.splu
+
+    def tracked_splu(A, **kwargs):
+        alive.append((kwargs["permc_spec"], [ref() is not None for ref in factors]))
+        lu = _RecordedLU(splu(A, **kwargs), kwargs)
+        factors.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", tracked_splu)
+    _solve_jacobian(scipy.sparse.csc_matrix(np.array(A)), np.ones(len(A)))
+    assert alive == [("NATURAL", []), ("MMD_ATA", [False])]
+    assert factors[-1]() is None
 
 
 def _with_stored_zeros(A):
@@ -1329,17 +1364,16 @@ def _with_stored_zeros(A):
 def test_trial_factors_the_decoupled_blocks(monkeypatch, A, definite):
     """Stored zeros are dropped and the components {0, 2} and {1} factored
     one after the other, each in the order it has in the matrix; a rejected
-    trial leaves partial pivoting with the matrix as given, stored zeros
+    trial leaves the refined step of the matrix as given, stored zeros
     included."""
     calls = _record_factorizations(monkeypatch)
     J = _with_stored_zeros(A)
     b = np.array([1.0, -2.0, 3.0])
-    step, fallback = _solve_jacobian(J, b, None)
-    assert (fallback is None) is definite
+    step = _solve_jacobian(J, b)
+    assert [spec for _, spec, _ in calls] == ["NATURAL", "NATURAL"]
     assert np.array_equal(calls[0][0].toarray(), np.array(A)[[0, 2]][:, [0, 2]])
     assert calls[0][0].nnz == 4
     if definite:
-        assert [spec for _, spec, _ in calls] == ["NATURAL", "NATURAL"]
         assert np.array_equal(calls[1][0].toarray(), [[3.0]])
         assert calls[1][0].nnz == 1
         (b0, x0), = calls[0][2].solves
@@ -1347,9 +1381,9 @@ def test_trial_factors_the_decoupled_blocks(monkeypatch, A, definite):
         assert np.array_equal(b0, b[[0, 2]]) and np.array_equal(b1, b[[1]])
         assert np.array_equal(step[[0, 2]], x0) and np.array_equal(step[[1]], x1)
     else:
-        assert [spec for _, spec, _ in calls] == ["NATURAL", "MMD_ATA"]
+        assert calls[0][2].solves == []
         assert calls[1][0] is J and J.nnz == 9
-        assert np.array_equal(fallback, np.argsort(calls[1][2].perm_c))
+        _check_refined(J, b, step, calls[1][2])
     assert np.allclose(step, np.linalg.solve(A, b), rtol=0, atol=1e-14)
 
 
@@ -1364,28 +1398,32 @@ def test_rejected_later_block_discards_the_step(monkeypatch, second):
     """The first block {0, 2} is definite and kept; the second {1, 3, 4} has
     a negative pivot, or an exact zero pivot that makes splu raise.  The
     partial step is discarded, and the matrix as assembled, stored zeros
-    included, is factored with partial pivoting."""
+    included, is factored whole with diagonal pivots for the refined step.
+    That factorization meets the same exact zero pivot and raises, so that
+    matrix goes on to partial pivoting."""
     A = np.zeros((5, 5))
     A[np.ix_([0, 2], [0, 2])] = _DEFINITE_BLOCK
     A[np.ix_([1, 3, 4], [1, 3, 4])] = second
     calls = _record_factorizations(monkeypatch)
     J = _with_stored_zeros(A)
     b = np.array([1.0, -2.0, 3.0, 0.5, -1.5])
-    step, fallback = _solve_jacobian(J, b, None)
-    assert [spec for _, spec, _ in calls] == ["NATURAL", "NATURAL", "MMD_ATA"]
-    (J1, _, lu1), (J2, _, lu2), (J3, _, lu3) = calls
+    step = _solve_jacobian(J, b)
+    (J1, _, lu1), (J2, _, lu2), (J3, _, lu3), *fallback = calls
     assert np.array_equal(J1.toarray(), _DEFINITE_BLOCK) and J1.nnz == 4
     assert len(lu1.solves) == 1
     assert np.array_equal(J2.toarray(), second) and J2.nnz == 9
+    assert J3 is J and J.nnz == 25
     if second is _SWAMPED_POSITIVE:
-        assert lu2 is None
+        assert lu2 is None and lu3 is None
+        (J4, spec, lu4), = fallback
+        assert J4 is J and spec == "MMD_ATA"
+        (rhs, x), = lu4.solves
+        assert rhs is b and np.array_equal(step.view(np.int64), x.view(np.int64))
     else:
         assert np.array_equal(lu2.perm_r, lu2.perm_c)
         assert np.any(lu2.U.diagonal() < 0.0) and lu2.solves == []
-    assert J3 is J and J.nnz == 25
-    (rhs, x), = lu3.solves
-    assert rhs is b and np.array_equal(step.view(np.int64), x.view(np.int64))
-    assert np.array_equal(fallback, np.argsort(lu3.perm_c))
+        assert fallback == []
+        _check_refined(J, b, step, lu3)
     assert np.allclose(step, np.linalg.solve(A, b), rtol=0, atol=1e-13)
 
 
@@ -1409,14 +1447,20 @@ def test_non_finite_newton_step_raises():
         _solve_with_bc(model, Grid.square(5, 5), lambda x, y: np.array([x]), m=1)
 
 
-def test_singular_newton_system_raises():
+def test_singular_newton_system_raises(monkeypatch):
     # L = qbar is linear in the nodal values: its Hessian, and so the Newton
-    # matrix, is zero while the residual is not.
+    # matrix, is zero while the residual is not.  Its zero diagonal skips the
+    # trial; the refined step's factorization raises, and so does the
+    # fallback's.
     model = LagrangianModel(
         L=ScalarField(arity=3, eval=lambda xs: 1.0 * xs[0]), name="linear")
+    calls = _record_factorizations(monkeypatch)
     with pytest.raises(SingularJacobianError,
                        match="Newton system is singular at iteration 0: "):
         _solve_with_bc(model, Grid.square(7, 7), lambda x, y: np.array([x]), m=1)
+    assert [(spec, lu) for _, spec, lu in calls] == [("NATURAL", None),
+                                                     ("MMD_ATA", None)]
+    assert calls[0][0] is calls[1][0] and not calls[0][0].count_nonzero()
 
 
 def test_nan_start_residual_is_named(monkeypatch):
